@@ -131,6 +131,23 @@ def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int 
     return Workload(m, steps)
 
 
+def _check_negate(negate: Sequence[int], m: int) -> None:
+    for col in negate:
+        if not 1 <= col <= m:
+            raise InputError(f"--negate column {col} out of range 1..{m}")
+
+
+def _parse_objectives(where: str, cells: Sequence[str], negate: Sequence[int]) -> tuple[float, ...]:
+    """Parse one row's objective cells, negating the ``negate`` columns."""
+    try:
+        objs = [float(cell) for cell in cells]
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    for col in negate:
+        objs[col - 1] = -objs[col - 1]
+    return tuple(objs)
+
+
 def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
     """Read a workload CSV: header ``op,id,obj_1,...,obj_M``; insert rows carry
     a full objective vector, delete/lookup rows leave the objective cells empty."""
@@ -142,6 +159,7 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
     if len(header) < 4 or header[0] != "op" or header[1] != "id":
         raise InputError(f"{path}: header must be op,id,obj_1,...,obj_M with M >= 2")
     m = len(header) - 2
+    _check_negate(negate, m)
     steps: list[Step] = []
     for lineno, row in enumerate(rows[1:], 2):
         if not row or all(not cell.strip() for cell in row):
@@ -153,13 +171,8 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
         if op == "insert":
             if len(row) != m + 2:
                 raise InputError(f"{path}:{lineno}: expected {m} objective values")
-            try:
-                objs = [float(cell) for cell in row[2:]]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            for col in negate:
-                objs[col - 1] = -objs[col - 1]
-            steps.append(InsertStep(Solution(sid, tuple(objs))))
+            objs = _parse_objectives(f"{path}:{lineno}", row[2:], negate)
+            steps.append(InsertStep(Solution(sid, objs)))
         elif op == "delete":
             steps.append(DeleteStep(sid))
         elif op == "lookup":
@@ -183,9 +196,7 @@ def load_population(path: str, negate: Sequence[int] = ()) -> tuple[list[Solutio
     if len(header) < 3 or header[0] != "id":
         raise InputError(f"{path}: header must be id,obj_1,...,obj_M with M >= 2")
     m = len(header) - 1
-    for col in negate:
-        if not 1 <= col <= m:
-            raise InputError(f"--negate column {col} out of range 1..{m}")
+    _check_negate(negate, m)
     sols = []
     for lineno, row in enumerate(rows[1:], 2):
         if not row or all(not cell.strip() for cell in row):
@@ -195,13 +206,7 @@ def load_population(path: str, negate: Sequence[int] = ()) -> tuple[list[Solutio
         sid = row[0].strip()
         if not sid:
             raise InputError(f"{path}:{lineno}: missing id")
-        try:
-            objs = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-        for col in negate:
-            objs[col - 1] = -objs[col - 1]
-        sols.append(Solution(sid, tuple(objs)))
+        sols.append(Solution(sid, _parse_objectives(f"{path}:{lineno}", row[1:], negate)))
     return sols, m
 
 
@@ -225,6 +230,19 @@ def front_set_from_doc(doc: dict) -> FrontSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed front-set document: {exc}") from None
     return FrontSet(m, fronts)
+
+
+def _check_dump(fs: FrontSet, path: str) -> None:
+    """Raise InputError unless every solution in a loaded dump has the dump's
+    M and a distinct id.  O(N); ``verify`` skips this and reports such dumps
+    as FAIL instead."""
+    seen: set[str] = set()
+    for sol in fs.solutions():
+        if sol.m != fs.m:
+            raise InputError(f"{path}: solution {sol.id!r} has M={sol.m}, dump has M={fs.m}")
+        if sol.id in seen:
+            raise InputError(f"{path}: duplicate id {sol.id!r}")
+        seen.add(sol.id)
 
 
 def write_dump(fs: FrontSet, path: str) -> None:
@@ -510,7 +528,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
     else:
         raise InputError("run needs --workload FILE or --seed N")
-    fs = read_dump(args.fs) if args.fs else FrontSet(workload.m)
+    if args.fs:
+        fs = read_dump(args.fs)
+        _check_dump(fs, args.fs)
+    else:
+        fs = FrontSet(workload.m)
     report = run_workload(fs, workload, args.approach, check=args.check)
     report = {"kind": "run", **report}
     if args.report == "json":

@@ -11,15 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ndfronts.core import (
-    Counter,
-    DomRelation,
-    FrontSet,
-    Solution,
-    check_dom,
-    dom_nature,
-)
-from ndfronts.linear import Position, _check_insertable, _place_displaced, dom_set, insert_linear
+from ndfronts.core import Counter, DomRelation, FrontSet, Solution, check_dom
+from ndfronts.linear import Position, _check_insertable, _first_witness, _settle, insert_linear
 
 
 class TreeVariant(Enum):
@@ -54,55 +47,21 @@ def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter
     """
     if fs.k < 2:
         raise ValueError("navigation needs at least 2 fronts; use the linear path")
-    round_up = variant is TreeVariant.LEFT_BALANCED
+    # Round-up midpoints always leave a left range and round-down ones a right
+    # range, so a leaf (lo == hi) is just a midpoint with neither.
+    bias = 1 if variant is TreeVariant.LEFT_BALANCED else 0
     trace: list[CmpRecord] = []
-
-    def visit(lo: int, hi: int) -> None:
-        if lo == hi:
-            for pos, sol in enumerate(fs.fronts[lo - 1], 1):
-                nat = dom_nature(new, sol, counter)
-                if nat != 0:
-                    trace.append(CmpRecord(nat, lo, pos))
-                    return
-            trace.append(CmpRecord(0, lo, 0))
-            return
-        mid = (lo + hi + 1) // 2 if round_up else (lo + hi) // 2
-        for pos, sol in enumerate(fs.fronts[mid - 1], 1):
-            nat = dom_nature(new, sol, counter)
-            if nat == 1:
-                trace.append(CmpRecord(1, mid, pos))
-                if round_up:
-                    visit(lo, mid - 1)  # rounding up guarantees a left range
-                elif mid != lo:
-                    visit(lo, mid - 1)
-                return
-            if nat == -1:
-                trace.append(CmpRecord(-1, mid, pos))
-                if round_up:
-                    if mid != hi:
-                        visit(mid + 1, hi)
-                else:
-                    visit(mid + 1, hi)  # rounding down guarantees a right range
-                return
-        trace.append(CmpRecord(0, mid, 0))
-        if round_up:
-            visit(lo, mid - 1)
-        elif mid != lo:
-            visit(lo, mid - 1)
-
-    visit(1, fs.k)
-    return trace
-
-
-def _resolve_dominating(fs: FrontSet, f_index: int, s_index: int, new: Solution, counter: Counter) -> None:
-    """``new`` found a dominated witness in front ``f_index``: collect what it
-    dominates there, take its place, and push the displaced set down."""
-    front = fs.fronts[f_index - 1]
-    displaced = [front.pop(s_index - 1)]
-    dom_set(front, new, s_index, displaced, counter)
-    front.append(new)
-    fs._ids.add(new.id)
-    _place_displaced(fs, displaced, f_index, counter)
+    lo, hi = 1, fs.k
+    while True:
+        mid = (lo + hi + bias) // 2
+        nat, pos = _first_witness(fs.fronts[mid - 1], new, counter)
+        trace.append(CmpRecord(nat, mid, pos))
+        if nat == -1 and mid != hi:
+            lo = mid + 1
+        elif nat != -1 and mid != lo:
+            hi = mid - 1
+        else:
+            return trace
 
 
 def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter) -> None:
@@ -117,31 +76,11 @@ def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Coun
         return
     _check_insertable(fs, new)
     trace = navigate(fs, new, variant, counter)
-
-    last = trace[-1]
-    if last.dom == 0:
-        fs.fronts[last.f_index - 1].append(new)
-        fs._ids.add(new.id)
-        return
-    if last.dom == 1:
-        _resolve_dominating(fs, last.f_index, last.s_index, new, counter)
-        return
-    if all(rec.dom == -1 for rec in trace):
-        fs.fronts.append([new])
-        fs._ids.add(new.id)
-        return
-    # Mixed trace ending in dominated records: resolve at the deepest record
-    # that still left room, i.e. the earlier half of the last differing pair.
-    for i in range(len(trace) - 1, 0, -1):
-        if trace[i].dom != trace[i - 1].dom:
-            rec = trace[i - 1]
-            if rec.dom == 0:
-                fs.fronts[rec.f_index - 1].append(new)
-                fs._ids.add(new.id)
-            else:
-                _resolve_dominating(fs, rec.f_index, rec.s_index, new, counter)
-            return
-    raise AssertionError("mixed trace without a differing adjacent pair")
+    # Every record that is not dominated moves the search to strictly better
+    # ranks, so the last such record is the best rank where no front member
+    # dominates ``new``; without one, ``new`` is dominated by every front.
+    rec = next((r for r in reversed(trace) if r.dom != -1), CmpRecord(0, fs.k + 1, 0))
+    _settle(fs, rec.f_index, rec.dom, rec.s_index, new, counter)
 
 
 def lookup_tree(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:

@@ -41,6 +41,21 @@ def _check_insertable(fs: FrontSet, new: Solution) -> None:
         raise DuplicateIdError(f"solution id {new.id!r} already stored")
 
 
+def _first_witness(front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
+    """Scan ``front`` in order for its first member that ``probe`` dominates
+    (1) or is dominated by (-1); returns that nature and the member's 1-based
+    position, or ``(0, 0)`` when ``probe`` is non-dominated with the whole front.
+
+    One witness decides the front: as an antichain it cannot hold both a
+    member dominating ``probe`` and one that ``probe`` dominates.
+    """
+    for pos, sol in enumerate(front, 1):
+        nat = dom_nature(probe, sol, counter)
+        if nat != 0:
+            return nat, pos
+    return 0, 0
+
+
 def dom_set(
     front: list[Solution],
     new: Solution,
@@ -73,14 +88,37 @@ def _require_antichain(group: list[Solution]) -> None:
                 )
 
 
+def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
+    """Append to ``group`` every member of ``front`` that is non-dominated with
+    all of ``group``'s current members; return the other members in order.
+
+    Members appended here come from one front and need no mutual checks.
+    Every pair is compared, with no early exit: a sweep always costs
+    ``len(group) * len(front)`` comparisons, which the closed-form worst
+    cases in :mod:`ndfronts.analysis` count on.
+    """
+    peers = group[:]
+    kept: list[Solution] = []
+    for sol in front:
+        count = 0
+        for peer in peers:
+            if dom_nature(peer, sol, counter) == 0:
+                count += 1
+        if count == len(peers):
+            group.append(sol)
+        else:
+            kept.append(sol)
+    return kept
+
+
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
     """Settle a displaced set at rank ``index``, cascading leftovers downward.
 
-    Members of the front at ``index`` that are non-dominated with the first
-    ``len(displaced)`` displaced solutions join them at this rank (solutions
-    appended during the sweep are all from one former front and need no
-    mutual checks); the rest sink one rank and the cascade moves down.  Past
-    the last front the displaced set simply becomes the new last front.
+    Members of the front at ``index`` that are non-dominated with every
+    displaced solution join them at this rank; the rest sink one rank and the
+    cascade moves down.  Past the last front the displaced set simply becomes
+    the new last front.  ``displaced`` must be an antichain; it is checked
+    once here, since every later displaced set is what remains of one front.
     """
     if not displaced:
         raise ContractViolationError("displaced set must be non-empty")
@@ -90,27 +128,12 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         raise ContractViolationError(
             f"front index {index} is beyond the last front ({len(fs.fronts)})"
         )
+    _require_antichain(displaced)
     fs._ids.update(sol.id for sol in displaced)  # no-op when they came from fs
 
-    while True:
-        _require_antichain(displaced)
-        if index == len(fs.fronts) + 1:
-            fs.fronts.append(displaced)
-            return
-
-        front = fs.fronts[index - 1]
+    while index <= len(fs.fronts):
         width = len(displaced)
-        kept: list[Solution] = []
-        for sol in front:
-            count = 0
-            for j in range(width):
-                if dom_nature(displaced[j], sol, counter) == 0:
-                    count += 1
-            if count == width:
-                displaced.append(sol)
-            else:
-                kept.append(sol)
-
+        kept = _sweep(displaced, fs.fronts[index - 1], counter)
         if len(displaced) == width:
             # nothing promoted: the displaced set takes this rank, all lower fronts shift
             fs.fronts.insert(index - 1, displaced)
@@ -120,14 +143,32 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
             return
         displaced = kept
         index += 1
+    fs.fronts.append(displaced)
 
 
-def _place_displaced(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
-    """Push the set displaced from front ``index`` (which now holds the new
-    solution) down to its resting place."""
+def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter: Counter) -> None:
+    """Store ``new`` at rank ``index``, where the front scan found nature
+    ``nat`` at witness ``pos`` (see :func:`_first_witness`); rank K+1 opens a
+    new last front.
+
+    Non-domination merges ``new`` into the front.  A dominated witness is
+    displaced together with every later member ``new`` dominates, and the
+    displaced set is pushed down.
+    """
+    fs._ids.add(new.id)
+    if index > len(fs.fronts):
+        fs.fronts.append([new])
+        return
+    front = fs.fronts[index - 1]
+    if nat == 0:
+        front.append(new)
+        return
+    displaced = [front.pop(pos - 1)]
+    dom_set(front, new, pos, displaced, counter)
+    front.append(new)
     if index == len(fs.fronts):
         fs.fronts.append(displaced)
-    elif len(fs.fronts[index - 1]) == 1:
+    elif len(front) == 1:
         # the new solution dominated its whole front: ranks below shift by one as-is
         fs.fronts.insert(index, displaced)
     else:
@@ -144,32 +185,13 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
     last front.
     """
     _check_insertable(fs, new)
-    for index in range(1, len(fs.fronts) + 1):
-        front = fs.fronts[index - 1]
-        witness = 0
-        pushed_down = False
-        for pos, sol in enumerate(front, 1):
-            nat = dom_nature(new, sol, counter)
-            if nat == 1:
-                witness = pos
-                break
-            if nat == -1:
-                pushed_down = True
-                break
-        else:
-            front.append(new)
-            fs._ids.add(new.id)
-            return
-        if pushed_down:
-            continue
-        displaced = [front.pop(witness - 1)]
-        dom_set(front, new, witness, displaced, counter)
-        front.append(new)
-        fs._ids.add(new.id)
-        _place_displaced(fs, displaced, index, counter)
-        return
-    fs.fronts.append([new])
-    fs._ids.add(new.id)
+    for index, front in enumerate(fs.fronts, 1):
+        nat, pos = _first_witness(front, new, counter)
+        if nat != -1:
+            break
+    else:
+        index, nat, pos = len(fs.fronts) + 1, 0, 0
+    _settle(fs, index, nat, pos, new, counter)
 
 
 def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
@@ -196,19 +218,8 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
         raise IndexError(f"front index {index} out of range for a delete cascade")
     while True:
         upper = fs.fronts[index - 1]
-        lower = fs.fronts[index]
         width = len(upper)
-        kept: list[Solution] = []
-        for sol in lower:
-            count = 0
-            for j in range(width):
-                if dom_nature(sol, upper[j], counter) == 0:
-                    count += 1
-            if count == width:
-                upper.append(sol)  # promoted members never block each other: one former front
-            else:
-                kept.append(sol)
-
+        kept = _sweep(upper, fs.fronts[index], counter)
         if not kept:
             # the whole next front moved up; ranks below collapse by one
             fs.fronts.pop(index)

@@ -120,6 +120,16 @@ def test_load_workload_negate_applies_to_inserts(tmp_path):
     assert workload.steps[0].solution.objectives == (-1.0, 2.0)
 
 
+def test_cli_run_rejects_out_of_range_negate_for_workload_file(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("op,id,obj_1,obj_2,obj_3\ninsert,a,1,2,3\n")
+    with pytest.raises(InputError):
+        load_workload(str(path), negate=(5,))
+    assert main(["run", "--workload", str(path), "--negate", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --negate column 5 out of range 1..3"]
+
+
 def test_front_set_from_doc_rejects_malformed_documents():
     with pytest.raises(InputError):
         front_set_from_doc({"fronts": []})
@@ -328,6 +338,31 @@ def test_cli_run_against_preloaded_front_set(tmp_path, twelve_in_five_levels, ca
     assert main(["verify", "--fs", str(out)]) == 0
     report = capsys.readouterr().out
     assert "PASS" in report and "11 solutions" in report
+
+
+@pytest.mark.parametrize(
+    "fronts",
+    [
+        # a repeated id, which FrontSet would silently merge
+        [[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}], [{"id": "a", "obj": [3.0, 3.0]}]],
+        # a solution whose objective count disagrees with the dump's m
+        [[{"id": "a", "obj": [1.0, 2.0]}], [{"id": "b", "obj": [3.0, 3.0, 3.0]}]],
+    ],
+    ids=["duplicate-id", "wrong-m"],
+)
+def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts):
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps({"m": 2, "fronts": fronts}))
+    w = tmp_path / "w.csv"
+    w.write_text("op,id,obj_1,obj_2\ninsert,n,0.5,0.5\n")
+    out = tmp_path / "after.json"
+    assert main(["run", "--fs", str(dump), "--workload", str(w), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+    assert main(["verify", "--fs", str(dump)]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_run_rejects_workload_referencing_unknown_id(tmp_path, twelve_in_five_levels, capsys):

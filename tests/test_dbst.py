@@ -25,7 +25,7 @@ from ndfronts import (
     same_partition,
     validate,
 )
-from tests.conftest import random_population, s
+from tests.conftest import dominates, random_population, s
 
 LEFT = TreeVariant.LEFT_BALANCED
 RIGHT = TreeVariant.RIGHT_BALANCED
@@ -109,9 +109,18 @@ def test_navigate_trace_bound(seed, k, width):
     fs = staircase_front_set(rng, k, width)
     hi = (k + 1) * (width + 1)
     probe = Solution("n", (rng.uniform(0, hi + 2), rng.uniform(0, hi + 2)))
+    # the rank insert_linear settles at: the first front with no member
+    # dominating the probe, or a new last front
+    target = next(
+        (f for f, front in enumerate(fs.fronts, 1) if not any(dominates(sol, probe) for sol in front)),
+        k + 1,
+    )
     for variant in (LEFT, RIGHT):
         trace = navigate(fs, probe, variant, Counter())
         assert len(trace) <= math.floor(math.log2(k)) + 1
+        settling = [rec.f_index for rec in trace if rec.dom != -1]
+        assert all(a > b for a, b in zip(settling, settling[1:]))
+        assert (settling[-1] if settling else k + 1) == target
 
 
 # --- insert_tree -------------------------------------------------------------

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ndfronts
 from ndfronts import (
     ContractViolationError,
     Counter,
@@ -29,6 +32,7 @@ from ndfronts import (
     validate,
     worst_split,
 )
+from ndfronts.cli import APPROACHES, delete_with, insert_with
 from tests.conftest import NINE_LEVELS, dominates, random_population, s
 
 
@@ -362,6 +366,100 @@ def test_insert_cascade_through_thousands_of_levels():
     assert fs.level_ids()[-1] == {f"x{k}"}
     assert fs.k == k + 1
     assert same_partition(fs, full_sort(xs + ys + [probe]))
+
+
+# --- kernel-call audit --------------------------------------------------------
+
+def _audit_kernel(monkeypatch):
+    """Count every real dominance-kernel call, in each ``ndfronts`` namespace
+    that binds the kernel, and record the entry width of every
+    ``update_insert`` call.  Returns ``(calls, widths)``; ``calls[0]`` is the
+    running tally."""
+    calls = [0]
+    widths: list[int] = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def recorded(fs, displaced, index, counter):
+        widths.append(len(displaced))
+        return original_update_insert(fs, displaced, index, counter)
+
+    original_update_insert = ndfronts.update_insert
+    wrappers = {
+        "dom_nature": counted(ndfronts.dom_nature),
+        "check_dom": counted(ndfronts.check_dom),
+        "update_insert": recorded,
+    }
+    originals = {name: getattr(ndfronts, name) for name in wrappers}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "ndfronts" or mod_name.startswith("ndfronts."):
+            for name, wrapper in wrappers.items():
+                if getattr(module, name, None) is originals[name]:
+                    monkeypatch.setattr(module, name, wrapper)
+    return calls, widths
+
+
+def _two_column_ladder(k):
+    """k fronts of three: two chains xa, xb and a chain y.  A probe that
+    dominates xa1 and xb1 but not y1 displaces both, and the pair then sinks
+    one rank per front while each y moves up beside it."""
+    big = 10_000.0
+    return [
+        [
+            s(f"xa{j}", j - 1 - 1 / j, big + j),
+            s(f"xb{j}", j - 1.01 - 1 / j, big + j + 0.01),
+            s(f"y{j}", j, j),
+        ]
+        for j in range(1, k + 1)
+    ]
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_insert_cascade_kernel_calls_are_counted_except_the_entry_check(monkeypatch, approach):
+    k = 6
+    fronts = _two_column_ladder(k)
+    fs = FrontSet(2, [list(front) for front in fronts])
+    assert validate(fs) == []
+    probe = s("probe", -2, 10_000.5)
+    calls, widths = _audit_kernel(monkeypatch)
+    c = Counter()
+    insert_with(fs, probe, approach, c)
+    assert fs.k == k + 1  # the displaced pair crossed every rank below the first
+    assert widths == [2]
+    assert calls[0] == c.pair_compares + comb(2, 2)
+    assert same_partition(fs, full_sort([sol for front in fronts for sol in front] + [probe]))
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_worst_case_insert_kernel_calls(monkeypatch, approach):
+    pop, probe = gen_worst_two_front(100)
+    n1 = worst_split(100).sizes[0]
+    fs = FrontSet(2, [pop[:n1], pop[n1:]])
+    calls, widths = _audit_kernel(monkeypatch)
+    c = Counter()
+    insert_with(fs, probe, approach, c)
+    assert widths == [50]
+    assert calls[0] == c.pair_compares + comb(50, 2)
+    if approach == "linear":
+        assert (calls[0], c.pair_compares) == (3726, 2501)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_delete_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
+    k = 50
+    xs, ys = _two_wide_ladder(k)
+    fs = FrontSet(2, [[xs[j], ys[j]] for j in range(k)])
+    calls, widths = _audit_kernel(monkeypatch)
+    c = Counter()
+    delete_with(fs, xs[0], approach, c)
+    assert fs.level_ids()[-1] == {f"y{k}"}  # the cascade reached the last rank
+    assert widths == []
+    assert calls[0] == c.pair_compares
 
 
 def test_insert_then_delete_round_trip():
