@@ -64,18 +64,15 @@ class DomRelation(Enum):
 class Counter:
     """Monotone tally of solution-pair dominance comparisons.
 
-    Each call to :func:`dom_nature` or :func:`check_dom` bumps the tally by
-    exactly one, no matter how many objectives the pair carries.  Reset it
-    between operations to read per-operation costs.
+    :func:`dom_nature` is the one place that counts: each call adds exactly
+    one, no matter how many objectives the pair carries.  Reset it between
+    operations to read per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
 
     def __init__(self) -> None:
         self.pair_compares = 0
-
-    def bump(self) -> None:
-        self.pair_compares += 1
 
     def reset(self) -> None:
         self.pair_compares = 0
@@ -84,49 +81,38 @@ class Counter:
         return f"Counter(pair_compares={self.pair_compares})"
 
 
-def _flags(a: Solution, b: Solution) -> tuple[bool, bool, int]:
-    if len(a.objectives) != len(b.objectives):
-        raise DimensionMismatchError(
-            f"cannot compare {a.id!r} (M={a.m}) with {b.id!r} (M={b.m})"
-        )
-    a_better = b_better = False
-    equal = 0
-    for x, y in zip(a.objectives, b.objectives):
-        if x < y:
-            a_better = True
-        elif y < x:
-            b_better = True
-        else:
-            equal += 1
-    return a_better, b_better, equal
-
-
 def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     """Three-way dominance test: 1 if ``a`` dominates ``b``, -1 if ``b``
     dominates ``a``, 0 otherwise.
 
-    Identical vectors cannot dominate each other and yield 0.
+    Identical vectors cannot dominate each other and yield 0.  This is the
+    library's only dominance test; it stops as soon as each side has won a
+    coordinate.
     """
-    a_better, b_better, _ = _flags(a, b)
-    counter.bump()
-    if a_better and not b_better:
-        return 1
-    if b_better and not a_better:
-        return -1
-    return 0
+    if len(a.objectives) != len(b.objectives):
+        raise DimensionMismatchError(
+            f"cannot compare {a.id!r} (M={a.m}) with {b.id!r} (M={b.m})"
+        )
+    counter.pair_compares += 1
+    a_better = b_better = False
+    for x, y in zip(a.objectives, b.objectives):
+        if x < y:
+            if b_better:
+                return 0
+            a_better = True
+        elif y < x:
+            if a_better:
+                return 0
+            b_better = True
+    return 1 if a_better else -1 if b_better else 0
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
-    """Four-way dominance test that additionally distinguishes identical vectors."""
-    a_better, b_better, equal = _flags(a, b)
-    counter.bump()
-    if a_better and not b_better:
-        return DomRelation.DOMINATES
-    if b_better and not a_better:
-        return DomRelation.DOMINATED_BY
-    if equal == len(a.objectives):
+    """:func:`dom_nature` as a :class:`DomRelation`, telling identical vectors apart."""
+    nat = dom_nature(a, b, counter)
+    if nat == 0 and a.objectives == b.objectives:
         return DomRelation.IDENTICAL
-    return DomRelation.NON_DOMINATED
+    return DomRelation(nat)
 
 
 class FrontSet:

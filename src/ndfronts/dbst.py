@@ -11,8 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ndfronts.core import Counter, DomRelation, FrontSet, Solution, check_dom
-from ndfronts.linear import Position, _check_insertable, _first_witness, _settle, insert_linear
+from ndfronts.core import Counter, FrontSet, Solution
+from ndfronts.linear import (
+    Position,
+    _check_insertable,
+    _first_witness,
+    _settle,
+    insert_linear,
+    locate_sequential,
+)
 
 
 class TreeVariant(Enum):
@@ -27,8 +34,9 @@ class CmpRecord:
     """One probed front during navigation.
 
     ``dom`` is the probe's nature against that front (1 dominating witness,
-    -1 dominated witness, 0 non-dominated with the whole front); ``s_index``
-    is the 1-based witness position, or 0 when ``dom`` is 0.
+    -1 dominated witness, 0 non-dominated); ``s_index`` is the 1-based
+    witness position.  When ``dom`` is 0, ``s_index`` is the position of the
+    member with the probe's id, or 0 when no member has it.
     """
 
     dom: int
@@ -42,8 +50,9 @@ def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter
     At each probed front, solutions are scanned in order: a dominating
     witness sends the search left (better ranks), a dominated witness right
     (worse ranks, when the variant still has a right range), and
-    non-domination with the whole front goes left.  Requires K >= 2; with a
-    single front the linear path applies.
+    non-domination with the whole front goes left.  A member with ``new``'s
+    id ends the search (lookups).  Requires K >= 2; with a single front the
+    linear path applies.
     """
     if fs.k < 2:
         raise ValueError("navigation needs at least 2 fronts; use the linear path")
@@ -58,7 +67,7 @@ def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter
         trace.append(CmpRecord(nat, mid, pos))
         if nat == -1 and mid != hi:
             lo = mid + 1
-        elif nat != -1 and mid != lo:
+        elif (nat == 1 or not pos) and mid != lo:
             hi = mid - 1
         else:
             return trace
@@ -84,36 +93,13 @@ def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Coun
 
 
 def lookup_tree(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-    """Binary-search the fronts for a stored solution identical to ``sol``.
+    """Binary-search the fronts for the stored solution with ``sol``'s id.
 
-    Dominating a probed solution means the target can only sit at better
-    ranks (left); being dominated sends the search right; non-domination with
-    a whole front also goes left.  Returns None when the search exhausts its
-    range without an identical match.
+    ``sol``'s vector only steers the left-balanced :func:`navigate`, which
+    stops at the member with ``sol``'s id; the last trace record holds the
+    answer.  With fewer than two fronts this is the sequential scan.
     """
-    if fs.k == 0:
-        return None
-
-    def search(lo: int, hi: int) -> Position | None:
-        if lo == hi:
-            for pos, stored in enumerate(fs.fronts[lo - 1], 1):
-                rel = check_dom(sol, stored, counter)
-                if rel is DomRelation.IDENTICAL:
-                    return Position(lo, pos)
-                if rel is not DomRelation.NON_DOMINATED:
-                    return None
-            return None
-        mid = (lo + hi + 1) // 2
-        for pos, stored in enumerate(fs.fronts[mid - 1], 1):
-            rel = check_dom(sol, stored, counter)
-            if rel is DomRelation.DOMINATES:
-                return search(lo, mid - 1)
-            if rel is DomRelation.DOMINATED_BY:
-                if mid != hi:
-                    return search(mid + 1, hi)
-                # no right range: keep scanning this front, then fall left
-            elif rel is DomRelation.IDENTICAL:
-                return Position(mid, pos)
-        return search(lo, mid - 1)
-
-    return search(1, fs.k)
+    if fs.k < 2:
+        return locate_sequential(fs, sol, counter)
+    last = navigate(fs, sol, TreeVariant.LEFT_BALANCED, counter)[-1]
+    return Position(last.f_index, last.s_index) if last.dom == 0 and last.s_index else None

@@ -16,12 +16,10 @@ from ndfronts.core import (
     ContractViolationError,
     Counter,
     DimensionMismatchError,
-    DomRelation,
     DuplicateIdError,
     FrontSet,
     MissingSolutionError,
     Solution,
-    check_dom,
     dom_nature,
 )
 
@@ -43,15 +41,17 @@ def _check_insertable(fs: FrontSet, new: Solution) -> None:
 
 def _first_witness(front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
     """Scan ``front`` in order for its first member that ``probe`` dominates
-    (1) or is dominated by (-1); returns that nature and the member's 1-based
-    position, or ``(0, 0)`` when ``probe`` is non-dominated with the whole front.
+    (1), is dominated by (-1) or shares its id with (0); returns that nature
+    and the member's 1-based position, or ``(0, 0)`` when ``probe`` is
+    non-dominated with the whole front and its id is not there.
 
     One witness decides the front: as an antichain it cannot hold both a
-    member dominating ``probe`` and one that ``probe`` dominates.
+    member dominating ``probe`` and one that ``probe`` dominates.  An insert
+    probe's id is never stored, so only lookups stop at an id match.
     """
     for pos, sol in enumerate(front, 1):
         nat = dom_nature(probe, sol, counter)
-        if nat != 0:
+        if nat != 0 or sol.id == probe.id:
             return nat, pos
     return 0, 0
 
@@ -195,18 +195,16 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
 
 
 def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-    """Front-by-front scan for the first stored solution identical to ``sol``.
+    """Front-by-front scan for the stored solution with ``sol``'s id.
 
-    A dominance witness in either direction rules the whole front out (fronts
-    are antichains), so the scan jumps to the next front after one hit.
+    ``sol``'s vector only steers: a dominance witness in either direction
+    rules the whole front out (fronts are antichains), so the scan jumps to
+    the next front after one hit.
     """
     for f_index, front in enumerate(fs.fronts, 1):
-        for s_index, stored in enumerate(front, 1):
-            rel = check_dom(sol, stored, counter)
-            if rel is DomRelation.IDENTICAL:
-                return Position(f_index, s_index)
-            if rel is not DomRelation.NON_DOMINATED:
-                break
+        nat, pos = _first_witness(front, sol, counter)
+        if nat == 0 and pos:
+            return Position(f_index, pos)
     return None
 
 
@@ -233,7 +231,7 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
 
 
 def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None:
-    """Remove the stored solution identical to ``sol`` and restore validity.
+    """Remove the stored solution with ``sol``'s id and restore validity.
 
     ``strategy`` picks the search: ``"sequential"`` scans fronts in order,
     ``"tree"`` binary-searches over front ranks.  Deleting from the last

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ndfronts import Counter, FrontSet, Solution, full_sort, same_partition
 from ndfronts.cli import (
+    APPROACHES,
     InputError,
     bench_rows,
     check_workload,
@@ -285,6 +290,17 @@ def test_cli_run_with_workload_file(tmp_path, nine_in_four_levels, capsys):
     assert levels == [sorted(level) for level in [{"2"}, {"1", "3", "6"}, {"8", "5", "7"}, {"9"}]]
 
 
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_cli_delete_and_lookup_act_on_the_requested_twin(tmp_path, capsys, approach):
+    w = tmp_path / "twins.csv"
+    w.write_text("op,id,obj_1,obj_2\ninsert,a,1,1\ninsert,b,1,1\ndelete,b,,\nlookup,a,,\n")
+    assert main(["run", "--workload", str(w), "--approach", approach, "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [[e["id"] for e in front] for front in report["front_set"]["fronts"]] == [["a"]]
+    lookup = report["steps"][-1]
+    assert (lookup["found"], lookup["front"], lookup["index"]) == (True, 1, 1)
+
+
 def test_cli_run_fuzz_seed_then_verify(tmp_path, capsys):
     dump = tmp_path / "fuzz.json"
     assert main(["run", "--seed", "9", "--steps", "80", "--approach", "rtree", "--check", "--out", str(dump)]) == 0
@@ -395,3 +411,21 @@ def test_cli_negate_handles_maximization(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     levels = [[e["id"] for e in front] for front in doc["front_set"]["fronts"]]
     assert levels == [["c"], ["b"], ["a"]]
+
+
+def test_online_ratio_script_runs_its_checks():
+    # the script asserts same_partition and the N-times-offline bound itself
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "online_ratio.py"), "--sizes", "8", "16"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    keys = {(row[0], " ".join(row[1:-5]), row[-5]) for row in rows}
+    assert len(keys) == len(rows) == 2 * 4 * len(APPROACHES)  # sizes x streams x approaches
+    assert {(n, approach) for n, _, approach in keys} == {(n, a) for n in ("8", "16") for a in APPROACHES}

@@ -266,13 +266,13 @@ def test_lookup_empty_front_set():
     assert lookup_tree(FrontSet(2), s("x", 1, 2), Counter()) is None
 
 
-def test_lookup_dominated_at_last_rank_falls_left_then_gives_up():
-    # absent probe below the worst front: no right range exists at the probed
-    # node, so the search finishes the scan, falls left, and reports not-found
+def test_lookup_dominated_at_last_rank_gives_up():
+    # absent probe below the worst front: a dominated witness at the top of the
+    # range puts the target's rank past it, so the search stops at one witness
     fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 2)]])
     c = Counter()
     assert lookup_tree(fs, s("x", 3, 3), c) is None
-    assert c.pair_compares == 2
+    assert c.pair_compares == 1
 
 
 def test_lookup_single_front():

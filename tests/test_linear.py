@@ -504,8 +504,8 @@ def test_grid_coordinates_with_ties_keep_level_vectors_right(seed):
             insert_linear(fs, sol, Counter())
             live.append(sol)
         else:
-            # the search may remove a twin with the same vector, so levels are
-            # compared below as multisets of vectors, not ids
+            # deletes find their target by id; levels are compared below as
+            # multisets of vectors (tests/test_stateful.py compares ids)
             victim = live.pop(rng.randrange(len(live)))
             delete(fs, victim, "sequential", Counter())
         got = [sorted(sol.objectives for sol in front) for front in fs.fronts]
