@@ -23,6 +23,7 @@ from ndfronts.core import (
     MissingSolutionError,
     Solution,
     check_dom,
+    dom_block,
     dom_nature,
     validate,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "TreeVariant",
     "check_dom",
     "delete",
+    "dom_block",
     "dom_nature",
     "dom_set",
     "full_sort",

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class DimensionMismatchError(ValueError):
     """Two solutions (or a solution and a front set) disagree on objective count."""
@@ -64,9 +66,10 @@ class DomRelation(Enum):
 class Counter:
     """Monotone tally of solution-pair dominance comparisons.
 
-    :func:`dom_nature` is the one place that counts: each call adds exactly
-    one, no matter how many objectives the pair carries.  Reset it between
-    operations to read per-operation costs.
+    :func:`dom_nature` and :func:`dom_block` are the only places that
+    count: a :func:`dom_nature` call adds exactly one, no matter how many
+    objectives the pair carries, and a block adds one for every pair in it.
+    Reset it between operations to read per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -86,8 +89,9 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     dominates ``a``, 0 otherwise.
 
     Identical vectors cannot dominate each other and yield 0.  This is the
-    library's only dominance test; it stops as soon as each side has won a
-    coordinate.
+    library's only pairwise dominance test, used by every scan that may stop
+    at a witness; it stops as soon as each side has won a coordinate.
+    :func:`dom_block` tests whole blocks of pairs with the same rule.
     """
     if len(a.objectives) != len(b.objectives):
         raise DimensionMismatchError(
@@ -105,6 +109,50 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
                 return 0
             b_better = True
     return 1 if a_better else -1 if b_better else 0
+
+
+# Below this many pairs the interpreted loop beats numpy's fixed cost per
+# block (measured with perfbench; see CHANGES.md).
+_BLOCK_MIN_PAIRS = 32
+
+
+def _dom_codes(peers: list[Solution], members: list[Solution]) -> np.ndarray:
+    """:func:`dom_nature` codes of a whole block, one 2-D comparison per
+    objective and side; uncounted, so only :func:`dom_block` calls it."""
+    a = np.array([p.objectives for p in peers], dtype=np.float64)
+    b = np.array([q.objectives for q in members], dtype=np.float64).T
+    a_wins = a[:, :1] < b[0]
+    b_wins = a[:, :1] > b[0]
+    for k in range(1, len(b)):
+        col, row = a[:, k, None], b[k]
+        a_wins |= col < row
+        b_wins |= col > row
+    # a side that wins a coordinate and loses none dominates; both or neither is 0
+    return a_wins.view(np.int8) - b_wins.view(np.int8)
+
+
+def dom_block(peers: list[Solution], members: list[Solution], counter: Counter) -> np.ndarray:
+    """:func:`dom_nature` of every (peer, member) pair, as a
+    ``len(peers) x len(members)`` int8 array.
+
+    Every pair is tested, with no early exit, and the block adds exactly
+    ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
+    raise :class:`DimensionMismatchError` before anything is counted.  Small
+    blocks run the :func:`dom_nature` loop, larger ones one numpy comparison
+    per objective.
+    """
+    if not peers or not members:
+        return np.zeros((len(peers), len(members)), dtype=np.int8)
+    m = len(peers[0].objectives)
+    for sol in (*peers, *members):
+        if len(sol.objectives) != m:
+            raise DimensionMismatchError(
+                f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
+            )
+    if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
+        return np.array([[dom_nature(p, q, counter) for q in members] for p in peers], dtype=np.int8)
+    counter.pair_compares += len(peers) * len(members)
+    return _dom_codes(peers, members)
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:

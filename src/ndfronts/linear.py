@@ -20,6 +20,7 @@ from ndfronts.core import (
     FrontSet,
     MissingSolutionError,
     Solution,
+    dom_block,
     dom_nature,
 )
 
@@ -66,15 +67,15 @@ def dom_set(
     """Move every solution of ``front`` at or after position ``start`` (1-based)
     that ``new`` dominates into ``collected``.
 
-    Survivors keep their relative order; each candidate is compared exactly
-    once.  Positions before ``start`` were already classified by the caller.
+    The tail is one ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test,
+    so each candidate is compared exactly once.  Survivors keep their
+    relative order.  Positions before ``start`` were already classified by
+    the caller.
     """
     kept = front[: start - 1]
-    for sol in front[start - 1 :]:
-        if dom_nature(new, sol, counter) == 1:
-            collected.append(sol)
-        else:
-            kept.append(sol)
+    tail = front[start - 1 :]
+    for sol, nat in zip(tail, dom_block([new], tail, counter)[0].tolist()):
+        (collected if nat == 1 else kept).append(sol)
     front[:] = kept
 
 
@@ -93,21 +94,16 @@ def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> li
     all of ``group``'s current members; return the other members in order.
 
     Members appended here come from one front and need no mutual checks.
-    Every pair is compared, with no early exit: a sweep always costs
-    ``len(group) * len(front)`` comparisons, which the closed-form worst
-    cases in :mod:`ndfronts.analysis` count on.
+    The sweep is one ``len(group) x len(front)``
+    :func:`~ndfronts.core.dom_block` test against ``group`` as it was on
+    entry, with no early exit: it always costs ``len(group) * len(front)``
+    comparisons, which the closed-form worst cases in
+    :mod:`ndfronts.analysis` count on.
     """
-    peers = group[:]
+    related = dom_block(group, front, counter).any(axis=0).tolist()
     kept: list[Solution] = []
-    for sol in front:
-        count = 0
-        for peer in peers:
-            if dom_nature(peer, sol, counter) == 0:
-                count += 1
-        if count == len(peers):
-            group.append(sol)
-        else:
-            kept.append(sol)
+    for sol, hit in zip(front, related):
+        (kept if hit else group).append(sol)
     return kept
 
 
@@ -197,14 +193,16 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
 def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
     """Front-by-front scan for the stored solution with ``sol``'s id.
 
-    ``sol``'s vector only steers: a dominance witness in either direction
-    rules the whole front out (fronts are antichains), so the scan jumps to
-    the next front after one hit.
+    ``sol``'s vector only steers.  A front with a member dominating ``sol``
+    is better than the target's, so the scan moves on after that one
+    witness.  The first front without one decides: every member ahead of
+    the target there is non-dominated with it, so the scan either reaches
+    the id or proves it absent.
     """
     for f_index, front in enumerate(fs.fronts, 1):
         nat, pos = _first_witness(front, sol, counter)
-        if nat == 0 and pos:
-            return Position(f_index, pos)
+        if nat != -1:
+            return Position(f_index, pos) if nat == 0 and pos else None
     return None
 
 

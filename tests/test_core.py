@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,8 @@ from ndfronts import (
     FrontSet,
     Solution,
     check_dom,
+    core,
+    dom_block,
     dom_nature,
     full_sort,
     validate,
@@ -111,6 +114,46 @@ def test_counter_exactness(t):
         dom_nature(a, b, c)
     assert c.pair_compares == t
     c.reset()
+    assert c.pair_compares == 0
+
+
+# -0.0 and 0.0 compare equal; the small grid makes identical vectors common
+grid_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def grid_blocks(draw):
+    """Two lists of grid solutions with one M in {2, 3, 5}; up to 12 x 12, so
+    blocks fall on both sides of the numpy crossover, empty ones included."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    side = st.lists(st.tuples(*[grid_values] * m), max_size=12)
+    peers = [Solution(f"p{i}", vec) for i, vec in enumerate(draw(side))]
+    members = [Solution(f"q{j}", vec) for j, vec in enumerate(draw(side))]
+    return peers, members
+
+
+@given(grid_blocks())
+def test_dom_block_equals_dom_nature_pair_by_pair(block):
+    peers, members = block
+    c = Counter()
+    with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
+        codes = dom_block(peers, members, c)
+    pairs = len(peers) * len(members)
+    assert c.pair_compares == pairs
+    assert numpy_path.called == (pairs >= core._BLOCK_MIN_PAIRS)
+    assert codes.shape == (len(peers), len(members))
+    scratch = Counter()
+    assert codes.tolist() == [[dom_nature(p, q, scratch) for q in members] for p in peers]
+
+
+@pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS])
+def test_dom_block_dimension_mismatch_counts_nothing(width):
+    members = [s(f"q{j}", j, -j) for j in range(width)] + [Solution("odd", (1, 2, 3))]
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        dom_block([s("p", 0, 0)], members, c)
+    with pytest.raises(DimensionMismatchError):
+        dom_block([Solution("odd", (1, 2, 3)), s("p", 0, 0)], members[:-1], c)
     assert c.pair_compares == 0
 
 

@@ -232,6 +232,18 @@ def test_locate_sequential_absent_probe():
     assert locate_sequential(fs, s("x", 1.5, 1.4), Counter()) is None
 
 
+def test_locate_sequential_absent_probe_stops_at_the_first_front_it_is_not_below():
+    chain = gen_chain(100)
+    fs = FrontSet(2, [[sol] for sol in chain])
+    probe = s("x", 0, 0)  # dominates every stored solution
+    c = Counter()
+    assert locate_sequential(fs, probe, c) is None
+    assert c.pair_compares == 1
+    with pytest.raises(MissingSolutionError):
+        delete(fs, probe, "sequential", Counter())
+    assert fs.k == 100
+
+
 # --- delete and update_delete ------------------------------------------------
 
 @pytest.mark.parametrize("strategy", ["sequential", "tree"])
@@ -371,10 +383,11 @@ def test_insert_cascade_through_thousands_of_levels():
 # --- kernel-call audit --------------------------------------------------------
 
 def _audit_kernel(monkeypatch):
-    """Count every real dominance-kernel call, in each ``ndfronts`` namespace
-    that binds the kernel, and record the entry width of every
-    ``update_insert`` call.  Returns ``(calls, widths)``; ``calls[0]`` is the
-    running tally."""
+    """Count every pair the dominance kernel really tests, in each
+    ``ndfronts`` namespace that binds the kernel, and record the entry width
+    of every ``update_insert`` call.  A ``dom_nature`` call is one pair; a
+    block on ``dom_block``'s numpy path is rows x columns pairs.  Returns
+    ``(calls, widths)``; ``calls[0]`` is the running tally."""
     calls = [0]
     widths: list[int] = []
 
@@ -384,6 +397,15 @@ def _audit_kernel(monkeypatch):
             return fn(*args)
 
         return wrapper
+
+    def counted_block(fn):
+        def wrapper(peers, members):
+            calls[0] += len(peers) * len(members)
+            return fn(peers, members)
+
+        return wrapper
+
+    monkeypatch.setattr(ndfronts.core, "_dom_codes", counted_block(ndfronts.core._dom_codes))
 
     def recorded(fs, displaced, index, counter):
         widths.append(len(displaced))
@@ -460,6 +482,31 @@ def test_delete_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
     assert fs.level_ids()[-1] == {f"y{k}"}  # the cascade reached the last rank
     assert widths == []
     assert calls[0] == c.pair_compares
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approach):
+    pop, _ = gen_worst_two_front(100)
+    n1 = worst_split(100).sizes[0]
+    fs = FrontSet(2, [pop[:n1], pop[n1:]])
+    calls, widths = _audit_kernel(monkeypatch)
+    blocks = []
+    audited = ndfronts.core._dom_codes
+
+    def numpy_path(peers, members):
+        blocks.append((len(peers), len(members)))
+        return audited(peers, members)
+
+    monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
+    c = Counter()
+    delete_with(fs, pop[n1 - 1], approach, c)
+    # the whole lower front is one block against the survivors of the upper one
+    assert blocks == [(n1 - 1, 100 - n1)]
+    assert widths == []
+    assert calls[0] == c.pair_compares
+    if approach == "linear":
+        assert c.pair_compares == 2501
+    assert same_partition(fs, full_sort(pop[: n1 - 1] + pop[n1:]))
 
 
 def test_insert_then_delete_round_trip():
