@@ -18,14 +18,40 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from ndfronts import analysis, oracle
+from ndfronts import analysis, core, oracle
 from ndfronts.core import Counter, FrontSet, Solution, validate
 from ndfronts.dbst import TreeVariant, insert_tree, lookup_tree
 from ndfronts.linear import Position, delete, insert_linear, locate_sequential
 
-APPROACHES = ("linear", "ltree", "rtree")
+
+@dataclass(frozen=True)
+class Approach:
+    """One update approach's operations, each called as ``(fs, sol, counter)``."""
+
+    insert: Callable[[FrontSet, Solution, Counter], None]
+    delete: Callable[[FrontSet, Solution, Counter], None]
+    lookup: Callable[[FrontSet, Solution, Counter], Position | None]
+
+
+APPROACHES: dict[str, Approach] = {
+    "linear": Approach(
+        insert_linear,
+        lambda fs, sol, c: delete(fs, sol, "sequential", c),
+        locate_sequential,
+    ),
+    "ltree": Approach(
+        lambda fs, sol, c: insert_tree(fs, sol, TreeVariant.LEFT_BALANCED, c),
+        lambda fs, sol, c: delete(fs, sol, "tree", c),
+        lookup_tree,
+    ),
+    "rtree": Approach(
+        lambda fs, sol, c: insert_tree(fs, sol, TreeVariant.RIGHT_BALANCED, c),
+        lambda fs, sol, c: delete(fs, sol, "tree", c),
+        lookup_tree,
+    ),
+}
 
 SCENARIOS = ("chain", "antichain", "equal-fronts", "worst-two-front")
 
@@ -36,27 +62,6 @@ class InputError(ValueError):
 
 class CheckFailedError(AssertionError):
     """--check found an invalid partition after a mutation."""
-
-
-def insert_with(fs: FrontSet, sol: Solution, approach: str, counter: Counter) -> None:
-    if approach == "linear":
-        insert_linear(fs, sol, counter)
-    elif approach == "ltree":
-        insert_tree(fs, sol, TreeVariant.LEFT_BALANCED, counter)
-    elif approach == "rtree":
-        insert_tree(fs, sol, TreeVariant.RIGHT_BALANCED, counter)
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
-
-
-def delete_with(fs: FrontSet, sol: Solution, approach: str, counter: Counter) -> None:
-    delete(fs, sol, "sequential" if approach == "linear" else "tree", counter)
-
-
-def lookup_with(fs: FrontSet, sol: Solution, approach: str, counter: Counter) -> Position | None:
-    if approach == "linear":
-        return locate_sequential(fs, sol, counter)
-    return lookup_tree(fs, sol, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +237,6 @@ def front_set_from_doc(doc: dict) -> FrontSet:
     return FrontSet(m, fronts)
 
 
-def _check_dump(fs: FrontSet, path: str) -> None:
-    """Raise InputError unless every solution in a loaded dump has the dump's
-    M and a distinct id.  O(N); ``verify`` skips this and reports such dumps
-    as FAIL instead."""
-    seen: set[str] = set()
-    for sol in fs.solutions():
-        if sol.m != fs.m:
-            raise InputError(f"{path}: solution {sol.id!r} has M={sol.m}, dump has M={fs.m}")
-        if sol.id in seen:
-            raise InputError(f"{path}: duplicate id {sol.id!r}")
-        seen.add(sol.id)
-
-
 def write_dump(fs: FrontSet, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(front_set_to_doc(fs), fh, indent=2)
@@ -252,12 +244,17 @@ def write_dump(fs: FrontSet, path: str) -> None:
 
 
 def read_dump(path: str) -> FrontSet:
+    """Load a dump; a repeated id or a solution of the wrong M raises the
+    :class:`FrontSet` constructor's error, prefixed with ``path``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read front-set dump {path}: {exc}") from None
-    return front_set_from_doc(doc)
+    try:
+        return front_set_from_doc(doc)
+    except (core.DuplicateIdError, core.DimensionMismatchError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def sort_online(
     partition is a valid level assignment of everything seen so far."""
     fs = FrontSet(m)
     for sol in population:
-        insert_with(fs, sol, approach, counter)
+        APPROACHES[approach].insert(fs, sol, counter)
         if check:
             problems = validate(fs)
             if problems:
@@ -290,6 +287,7 @@ def run_workload(
 ) -> dict:
     """Execute a workload against ``fs`` in place; returns the report."""
     check_workload(workload, initial_ids=(sol.id for sol in fs.solutions()))
+    ops = APPROACHES[approach]
     by_id = {sol.id: sol for sol in fs.solutions()}
     counter = Counter()
     step_reports = []
@@ -297,14 +295,14 @@ def run_workload(
     for num, step in enumerate(workload.steps, 1):
         counter.reset()
         if isinstance(step, InsertStep):
-            insert_with(fs, step.solution, approach, counter)
+            ops.insert(fs, step.solution, counter)
             by_id[step.solution.id] = step.solution
             op, sid, extra = "insert", step.solution.id, {}
         elif isinstance(step, DeleteStep):
-            delete_with(fs, by_id.pop(step.id), approach, counter)
+            ops.delete(fs, by_id.pop(step.id), counter)
             op, sid, extra = "delete", step.id, {}
         else:
-            pos = lookup_with(fs, by_id[step.id], approach, counter)
+            pos = ops.lookup(fs, by_id[step.id], counter)
             found = pos is not None
             op, sid = "lookup", step.id
             extra = {"found": found}
@@ -390,17 +388,11 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         for approach in approaches:
             fs = FrontSet(pad_m, [[sol] for sol in population])
             counter = Counter()
-            if approach == "ltree":
-                # the left-balanced worst case is a probe dominating every front
-                probe = Solution("probe", (0.0,) * pad_m)
-                expected = log_cost
-            elif approach == "rtree":
-                probe = Solution("probe", (float(n + 1),) * pad_m)
-                expected = log_cost
-            else:
-                probe = Solution("probe", (float(n + 1),) * pad_m)
-                expected = n
-            insert_with(fs, probe, approach, counter)
+            # the left-balanced worst case is a probe dominating every front;
+            # the others' is a probe dominated by every front
+            probe = Solution("probe", (0.0 if approach == "ltree" else float(n + 1),) * pad_m)
+            expected = n if approach == "linear" else log_cost
+            APPROACHES[approach].insert(fs, probe, counter)
             rows.append(row(approach, "insert worst probe", counter.pair_compares, expected))
     elif scenario == "antichain":
         population = analysis.gen_antichain(n, pad_m)
@@ -408,7 +400,7 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         for approach in approaches:
             fs = FrontSet(pad_m, [population])
             counter = Counter()
-            insert_with(fs, probe, approach, counter)
+            APPROACHES[approach].insert(fs, probe, counter)
             rows.append(row(approach, "insert worst probe", counter.pair_compares, n))
     elif scenario == "equal-fronts":
         if not k:
@@ -428,7 +420,7 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
             else:
                 target = fronts[leaf_rank - 1][-1]  # last solution of a deepest leaf front
                 expected = leaf_depth + q
-            pos = lookup_with(fs, target, approach, counter)
+            pos = APPROACHES[approach].lookup(fs, target, counter)
             measured = counter.pair_compares if pos is not None else -1
             rows.append(row(approach, "lookup worst probe", measured, expected))
     elif scenario == "worst-two-front":
@@ -443,7 +435,7 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         for approach in approaches:
             fs = FrontSet(pad_m, [population[:n1], population[n1:]])
             counter = Counter()
-            insert_with(fs, probe, approach, counter)
+            APPROACHES[approach].insert(fs, probe, counter)
             rows.append(row(approach, "insert worst probe", counter.pair_compares, formulas[approach](profile)))
     else:
         raise InputError(f"unknown scenario {scenario!r}")
@@ -471,9 +463,8 @@ def _render(doc: dict, fmt: str, out=None) -> None:
     elif kind == "verify":
         for line in doc["problems"]:
             out.write(f"problem: {line}\n")
-        out.write(
-            f"{'PASS' if doc['ok'] else 'FAIL'}: {doc['solutions']} solutions in {doc['fronts']} fronts\n"
-        )
+        counts = f": {doc['solutions']} solutions in {doc['fronts']} fronts" if "fronts" in doc else ""
+        out.write(f"{'PASS' if doc['ok'] else 'FAIL'}{counts}\n")
     elif kind == "sort":
         out.write(
             f"sorted {doc['solutions']} solutions into {doc['fronts']} fronts "
@@ -528,11 +519,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
     else:
         raise InputError("run needs --workload FILE or --seed N")
-    if args.fs:
-        fs = read_dump(args.fs)
-        _check_dump(fs, args.fs)
-    else:
-        fs = FrontSet(workload.m)
+    fs = read_dump(args.fs) if args.fs else FrontSet(workload.m)
     report = run_workload(fs, workload, args.approach, check=args.check)
     report = {"kind": "run", **report}
     if args.report == "json":
@@ -563,17 +550,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    fs = read_dump(args.fs)
-    ok, problems = verify_front_set(fs)
-    doc = {
-        "kind": "verify",
-        "ok": ok,
-        "problems": problems,
-        "solutions": len(fs),
-        "fronts": fs.k,
-    }
+    try:
+        fs = read_dump(args.fs)
+    except (core.DuplicateIdError, core.DimensionMismatchError) as exc:
+        doc = {"kind": "verify", "ok": False, "problems": [str(exc)]}
+    else:
+        ok, problems = verify_front_set(fs)
+        doc = {"kind": "verify", "ok": ok, "problems": problems, "solutions": len(fs), "fronts": fs.k}
     _render(doc, args.report)
-    return 0 if ok else 1
+    return 0 if doc["ok"] else 1
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -166,9 +166,12 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
 class FrontSet:
     """Ordered partition of solutions into fronts of decreasing dominance.
 
-    ``fronts[0]`` is the rank-1 (best) front.  The update operations mutate
-    the structure in place; at most one mutator may act on a FrontSet at a
-    time, while read-only traversals may share a snapshot freely.
+    ``fronts[0]`` is the rank-1 (best) front.  Stored solutions have the
+    set's M and distinct ids: the constructor and :meth:`admit`, which every
+    insert calls first, raise :class:`DimensionMismatchError` or
+    :class:`DuplicateIdError` otherwise.  Only :meth:`admit` and
+    :meth:`remove` change the id index.  At most one mutator may act on a
+    FrontSet at a time, while read-only traversals may share a snapshot freely.
     """
 
     __slots__ = ("m", "fronts", "_ids")
@@ -178,7 +181,33 @@ class FrontSet:
             raise ValueError(f"need at least 2 objectives, got {m}")
         self.m = int(m)
         self.fronts: list[list[Solution]] = [list(front) for front in fronts]
-        self._ids: set[str] = {sol.id for front in self.fronts for sol in front}
+        self._ids: set[str] = set()
+        self.admit(*self.solutions())
+
+    def admit(self, *sols: Solution) -> None:
+        """Index solutions about to be stored.  Raises, with nothing indexed,
+        unless each has the set's M and an id that is neither stored nor
+        repeated among ``sols``."""
+        ids: set[str] = set()
+        for sol in sols:
+            if sol.m != self.m:
+                raise DimensionMismatchError(
+                    f"solution {sol.id!r} has M={sol.m}, front set has M={self.m}"
+                )
+            if sol.id in self._ids or sol.id in ids:
+                raise DuplicateIdError(f"duplicate solution id {sol.id!r}")
+            ids.add(sol.id)
+        self._ids |= ids
+
+    def remove(self, f_index: int, s_index: int) -> bool:
+        """Remove the solution at 1-based front ``f_index``, position
+        ``s_index``; a front this empties is dropped and lower ranks
+        renumber.  Returns whether the front still holds members."""
+        front = self.fronts[f_index - 1]
+        self._ids.discard(front.pop(s_index - 1).id)
+        if not front:
+            del self.fronts[f_index - 1]
+        return bool(front)
 
     @property
     def k(self) -> int:

@@ -14,7 +14,6 @@ from enum import Enum
 from ndfronts.core import Counter, FrontSet, Solution
 from ndfronts.linear import (
     Position,
-    _check_insertable,
     _first_witness,
     _settle,
     insert_linear,
@@ -83,7 +82,7 @@ def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Coun
     if fs.k < 2:
         insert_linear(fs, new, counter)
         return
-    _check_insertable(fs, new)
+    fs.admit(new)
     trace = navigate(fs, new, variant, counter)
     # Every record that is not dominated moves the search to strictly better
     # ranks, so the last such record is the best rank where no front member

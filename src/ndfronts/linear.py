@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from ndfronts.core import (
     ContractViolationError,
     Counter,
-    DimensionMismatchError,
-    DuplicateIdError,
     FrontSet,
     MissingSolutionError,
     Solution,
@@ -31,13 +29,6 @@ class Position:
 
     f_index: int
     s_index: int
-
-
-def _check_insertable(fs: FrontSet, new: Solution) -> None:
-    if new.m != fs.m:
-        raise DimensionMismatchError(f"solution {new.id!r} has M={new.m}, front set has M={fs.m}")
-    if new.id in fs:
-        raise DuplicateIdError(f"solution id {new.id!r} already stored")
 
 
 def _first_witness(front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
@@ -79,16 +70,6 @@ def dom_set(
     front[:] = kept
 
 
-def _require_antichain(group: list[Solution]) -> None:
-    scratch = Counter()
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            if dom_nature(group[i], group[j], scratch) != 0:
-                raise ContractViolationError(
-                    f"displaced set is internally dominated: {group[i].id!r} vs {group[j].id!r}"
-                )
-
-
 def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
     """Append to ``group`` every member of ``front`` that is non-dominated with
     all of ``group``'s current members; return the other members in order.
@@ -108,25 +89,33 @@ def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> li
 
 
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
-    """Settle a displaced set at rank ``index``, cascading leftovers downward.
+    """Settle a displaced set of new solutions at rank ``index``, cascading
+    leftovers downward.
 
     Members of the front at ``index`` that are non-dominated with every
     displaced solution join them at this rank; the rest sink one rank and the
     cascade moves down.  Past the last front the displaced set simply becomes
-    the new last front.  ``displaced`` must be an antichain; it is checked
-    once here, since every later displaced set is what remains of one front.
+    the new last front.  ``displaced`` must be a non-empty antichain of new
+    solutions with the set's M and distinct ids, and ``index`` must lie in
+    2..K+1; anything else raises before a comparison is counted or a solution
+    moved.  The antichain check is uncounted, so inserts skip it: their
+    displaced sets are carved out of one front.
     """
     if not displaced:
         raise ContractViolationError("displaced set must be non-empty")
-    if index < 2:
-        raise ContractViolationError("cascades start below the front that absorbed the insert")
-    if index > len(fs.fronts) + 1:
-        raise ContractViolationError(
-            f"front index {index} is beyond the last front ({len(fs.fronts)})"
-        )
-    _require_antichain(displaced)
-    fs._ids.update(sol.id for sol in displaced)  # no-op when they came from fs
+    if not 2 <= index <= len(fs.fronts) + 1:
+        raise ContractViolationError(f"cascade rank {index} is outside 2..{len(fs.fronts) + 1}")
+    rows, cols = dom_block(displaced, displaced, Counter()).nonzero()
+    if len(rows):
+        a, b = displaced[rows[0]], displaced[cols[0]]
+        raise ContractViolationError(f"displaced set is internally dominated: {a.id!r} vs {b.id!r}")
+    fs.admit(*displaced)
+    _cascade_insert(fs, displaced, index, counter)
 
+
+def _cascade_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
+    """The cascade of :func:`update_insert`, for a displaced antichain that
+    is already indexed; runs no dominance test it does not count."""
     while index <= len(fs.fronts):
         width = len(displaced)
         kept = _sweep(displaced, fs.fronts[index - 1], counter)
@@ -145,13 +134,12 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
 def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter: Counter) -> None:
     """Store ``new`` at rank ``index``, where the front scan found nature
     ``nat`` at witness ``pos`` (see :func:`_first_witness`); rank K+1 opens a
-    new last front.
+    new last front.  ``new`` is already admitted to the id index.
 
     Non-domination merges ``new`` into the front.  A dominated witness is
     displaced together with every later member ``new`` dominates, and the
     displaced set is pushed down.
     """
-    fs._ids.add(new.id)
     if index > len(fs.fronts):
         fs.fronts.append([new])
         return
@@ -168,7 +156,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
         # the new solution dominated its whole front: ranks below shift by one as-is
         fs.fronts.insert(index, displaced)
     else:
-        update_insert(fs, displaced, index + 1, counter)
+        _cascade_insert(fs, displaced, index + 1, counter)
 
 
 def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
@@ -180,7 +168,7 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
     front merges ``new`` there.  Dominated by all fronts, it becomes the new
     last front.
     """
-    _check_insertable(fs, new)
+    fs.admit(new)
     for index, front in enumerate(fs.fronts, 1):
         nat, pos = _first_witness(front, new, counter)
         if nat != -1:
@@ -232,10 +220,13 @@ def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None
     """Remove the stored solution with ``sol``'s id and restore validity.
 
     ``strategy`` picks the search: ``"sequential"`` scans fronts in order,
-    ``"tree"`` binary-searches over front ranks.  Deleting from the last
-    front costs nothing further; an emptied front is dropped outright and
-    lower ranks renumber; otherwise the promotion cascade runs from the
-    source front.
+    ``"tree"`` binary-searches over front ranks; an id it does not find
+    raises :class:`~ndfronts.core.MissingSolutionError`.  The solution then
+    leaves its front and the id index through
+    :meth:`~ndfronts.core.FrontSet.remove`.  Deleting from the last front
+    costs nothing further; an emptied front is dropped outright and lower
+    ranks renumber; otherwise the promotion cascade runs from the source
+    front.
     """
     if strategy == "sequential":
         pos = locate_sequential(fs, sol, counter)
@@ -248,11 +239,5 @@ def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None
     if pos is None:
         raise MissingSolutionError(sol.id)
 
-    front = fs.fronts[pos.f_index - 1]
-    removed = front.pop(pos.s_index - 1)
-    fs._ids.discard(removed.id)
-    if not front:
-        fs.fronts.pop(pos.f_index - 1)
-        return
-    if pos.f_index < len(fs.fronts):
+    if fs.remove(pos.f_index, pos.s_index) and pos.f_index < len(fs.fronts):
         update_delete(fs, pos.f_index, counter)

@@ -31,7 +31,7 @@ from ndfronts import (
     worst_split,
     FrontProfile,
 )
-from ndfronts.cli import delete_with, insert_with, sort_online
+from ndfronts.cli import APPROACHES, sort_online
 
 
 @contextmanager
@@ -70,13 +70,13 @@ def _lockstep_workload(seed: int, m: int, ramp: int, extra: int) -> int:
         live[sol.id] = sol
         order.append(sol.id)
         for approach, fs in states.items():
-            insert_with(fs, sol, approach, Counter())
+            APPROACHES[approach].insert(fs, sol, Counter())
 
     def do_delete() -> None:
         sid = order.pop(rng.randrange(len(order)))
         sol = live.pop(sid)
         for approach, fs in states.items():
-            delete_with(fs, sol, approach, Counter())
+            APPROACHES[approach].delete(fs, sol, Counter())
 
     for _ in range(ramp):
         do_insert()
@@ -119,13 +119,13 @@ def test_criterion_2_single_front_insert_costs():
         for approach in ("linear", "ltree", "rtree"):
             fs = FrontSet(2, [population])
             c = Counter()
-            insert_with(fs, merge_probe, approach, c)
+            APPROACHES[approach].insert(fs, merge_probe, c)
             assert c.pair_compares == 50
             assert fs.k == 1 and len(fs.fronts[0]) == 51
 
             fs = FrontSet(2, [population])
             c = Counter()
-            insert_with(fs, blocked_probe, approach, c)
+            APPROACHES[approach].insert(fs, blocked_probe, c)
             assert c.pair_compares == 1
             assert fs.level_ids()[1] == {"p"}
 
@@ -143,7 +143,7 @@ def test_criterion_3_chain_insert_costs():
 
         fs = FrontSet(2, [[sol] for sol in chain])
         c = Counter()
-        insert_with(fs, dominated_probe, "linear", c)
+        APPROACHES["linear"].insert(fs, dominated_probe, c)
         assert c.pair_compares == 100
         assert fs.level_ids()[-1] == {"p"}
 
@@ -152,13 +152,13 @@ def test_criterion_3_chain_insert_costs():
         # full left spine for a probe dominating everywhere
         fs = FrontSet(2, [[sol] for sol in chain])
         c = Counter()
-        insert_with(fs, dominated_probe, "rtree", c)
+        APPROACHES["rtree"].insert(fs, dominated_probe, c)
         assert c.pair_compares == log_cost
         assert fs.level_ids()[-1] == {"p"}
 
         fs = FrontSet(2, [[sol] for sol in chain])
         c = Counter()
-        insert_with(fs, dominating_probe, "ltree", c)
+        APPROACHES["ltree"].insert(fs, dominating_probe, c)
         assert c.pair_compares == log_cost
         assert fs.level_ids()[0] == {"p"}
 
@@ -204,7 +204,7 @@ def test_criterion_5_two_front_maxima():
             fs = FrontSet(2, [population[:n1], population[n1:]])
             c = Counter()
             started = time.perf_counter()
-            insert_with(fs, probe, approach, c)
+            APPROACHES[approach].insert(fs, probe, c)
             elapsed = time.perf_counter() - started
             assert c.pair_compares == expected, (n, approach)
             assert elapsed < 1.0

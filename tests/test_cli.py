@@ -170,6 +170,24 @@ def test_random_workload_is_deterministic_and_live():
     check_workload(w1)
 
 
+# Total comparisons of random_workload(seed, m, 60) over seeds 0-59: any change
+# to a comparison made by an insert, delete or lookup moves one of these.
+SEEDED_TOTALS = {
+    (2, "linear"): 27455, (2, "ltree"): 26724, (2, "rtree"): 26211,
+    (3, "linear"): 38691, (3, "ltree"): 42150, (3, "rtree"): 40561,
+    (5, "linear"): 48733, (5, "ltree"): 53597, (5, "rtree"): 50453,
+}
+
+
+@pytest.mark.parametrize("m, approach", sorted(SEEDED_TOTALS))
+def test_seeded_workload_totals_are_pinned(m, approach):
+    total = sum(
+        run_workload(FrontSet(m), random_workload(seed, m, 60), approach)["total_compares"]
+        for seed in range(60)
+    )
+    assert total == SEEDED_TOTALS[m, approach]
+
+
 def test_run_workload_delete_reshapes_levels(nine_in_four_levels):
     path_rows = []
     workload = load_workload_from_steps(nine_in_four_levels)
@@ -359,7 +377,7 @@ def test_cli_run_against_preloaded_front_set(tmp_path, twelve_in_five_levels, ca
 @pytest.mark.parametrize(
     "fronts",
     [
-        # a repeated id, which FrontSet would silently merge
+        # a repeated id, which the FrontSet constructor rejects
         [[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}], [{"id": "a", "obj": [3.0, 3.0]}]],
         # a solution whose objective count disagrees with the dump's m
         [[{"id": "a", "obj": [1.0, 2.0]}], [{"id": "b", "obj": [3.0, 3.0, 3.0]}]],

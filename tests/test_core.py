@@ -12,6 +12,7 @@ from ndfronts import (
     Counter,
     DimensionMismatchError,
     DomRelation,
+    DuplicateIdError,
     FrontSet,
     Solution,
     check_dom,
@@ -184,7 +185,8 @@ def test_validate_flags_undominated_lower_front():
 
 
 def test_validate_flags_empty_front_and_duplicate_id():
-    fs = FrontSet(2, [[s("a", 1, 1)], [], [s("a", 2, 2)]])
+    fs = FrontSet(2, [[s("a", 1, 1)], []])
+    fs.fronts.append([s("a", 2, 2)])  # construction rejects a repeated id; tampering does not
     problems = validate(fs)
     assert any("empty" in p for p in problems)
     assert any("duplicate" in p for p in problems)
@@ -216,6 +218,19 @@ def test_front_set_contains_and_len(twelve_in_five_levels):
     assert "nope" not in fs
     assert len(fs) == 12
     assert fs.k == 5
+
+
+@pytest.mark.parametrize(
+    "fronts, error",
+    [
+        ([[s("a", 1, 1)], [s("a", 2, 2)]], DuplicateIdError),
+        ([[s("a", 1, 1)], [Solution("b", (2, 2, 2))]], DimensionMismatchError),
+    ],
+    ids=["duplicate-id", "wrong-m"],
+)
+def test_front_set_construction_rejects_bad_members(fronts, error):
+    with pytest.raises(error):
+        FrontSet(2, fronts)
 
 
 def test_front_set_rejects_single_objective():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import sys
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +12,7 @@ import ndfronts
 from ndfronts import (
     ContractViolationError,
     Counter,
+    DimensionMismatchError,
     DuplicateIdError,
     FrontSet,
     MissingSolutionError,
@@ -32,7 +32,7 @@ from ndfronts import (
     validate,
     worst_split,
 )
-from ndfronts.cli import APPROACHES, delete_with, insert_with
+from ndfronts.cli import APPROACHES
 from tests.conftest import NINE_LEVELS, dominates, random_population, s
 
 
@@ -85,11 +85,26 @@ def test_insert_duplicate_id_rejected():
 
 
 def test_insert_dimension_mismatch_rejected():
-    from ndfronts import DimensionMismatchError
-
     fs = fs_of([s("a", 1, 1)])
     with pytest.raises(DimensionMismatchError):
         insert_linear(fs, Solution("n", (1.0, 2.0, 3.0)), Counter())
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize(
+    "new, error",
+    [(s("b", 9, 9), DuplicateIdError), (Solution("n", (0.0, 0.0, 0.0)), DimensionMismatchError)],
+    ids=["stored-id", "wrong-m"],
+)
+def test_rejected_insert_compares_and_moves_nothing(approach, new, error):
+    fs = fs_of([s("a", 1, 1)], [s("b", 2, 2)], [s("c", 3, 3)])
+    before = fs.level_ids()
+    c = Counter()
+    with pytest.raises(error):
+        APPROACHES[approach].insert(fs, new, c)
+    assert c.pair_compares == 0
+    assert fs.level_ids() == before
+    assert "n" not in fs
 
 
 def test_insert_duplicate_vector_allowed_same_level():
@@ -198,6 +213,26 @@ def test_update_insert_rejects_empty_or_top_rank():
         update_insert(fs, [s("m", 3, 3)], 1, Counter())
     with pytest.raises(ContractViolationError):
         update_insert(fs, [s("m", 3, 3)], 4, Counter())
+
+
+@pytest.mark.parametrize(
+    "displaced, error",
+    [
+        ([Solution("a", (3, 3))], DuplicateIdError),  # "a" is stored
+        ([s("m", 2, 4), s("m", 4, 2)], DuplicateIdError),
+        ([Solution("m", (3, 3, 3))], DimensionMismatchError),
+    ],
+    ids=["stored-id", "repeated-id", "wrong-m"],
+)
+def test_update_insert_rejects_bad_solutions_before_any_work(displaced, error):
+    fs = fs_of([s("a", 1, 1)], [s("b", 9, 9)])
+    before = fs.level_ids()
+    c = Counter()
+    with pytest.raises(error):
+        update_insert(fs, displaced, 2, c)
+    assert c.pair_compares == 0
+    assert fs.level_ids() == before
+    assert "m" not in fs and validate(fs) == []
 
 
 def test_delete_rejects_unknown_strategy():
@@ -385,9 +420,10 @@ def test_insert_cascade_through_thousands_of_levels():
 def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel really tests, in each
     ``ndfronts`` namespace that binds the kernel, and record the entry width
-    of every ``update_insert`` call.  A ``dom_nature`` call is one pair; a
-    block on ``dom_block``'s numpy path is rows x columns pairs.  Returns
-    ``(calls, widths)``; ``calls[0]`` is the running tally."""
+    of every insert cascade (``linear._cascade_insert``).  A ``dom_nature``
+    call is one pair; a block on ``dom_block``'s numpy path is rows x
+    columns pairs.  Returns ``(calls, widths)``; ``calls[0]`` is the running
+    tally."""
     calls = [0]
     widths: list[int] = []
 
@@ -409,13 +445,13 @@ def _audit_kernel(monkeypatch):
 
     def recorded(fs, displaced, index, counter):
         widths.append(len(displaced))
-        return original_update_insert(fs, displaced, index, counter)
+        return cascade(fs, displaced, index, counter)
 
-    original_update_insert = ndfronts.update_insert
+    cascade = ndfronts.linear._cascade_insert
+    monkeypatch.setattr(ndfronts.linear, "_cascade_insert", recorded)
     wrappers = {
         "dom_nature": counted(ndfronts.dom_nature),
         "check_dom": counted(ndfronts.check_dom),
-        "update_insert": recorded,
     }
     originals = {name: getattr(ndfronts, name) for name in wrappers}
     for mod_name, module in list(sys.modules.items()):
@@ -442,7 +478,7 @@ def _two_column_ladder(k):
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_insert_cascade_kernel_calls_are_counted_except_the_entry_check(monkeypatch, approach):
+def test_insert_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
     k = 6
     fronts = _two_column_ladder(k)
     fs = FrontSet(2, [list(front) for front in fronts])
@@ -450,10 +486,10 @@ def test_insert_cascade_kernel_calls_are_counted_except_the_entry_check(monkeypa
     probe = s("probe", -2, 10_000.5)
     calls, widths = _audit_kernel(monkeypatch)
     c = Counter()
-    insert_with(fs, probe, approach, c)
+    APPROACHES[approach].insert(fs, probe, c)
     assert fs.k == k + 1  # the displaced pair crossed every rank below the first
     assert widths == [2]
-    assert calls[0] == c.pair_compares + comb(2, 2)
+    assert calls[0] == c.pair_compares
     assert same_partition(fs, full_sort([sol for front in fronts for sol in front] + [probe]))
 
 
@@ -464,11 +500,11 @@ def test_worst_case_insert_kernel_calls(monkeypatch, approach):
     fs = FrontSet(2, [pop[:n1], pop[n1:]])
     calls, widths = _audit_kernel(monkeypatch)
     c = Counter()
-    insert_with(fs, probe, approach, c)
+    APPROACHES[approach].insert(fs, probe, c)
     assert widths == [50]
-    assert calls[0] == c.pair_compares + comb(50, 2)
+    assert calls[0] == c.pair_compares
     if approach == "linear":
-        assert (calls[0], c.pair_compares) == (3726, 2501)
+        assert (calls[0], c.pair_compares) == (2501, 2501)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
@@ -478,7 +514,7 @@ def test_delete_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
     fs = FrontSet(2, [[xs[j], ys[j]] for j in range(k)])
     calls, widths = _audit_kernel(monkeypatch)
     c = Counter()
-    delete_with(fs, xs[0], approach, c)
+    APPROACHES[approach].delete(fs, xs[0], c)
     assert fs.level_ids()[-1] == {f"y{k}"}  # the cascade reached the last rank
     assert widths == []
     assert calls[0] == c.pair_compares
@@ -499,7 +535,7 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
 
     monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
     c = Counter()
-    delete_with(fs, pop[n1 - 1], approach, c)
+    APPROACHES[approach].delete(fs, pop[n1 - 1], c)
     # the whole lower front is one block against the survivors of the upper one
     assert blocks == [(n1 - 1, 100 - n1)]
     assert widths == []

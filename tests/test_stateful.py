@@ -21,7 +21,7 @@ from hypothesis.stateful import (
 )
 
 from ndfronts import Counter, FrontSet, Solution, core, full_sort
-from ndfronts.cli import APPROACHES, delete_with, insert_with, lookup_with
+from ndfronts.cli import APPROACHES
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
 WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fills one block
@@ -46,7 +46,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         sol = Solution(f"s{self.next_id}", vec[: self.m])
         self.next_id += 1
         for approach, fs in self.sets.items():
-            insert_with(fs, sol, approach, Counter())
+            APPROACHES[approach].insert(fs, sol, Counter())
         self.live[sol.id] = sol
         return sol
 
@@ -68,7 +68,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         for approach, fs in self.sets.items():
             with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
                 for sol in batch:
-                    insert_with(fs, sol, approach, Counter())
+                    APPROACHES[approach].insert(fs, sol, Counter())
             assert numpy_path.called, approach
         self.live.update((sol.id, sol) for sol in batch)
         return multiple(*batch)
@@ -76,13 +76,13 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
     @rule(sol=consumes(solutions))
     def delete(self, sol: Solution) -> None:
         for approach, fs in self.sets.items():
-            delete_with(fs, sol, approach, Counter())
+            APPROACHES[approach].delete(fs, sol, Counter())
         del self.live[sol.id]
 
     @rule(sol=solutions)
     def lookup(self, sol: Solution) -> None:
         for approach, fs in self.sets.items():
-            pos = lookup_with(fs, sol, approach, Counter())
+            pos = APPROACHES[approach].lookup(fs, sol, Counter())
             assert pos is not None, approach
             assert fs.fronts[pos.f_index - 1][pos.s_index - 1].id == sol.id, approach
 
