@@ -519,7 +519,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
     else:
         raise InputError("run needs --workload FILE or --seed N")
-    fs = read_dump(args.fs) if args.fs else FrontSet(workload.m)
+    fs = FrontSet(workload.m)
+    if args.fs:
+        fs = read_dump(args.fs)
+        problems = validate(fs)
+        if problems:
+            raise InputError(f"{args.fs}: {problems[0]}")
     report = run_workload(fs, workload, args.approach, check=args.check)
     report = {"kind": "run", **report}
     if args.report == "json":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,10 +67,13 @@ class DomRelation(Enum):
 class Counter:
     """Monotone tally of solution-pair dominance comparisons.
 
-    :func:`dom_nature` and :func:`dom_block` are the only places that
-    count: a :func:`dom_nature` call adds exactly one, no matter how many
-    objectives the pair carries, and a block adds one for every pair in it.
-    Reset it between operations to read per-operation costs.
+    A :func:`dom_nature` call adds exactly one, no matter how many
+    objectives the pair carries, and a :func:`dom_block` block adds one for
+    every pair in it.  The only other place that counts is the probe scan
+    of a wide front (:func:`ndfronts.linear._first_witness`), which tests
+    the whole front in numpy but adds only the pairs the sequential scan
+    would have tested.  Reset it between operations to read per-operation
+    costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -163,6 +167,64 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
     return DomRelation(nat)
 
 
+# Fronts at least this wide keep an objective array and are scanned with
+# numpy; narrower ones build none and keep the dom_nature loop (measured with
+# perfbench; see CHANGES.md).
+_SCAN_MIN_WIDTH = 96
+
+
+class _Columns:
+    """Objective array of one wide front: column ``j`` of :attr:`cols`
+    holds ``members[j]``'s objectives and ``ids[j]`` its id.
+
+    ``members`` is the front as the library last left it.  Every edit
+    applies to the members, the ids and the array together, so the three
+    always agree; a front that no longer equals ``members`` was edited
+    directly, and its record is stale.
+    """
+
+    __slots__ = ("front", "members", "ids", "buf", "n")
+
+    def __init__(self, front: list[Solution], members: list[Solution], ids: list[str], cols: np.ndarray) -> None:
+        self.front = front  # holds the list alive, so its id() keys only this record
+        self.members = members
+        self.ids = ids
+        self.buf = cols  # (M, capacity); the first n columns are live
+        self.n = len(members)
+
+    @classmethod
+    def of(cls, front: list[Solution], members: list[Solution], m: int) -> "_Columns":
+        """Build from the members' tuples; raises ValueError unless each has M ``m``."""
+        rows = np.array([sol.objectives for sol in members], dtype=np.float64).reshape(len(members), m)
+        return cls(front, members, [sol.id for sol in members], np.ascontiguousarray(rows.T))
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.buf[:, : self.n]
+
+    def extend(self, members: list[Solution], cols: np.ndarray | None = None) -> None:
+        """Append ``members``, with their columns when the caller has them."""
+        n, end = self.n, self.n + len(members)
+        if end > self.buf.shape[1]:
+            grown = np.empty((len(self.buf), end + end // 4), dtype=np.float64)
+            grown[:, :n] = self.buf[:, :n]
+            self.buf = grown
+        self.buf[:, n:end] = np.array([sol.objectives for sol in members]).T if cols is None else cols
+        self.n = end
+        self.members += members
+        self.ids += [sol.id for sol in members]
+
+    def take(self, mask: np.ndarray, front: list[Solution]) -> "_Columns":
+        """A record for ``front`` of the members flagged in ``mask``."""
+        keep = mask.tolist()
+        return _Columns(front, list(compress(self.members, keep)), list(compress(self.ids, keep)), self.cols[:, mask])
+
+    def pop(self, i: int) -> None:
+        self.buf[:, i : self.n - 1] = self.buf[:, i + 1 : self.n]
+        self.n -= 1
+        del self.members[i], self.ids[i]
+
+
 class FrontSet:
     """Ordered partition of solutions into fronts of decreasing dominance.
 
@@ -170,11 +232,18 @@ class FrontSet:
     set's M and distinct ids: the constructor and :meth:`admit`, which every
     insert calls first, raise :class:`DimensionMismatchError` or
     :class:`DuplicateIdError` otherwise.  Only :meth:`admit` and
-    :meth:`remove` change the id index.  At most one mutator may act on a
-    FrontSet at a time, while read-only traversals may share a snapshot freely.
+    :meth:`remove` change the id index.
+
+    A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
+    array, which its probe scans read.  The update paths keep it in step as
+    they edit fronts; :meth:`_columns` checks it against the front before
+    each use and builds it afresh when it is missing or the front was
+    edited directly, so ``fronts`` stays a plain list anyone may edit.  At
+    most one mutator may act on a FrontSet at a time, while read-only
+    traversals may share a snapshot freely.
     """
 
-    __slots__ = ("m", "fronts", "_ids")
+    __slots__ = ("m", "fronts", "_ids", "_arrays")
 
     def __init__(self, m: int, fronts: Iterable[Iterable[Solution]] = ()) -> None:
         if m < 2:
@@ -182,6 +251,7 @@ class FrontSet:
         self.m = int(m)
         self.fronts: list[list[Solution]] = [list(front) for front in fronts]
         self._ids: set[str] = set()
+        self._arrays: dict[int, _Columns] = {}  # id() of a front -> its record
         self.admit(*self.solutions())
 
     def admit(self, *sols: Solution) -> None:
@@ -205,9 +275,69 @@ class FrontSet:
         renumber.  Returns whether the front still holds members."""
         front = self.fronts[f_index - 1]
         self._ids.discard(front.pop(s_index - 1).id)
+        rec = self._arrays.get(id(front))
+        if rec is not None:
+            if len(front) < _SCAN_MIN_WIDTH or rec.n != len(front) + 1:
+                del self._arrays[id(front)]
+            else:
+                rec.pop(s_index - 1)
         if not front:
             del self.fronts[f_index - 1]
         return bool(front)
+
+    def _append(self, front: list[Solution], sol: Solution) -> None:
+        """Append ``sol`` to ``front``, a front of this set."""
+        front.append(sol)
+        rec = self._arrays.get(id(front))
+        if rec is not None:
+            rec.extend([sol])
+
+    def _tracks(self, front: list[Solution]) -> bool:
+        """Whether ``front`` has an objective array to keep in step."""
+        return id(front) in self._arrays
+
+    def _carve(self, source: list[Solution], stays: np.ndarray, kept: list[Solution], dest: list[Solution]) -> None:
+        """Keep the arrays in step after the members of ``source`` flagged
+        False in ``stays`` (a bool array in ``source``'s old order) were
+        appended, in order, to ``dest``, and the others stayed, in order, as
+        ``kept`` (``source`` itself when edited in place).  ``source``'s
+        columns go to the parts that are wide; a narrow part keeps no array."""
+        arrays = self._arrays
+        if not arrays:
+            return
+        rec = arrays.pop(id(source), None)
+        if rec is not None and rec.n != len(stays):
+            rec = None
+        if rec is not None and len(kept) >= _SCAN_MIN_WIDTH:
+            arrays[id(kept)] = rec.take(stays, kept)
+        drec = arrays.get(id(dest))
+        if drec is None and (rec is None or len(dest) < _SCAN_MIN_WIDTH):
+            return
+        start = len(dest) - (len(stays) - len(kept))
+        if drec is None:
+            drec = arrays[id(dest)] = _Columns.of(dest, dest[:start], self.m)
+        if rec is None:
+            drec.extend(dest[start:])
+        else:
+            moved = ~stays
+            drec.extend(list(compress(rec.members, moved.tolist())), rec.cols[:, moved])
+
+    def _columns(self, front: list[Solution]) -> _Columns | None:
+        """The objective array of ``front``, a front of this set at least
+        ``_SCAN_MIN_WIDTH`` wide, or None when a member's M is not the
+        set's.  A missing or stale record is built from the members' tuples,
+        and records of fronts no longer in the set are freed."""
+        rec = self._arrays.get(id(front))
+        if rec is not None and rec.members == front:
+            return rec
+        live = {id(f) for f in self.fronts}
+        for key in [key for key in self._arrays if key not in live]:
+            del self._arrays[key]
+        try:
+            rec = self._arrays[id(front)] = _Columns.of(front, front[:], self.m)
+        except ValueError:
+            return None
+        return rec
 
     @property
     def k(self) -> int:
@@ -230,8 +360,19 @@ class FrontSet:
         return [{sol.id for sol in front} for front in self.fronts]
 
     def copy(self) -> "FrontSet":
-        """Independent structural copy (solutions themselves are immutable and shared)."""
-        return FrontSet(self.m, self.fronts)
+        """Independent structural copy (solutions themselves are immutable
+        and shared): the fronts, the id index and the arrays are copied as
+        they are, with no check, since this set already passed them."""
+        clone = FrontSet.__new__(FrontSet)
+        clone.m = self.m
+        clone.fronts = [front[:] for front in self.fronts]
+        clone._ids = set(self._ids)
+        clone._arrays = {}
+        for front, twin in zip(self.fronts, clone.fronts):
+            rec = self._arrays.get(id(front))
+            if rec is not None:
+                clone._arrays[id(twin)] = _Columns(twin, rec.members[:], rec.ids[:], rec.cols.copy())
+        return clone
 
     def __repr__(self) -> str:
         sizes = tuple(len(front) for front in self.fronts)

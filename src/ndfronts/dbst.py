@@ -62,7 +62,7 @@ def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter
     lo, hi = 1, fs.k
     while True:
         mid = (lo + hi + bias) // 2
-        nat, pos = _first_witness(fs.fronts[mid - 1], new, counter)
+        nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter)
         trace.append(CmpRecord(nat, mid, pos))
         if nat == -1 and mid != hi:
             lo = mid + 1

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ndfronts.core import (
+    _SCAN_MIN_WIDTH,
     ContractViolationError,
     Counter,
     FrontSet,
@@ -31,21 +34,52 @@ class Position:
     s_index: int
 
 
-def _first_witness(front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
-    """Scan ``front`` in order for its first member that ``probe`` dominates
-    (1), is dominated by (-1) or shares its id with (0); returns that nature
-    and the member's 1-based position, or ``(0, 0)`` when ``probe`` is
-    non-dominated with the whole front and its id is not there.
+def _first_witness(fs: FrontSet, front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
+    """Scan ``front``, a front of ``fs``, in order for its first member that
+    ``probe`` dominates (1), is dominated by (-1) or shares its id with (0);
+    returns that nature and the member's 1-based position, or ``(0, 0)``
+    when ``probe`` is non-dominated with the whole front and its id is not
+    there.
 
     One witness decides the front: as an antichain it cannot hold both a
     member dominating ``probe`` and one that ``probe`` dominates.  An insert
     probe's id is never stored, so only lookups stop at an id match.
+
+    A front with an objective array (see :class:`~ndfronts.core.FrontSet`)
+    is tested whole by :func:`_scan_columns`; the counter still gets only
+    the pairs the sequential scan tests, the position where it stops, or
+    the front's width when it finds nothing.  Narrower fronts run the
+    :func:`~ndfronts.core.dom_nature` loop, and so does a probe of another
+    M, which it rejects at the first pair.
     """
+    if len(front) >= _SCAN_MIN_WIDTH and probe.m == fs.m:
+        rec = fs._columns(front)
+        if rec is not None:
+            nat, pos = _scan_columns(rec.cols, rec.ids, probe)
+            counter.pair_compares += pos or len(front)
+            return nat, pos
     for pos, sol in enumerate(front, 1):
         nat = dom_nature(probe, sol, counter)
         if nat != 0 or sol.id == probe.id:
             return nat, pos
     return 0, 0
+
+
+def _scan_columns(cols: np.ndarray, ids: list[str], probe: Solution) -> tuple[int, int]:
+    """:func:`_first_witness`'s answer for a front given as an ``(M, n)``
+    objective array and its ids, from one numpy comparison of every member;
+    uncounted, so only :func:`_first_witness` calls it."""
+    p = np.array(probe.objectives)[:, None]
+    ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
+    le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
+    hit = ge != le  # exactly one holds: a strict dominance either way
+    w = int(hit.argmax())
+    found = bool(hit[w])
+    try:
+        return 0, ids.index(probe.id, 0, w if found else len(ids)) + 1
+    except ValueError:
+        pass
+    return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
 
 
 def dom_set(
@@ -54,25 +88,29 @@ def dom_set(
     start: int,
     collected: list[Solution],
     counter: Counter,
-) -> None:
+) -> np.ndarray:
     """Move every solution of ``front`` at or after position ``start`` (1-based)
-    that ``new`` dominates into ``collected``.
+    that ``new`` dominates into ``collected``; return the tail's codes.
 
     The tail is one ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test,
-    so each candidate is compared exactly once.  Survivors keep their
+    so each candidate is compared exactly once; the returned int8 array
+    holds its codes, 1 for each member moved.  Survivors keep their
     relative order.  Positions before ``start`` were already classified by
     the caller.
     """
     kept = front[: start - 1]
     tail = front[start - 1 :]
-    for sol, nat in zip(tail, dom_block([new], tail, counter)[0].tolist()):
+    codes = dom_block([new], tail, counter)[0]
+    for sol, nat in zip(tail, codes.tolist()):
         (collected if nat == 1 else kept).append(sol)
     front[:] = kept
+    return codes
 
 
-def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
+def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
     """Append to ``group`` every member of ``front`` that is non-dominated with
-    all of ``group``'s current members; return the other members in order.
+    all of ``group``'s current members; return the other members in order,
+    as ``front`` itself when none moved.
 
     Members appended here come from one front and need no mutual checks.
     The sweep is one ``len(group) x len(front)``
@@ -81,10 +119,13 @@ def _sweep(group: list[Solution], front: list[Solution], counter: Counter) -> li
     comparisons, which the closed-form worst cases in
     :mod:`ndfronts.analysis` count on.
     """
-    related = dom_block(group, front, counter).any(axis=0).tolist()
+    related = dom_block(group, front, counter).any(axis=0)
     kept: list[Solution] = []
-    for sol, hit in zip(front, related):
+    for sol, hit in zip(front, related.tolist()):
         (kept if hit else group).append(sol)
+    if len(kept) == len(front):
+        return front
+    fs._carve(front, related, kept, group)
     return kept
 
 
@@ -118,7 +159,7 @@ def _cascade_insert(fs: FrontSet, displaced: list[Solution], index: int, counter
     is already indexed; runs no dominance test it does not count."""
     while index <= len(fs.fronts):
         width = len(displaced)
-        kept = _sweep(displaced, fs.fronts[index - 1], counter)
+        kept = _sweep(fs, displaced, fs.fronts[index - 1], counter)
         if len(displaced) == width:
             # nothing promoted: the displaced set takes this rank, all lower fronts shift
             fs.fronts.insert(index - 1, displaced)
@@ -145,11 +186,16 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
         return
     front = fs.fronts[index - 1]
     if nat == 0:
-        front.append(new)
+        fs._append(front, new)
         return
     displaced = [front.pop(pos - 1)]
-    dom_set(front, new, pos, displaced, counter)
-    front.append(new)
+    codes = dom_set(front, new, pos, displaced, counter)
+    if fs._tracks(front):
+        stays = np.ones(len(front) + len(displaced), dtype=bool)
+        stays[pos - 1] = False
+        stays[pos:] = codes != 1
+        fs._carve(front, stays, front, displaced)
+    fs._append(front, new)
     if index == len(fs.fronts):
         fs.fronts.append(displaced)
     elif len(front) == 1:
@@ -170,7 +216,7 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
     """
     fs.admit(new)
     for index, front in enumerate(fs.fronts, 1):
-        nat, pos = _first_witness(front, new, counter)
+        nat, pos = _first_witness(fs, front, new, counter)
         if nat != -1:
             break
     else:
@@ -188,7 +234,7 @@ def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position
     the id or proves it absent.
     """
     for f_index, front in enumerate(fs.fronts, 1):
-        nat, pos = _first_witness(front, sol, counter)
+        nat, pos = _first_witness(fs, front, sol, counter)
         if nat != -1:
             return Position(f_index, pos) if nat == 0 and pos else None
     return None
@@ -203,7 +249,7 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     while True:
         upper = fs.fronts[index - 1]
         width = len(upper)
-        kept = _sweep(upper, fs.fronts[index], counter)
+        kept = _sweep(fs, upper, fs.fronts[index], counter)
         if not kept:
             # the whole next front moved up; ranks below collapse by one
             fs.fronts.pop(index)

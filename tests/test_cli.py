@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ndfronts import Counter, FrontSet, Solution, full_sort, same_partition
+from ndfronts import Counter, FrontSet, Solution, core, full_sort, same_partition
 from ndfronts.cli import (
     APPROACHES,
     InputError,
@@ -186,6 +186,23 @@ def test_seeded_workload_totals_are_pinned(m, approach):
         for seed in range(60)
     )
     assert total == SEEDED_TOTALS[m, approach]
+
+
+# The same for random_workload(seed, 5, 1500, max_live=1000) over seeds 0-2.
+# Its fronts grow past core._SCAN_MIN_WIDTH, so these totals pin the counts of
+# the numpy front scan, which SEEDED_TOTALS (at most 40 live) never reaches.
+WIDE_TOTALS = {"linear": 7325143, "ltree": 7446930, "rtree": 7418918}
+
+
+@pytest.mark.parametrize("approach", sorted(WIDE_TOTALS))
+def test_wide_front_workload_totals_are_pinned(approach):
+    total = widest = 0
+    for seed in range(3):
+        fs = FrontSet(5)
+        total += run_workload(fs, random_workload(seed, 5, 1500, max_live=1000), approach)["total_compares"]
+        widest = max(widest, *map(len, fs.fronts))
+    assert widest >= core._SCAN_MIN_WIDTH
+    assert total == WIDE_TOTALS[approach]
 
 
 def test_run_workload_delete_reshapes_levels(nine_in_four_levels):
@@ -381,8 +398,12 @@ def test_cli_run_against_preloaded_front_set(tmp_path, twelve_in_five_levels, ca
         [[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}], [{"id": "a", "obj": [3.0, 3.0]}]],
         # a solution whose objective count disagrees with the dump's m
         [[{"id": "a", "obj": [1.0, 2.0]}], [{"id": "b", "obj": [3.0, 3.0, 3.0]}]],
+        # an empty front, which validate reports
+        [[], [{"id": "a", "obj": [1.0, 2.0]}]],
+        # fronts out of order: the lower one dominates the upper one
+        [[{"id": "b", "obj": [5.0, 5.0]}], [{"id": "a", "obj": [1.0, 1.0]}]],
     ],
-    ids=["duplicate-id", "wrong-m"],
+    ids=["duplicate-id", "wrong-m", "empty-front", "unsorted"],
 )
 def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts):
     dump = tmp_path / "bad.json"
@@ -394,6 +415,7 @@ def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {dump}: ")
     assert not out.exists()
     assert main(["verify", "--fs", str(dump)]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -212,6 +212,35 @@ def test_front_set_copy_is_independent(twelve_in_five_levels):
     assert len(fs) == 12
 
 
+def test_front_set_copy_edits_leave_the_original_scans_alone():
+    from ndfronts.cli import APPROACHES
+
+    wide = core._SCAN_MIN_WIDTH + 10
+    top = [s(f"t{i}", i, wide - i) for i in range(wide)]
+    below = [s(f"b{i}", i + 0.5, wide - i + 0.5) for i in range(wide)]
+    fs = FrontSet(2, [top, below])
+    probes = [top[0], top[40], top[-1], below[3], s("ghost", 7.5, wide - 7.5)]
+
+    def answers(front_set):
+        out = []
+        for probe in probes:
+            c = Counter()
+            out.append((APPROACHES["linear"].lookup(front_set, probe, c), c.pair_compares))
+        return out
+
+    before = answers(fs)  # also builds the arrays of both fronts
+    levels = [[sol.id for sol in front] for front in fs.fronts]
+    clone = fs.copy()
+    assert clone._tracks(clone.fronts[0]) and clone._tracks(clone.fronts[1])
+    APPROACHES["linear"].delete(clone, top[1], Counter())  # shifts the clone's columns in place
+    APPROACHES["linear"].insert(clone, s("n", 19.75, wide - 20.25), Counter())  # splits the clone's front 1
+    clone.fronts[0][5] = s("edit", 5.25, wide - 5.25)
+    clone.fronts[1].pop()
+    assert answers(fs) == before
+    assert [[sol.id for sol in front] for front in fs.fronts] == levels
+    assert validate(fs) == []
+
+
 def test_front_set_contains_and_len(twelve_in_five_levels):
     fs = full_sort(twelve_in_five_levels)
     assert "p7" in fs

@@ -418,12 +418,14 @@ def test_insert_cascade_through_thousands_of_levels():
 # --- kernel-call audit --------------------------------------------------------
 
 def _audit_kernel(monkeypatch):
-    """Count every pair the dominance kernel really tests, in each
-    ``ndfronts`` namespace that binds the kernel, and record the entry width
-    of every insert cascade (``linear._cascade_insert``).  A ``dom_nature``
-    call is one pair; a block on ``dom_block``'s numpy path is rows x
-    columns pairs.  Returns ``(calls, widths)``; ``calls[0]`` is the running
-    tally."""
+    """Count every pair the dominance kernel tests, in each ``ndfronts``
+    namespace that binds the kernel, and record the entry width of every
+    insert cascade (``linear._cascade_insert``).  A ``dom_nature`` call is
+    one pair; a block on ``dom_block``'s numpy path is rows x columns pairs;
+    a numpy front scan (``linear._scan_columns``) is the pairs the sequential
+    scan would test: up to the member where it stops, or the whole front
+    when it finds nothing.  Returns ``(calls, widths)``; ``calls[0]`` is the
+    running tally."""
     calls = [0]
     widths: list[int] = []
 
@@ -441,7 +443,16 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
+    def counted_scan(fn):
+        def wrapper(cols, ids, probe):
+            nat, pos = fn(cols, ids, probe)
+            calls[0] += pos or len(ids)
+            return nat, pos
+
+        return wrapper
+
     monkeypatch.setattr(ndfronts.core, "_dom_codes", counted_block(ndfronts.core._dom_codes))
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", counted_scan(ndfronts.linear._scan_columns))
 
     def recorded(fs, displaced, index, counter):
         widths.append(len(displaced))
@@ -543,6 +554,120 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     if approach == "linear":
         assert c.pair_compares == 2501
     assert same_partition(fs, full_sort(pop[: n1 - 1] + pop[n1:]))
+
+
+CROSSOVER = ndfronts.core._SCAN_MIN_WIDTH
+WIDE = CROSSOVER + 20
+
+
+def _three_wide_fronts():
+    """Three antidiagonals of WIDE members; ``b{i}`` is dominated only by
+    ``t{i}`` and ``c{i}`` only by ``b{i}``."""
+    return [
+        [s(f"{name}{i}", i + shift, WIDE - i + shift) for i in range(WIDE)]
+        for name, shift in (("t", 0.0), ("b", 0.5), ("c", 1.0))
+    ]
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize(
+    "probe",
+    [
+        s("dominating", WIDE // 2 - 0.25, WIDE - WIDE // 2 - 0.25),  # displaces t{WIDE//2}: a cascade
+        s("non-dominated", -1.0, WIDE + 10.0),  # joins the first front after a full scan of it
+        s("dominated", WIDE + 5.0, WIDE + 5.0),  # below every front
+        s("middle", 3.25, WIDE - 2.75),  # below t3, above b3: a cascade from rank 2
+    ],
+    ids=lambda probe: probe.id,
+)
+def test_wide_front_insert_kernel_calls_are_all_counted(monkeypatch, approach, probe):
+    fronts = _three_wide_fronts()
+    fs = FrontSet(2, [list(front) for front in fronts])
+    calls, _ = _audit_kernel(monkeypatch)
+    scans = []
+    audited = ndfronts.linear._scan_columns
+
+    def numpy_scan(cols, ids, probe):
+        scans.append(len(ids))
+        return audited(cols, ids, probe)
+
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", numpy_scan)
+    c = Counter()
+    APPROACHES[approach].insert(fs, probe, c)
+    assert scans and min(scans) >= WIDE
+    assert calls[0] == c.pair_compares
+    assert same_partition(fs, full_sort([sol for front in fronts for sol in front] + [probe]))
+
+
+def test_wide_front_scan_rejects_a_probe_of_another_m():
+    fs = FrontSet(2, _three_wide_fronts()[:1])
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        locate_sequential(fs, Solution("p", (1.0, 2.0, 3.0)), c)
+    assert c.pair_compares == 0
+
+
+def _loop_scan(front, probe, counter):
+    """The sequential front scan, the reference for the numpy one."""
+    for pos, sol in enumerate(front, 1):
+        nat = ndfronts.dom_nature(probe, sol, counter)
+        if nat != 0 or sol.id == probe.id:
+            return nat, pos
+    return 0, 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([1, 7, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, WIDE + 17]),
+    st.sampled_from(["grid", "line"]),
+    st.integers(0, 2**32),
+    st.sampled_from(["absent", "present", "member"]),
+)
+def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind):
+    rng = random.Random(seed)
+    zero = lambda: rng.choice([0.0, -0.0])  # noqa: E731
+    if shape == "grid":  # ties and dominance everywhere, so witnesses come early
+        grid = [-0.0, 0.0, 1.0, 2.0]
+        vecs = [tuple(rng.choice(grid) for _ in range(m)) for _ in range(n)]
+        probe_vec = tuple(rng.choice(grid) for _ in range(m))
+    else:  # an antichain: no witness, so only an id match or the end stops the scan
+        vecs = [(float(i), float(n - i), *(zero() for _ in range(m - 2))) for i in range(n)]
+        x = rng.randrange(2 * n + 1) / 2  # a member's vector when whole
+        probe_vec = (x, n - x, *(zero() for _ in range(m - 2)))
+    front = [Solution(f"s{i}", vec) for i, vec in enumerate(vecs)]
+    target = rng.randrange(n)
+    if probe_kind == "member":  # the stored solution itself
+        probe = front[target]
+    else:
+        probe = Solution(f"s{target}" if probe_kind == "present" else "absent", probe_vec)
+    fs = FrontSet(m, [front])
+    want_counter, got_counter = Counter(), Counter()
+    want = _loop_scan(front, probe, want_counter)
+    assert ndfronts.linear._first_witness(fs, fs.fronts[0], probe, got_counter) == want
+    assert got_counter.pair_compares == want_counter.pair_compares
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_direct_edits_of_a_wide_front_are_seen_by_its_scans(approach):
+    fronts = _three_wide_fronts()
+    fs = FrontSet(2, [list(front) for front in fronts])
+    assert locate_sequential(fs, fronts[0][5], Counter()) == Position(1, 6)  # builds the array
+    assert fs._tracks(fs.fronts[0])
+    fs.fronts[0][3] = s("r", 3.5, WIDE - 3.5)  # a replaced member
+    fs.fronts[0].pop(7)  # and a removed one
+    fresh = FrontSet(2, [list(front) for front in fs.fronts])
+    ops = APPROACHES[approach]
+    for sol in (fs.fronts[0][3], fronts[0][3], fronts[0][7], fronts[0][WIDE - 1], fronts[1][40]):
+        got, want = Counter(), Counter()
+        assert ops.lookup(fs, sol, got) == ops.lookup(fresh, sol, want)
+        assert got.pair_compares == want.pair_compares
+    for sol in (s("n1", 2.25, WIDE - 1.75), s("n2", 30.25, WIDE - 30.25), s("n3", -1.0, WIDE + 10.0)):
+        got, want = Counter(), Counter()
+        ops.insert(fs, sol, got)
+        ops.insert(fresh, sol, want)
+        assert got.pair_compares == want.pair_compares
+        assert [[x.id for x in front] for front in fs.fronts] == [[x.id for x in front] for front in fresh.fronts]
 
 
 def test_insert_then_delete_round_trip():
