@@ -11,6 +11,7 @@ from ndfronts.analysis import (
     max_comp_left_tree,
     max_comp_linear,
     max_comp_right_tree,
+    probe_path_cost,
     worst_split,
 )
 from ndfronts.core import (
@@ -73,6 +74,7 @@ __all__ = [
     "max_comp_linear",
     "max_comp_right_tree",
     "navigate",
+    "probe_path_cost",
     "same_partition",
     "update_delete",
     "update_insert",

@@ -48,38 +48,36 @@ def _cascade_sum(sizes: tuple[int, ...]) -> int:
     return sum((sizes[i - 1] - 1) * sizes[i] for i in range(1, len(sizes)))
 
 
-def _midpoint_chain(k: int, round_up: bool) -> list[int]:
-    """Front ranks probed on the all-left navigation path, root first,
-    ending at rank 1."""
-    mid = (1 + k + 1) // 2 if round_up else (1 + k) // 2
-    chain = [mid]
-    while chain[-1] > 1:
-        prev = chain[-1]
-        chain.append((prev + 1) // 2 if round_up else prev // 2)
-    return chain
-
-
 def max_comp_linear(profile: FrontProfile) -> int:
     """Worst-case pair comparisons for one linear insert (or delete with
     sequential search): a full first-front scan plus the cascade sum."""
     return profile.sizes[0] + _cascade_sum(profile.sizes)
 
 
+def probe_path_cost(profile: FrontProfile, round_up: bool) -> int:
+    """Pair comparisons of full scans of the fronts on the root-to-rank-1
+    navigation path, with round-up (left-balanced) or round-down
+    (right-balanced) midpoints: the navigation term of the tree worst cases."""
+    sizes = profile.sizes
+    bias = 1 if round_up else 0
+    rank = (len(sizes) + 1 + bias) // 2
+    cost = sizes[rank - 1]
+    while rank > 1:
+        rank = (rank + bias) // 2
+        cost += sizes[rank - 1]
+    return cost
+
+
 def max_comp_left_tree(profile: FrontProfile) -> int:
     """Worst-case pair comparisons with left-balanced (round-up) navigation:
-    full scans of the fronts on the root-to-rank-1 probe path plus the
-    cascade sum."""
-    sizes = profile.sizes
-    probe_cost = sum(sizes[i - 1] for i in _midpoint_chain(len(sizes), round_up=True))
-    return probe_cost + _cascade_sum(sizes)
+    the probe-path cost plus the cascade sum."""
+    return probe_path_cost(profile, round_up=True) + _cascade_sum(profile.sizes)
 
 
 def max_comp_right_tree(profile: FrontProfile) -> int:
     """Worst-case pair comparisons with right-balanced (round-down)
     navigation; same shape as the left variant with floor midpoints."""
-    sizes = profile.sizes
-    probe_cost = sum(sizes[i - 1] for i in _midpoint_chain(len(sizes), round_up=False))
-    return probe_cost + _cascade_sum(sizes)
+    return probe_path_cost(profile, round_up=False) + _cascade_sum(profile.sizes)
 
 
 def gen_chain(n: int, m: int = 2) -> list[Solution]:
@@ -137,17 +135,14 @@ def gen_two_front(n1: int, n2: int, m: int = 2) -> tuple[list[Solution], Solutio
 
 
 def gen_worst_two_front(n: int, m: int = 2) -> tuple[list[Solution], Solution]:
-    """Two-front instance at the cascade-maximizing split of n solutions,
-    plus the probe that realizes the worst case."""
-    if n < 4:
-        raise ValueError("need at least 4 solutions")
-    n1 = n // 2 + 1 if n % 2 == 0 else (n + 1) // 2
-    return gen_two_front(n1, n - n1, m)
+    """Two-front instance at the cascade-maximizing split of n solutions
+    (:func:`worst_split`), plus the probe that realizes the worst case."""
+    return gen_two_front(*worst_split(n).sizes, m)
 
 
 def worst_split(n: int) -> FrontProfile:
     """The two-front profile maximizing the linear worst case for n solutions."""
     if n < 4:
         raise ValueError("need at least 4 solutions")
-    n1 = n // 2 + 1 if n % 2 == 0 else (n + 1) // 2
+    n1 = n // 2 + 1
     return FrontProfile((n1, n - n1))

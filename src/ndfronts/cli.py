@@ -522,6 +522,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     fs = FrontSet(workload.m)
     if args.fs:
         fs = read_dump(args.fs)
+        if fs.m != workload.m:
+            raise InputError(f"{args.fs}: front-set dump has M={fs.m}, workload has M={workload.m}")
         problems = validate(fs)
         if problems:
             raise InputError(f"{args.fs}: {problems[0]}")

@@ -202,17 +202,17 @@ class _Columns:
     def cols(self) -> np.ndarray:
         return self.buf[:, : self.n]
 
-    def extend(self, members: list[Solution], cols: np.ndarray | None = None) -> None:
-        """Append ``members``, with their columns when the caller has them."""
-        n, end = self.n, self.n + len(members)
+    def extend(self, part: "_Columns") -> None:
+        """Append ``part``'s members, ids and columns."""
+        n, end = self.n, self.n + part.n
         if end > self.buf.shape[1]:
             grown = np.empty((len(self.buf), end + end // 4), dtype=np.float64)
             grown[:, :n] = self.buf[:, :n]
             self.buf = grown
-        self.buf[:, n:end] = np.array([sol.objectives for sol in members]).T if cols is None else cols
+        self.buf[:, n:end] = part.cols
         self.n = end
-        self.members += members
-        self.ids += [sol.id for sol in members]
+        self.members += part.members
+        self.ids += part.ids
 
     def take(self, mask: np.ndarray, front: list[Solution]) -> "_Columns":
         """A record for ``front`` of the members flagged in ``mask``."""
@@ -235,11 +235,13 @@ class FrontSet:
     :meth:`remove` change the id index.
 
     A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
-    array, which its probe scans read.  The update paths keep it in step as
-    they edit fronts; :meth:`_columns` checks it against the front before
-    each use and builds it afresh when it is missing or the front was
-    edited directly, so ``fronts`` stays a plain list anyone may edit.  At
-    most one mutator may act on a FrontSet at a time, while read-only
+    array, which its probe scans read.  Only this class edits the arrays:
+    :meth:`remove` and :meth:`_append` edit one member, and :meth:`_move`
+    moves any number of members from one front to another, columns and
+    all, in one step.  :meth:`_columns` checks an array against its front
+    before each use and builds it afresh when it is missing or the front
+    was edited directly, so ``fronts`` stays a plain list anyone may edit.
+    At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
     """
 
@@ -290,37 +292,35 @@ class FrontSet:
         front.append(sol)
         rec = self._arrays.get(id(front))
         if rec is not None:
-            rec.extend([sol])
+            rec.extend(_Columns(front, [sol], [sol.id], np.array(sol.objectives)[:, None]))
 
-    def _tracks(self, front: list[Solution]) -> bool:
-        """Whether ``front`` has an objective array to keep in step."""
-        return id(front) in self._arrays
-
-    def _carve(self, source: list[Solution], stays: np.ndarray, kept: list[Solution], dest: list[Solution]) -> None:
-        """Keep the arrays in step after the members of ``source`` flagged
-        False in ``stays`` (a bool array in ``source``'s old order) were
-        appended, in order, to ``dest``, and the others stayed, in order, as
-        ``kept`` (``source`` itself when edited in place).  ``source``'s
-        columns go to the parts that are wide; a narrow part keeps no array."""
-        arrays = self._arrays
-        if not arrays:
-            return
-        rec = arrays.pop(id(source), None)
-        if rec is not None and rec.n != len(stays):
-            rec = None
+    def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
+        """Append the members of ``src`` flagged False in ``stays`` to
+        ``dest``, in order; return the others in order, as ``src`` itself
+        when all stay and as a new list otherwise.  Columns move with their
+        members: each part's record is taken from the record's own member
+        list, so the parts of a stale record stay stale.  A narrow part
+        keeps no array."""
+        keep = stays.tolist()
+        if all(keep):
+            return src
+        start = len(dest)
+        kept: list[Solution] = []
+        for sol, stay in zip(src, keep):
+            (kept if stay else dest).append(sol)
+        if not self._arrays:
+            return kept
+        rec = self._arrays.pop(id(src), None)
+        if rec is not None and rec.n != len(src):
+            rec = None  # stale by length: no mask can pick its columns
         if rec is not None and len(kept) >= _SCAN_MIN_WIDTH:
-            arrays[id(kept)] = rec.take(stays, kept)
-        drec = arrays.get(id(dest))
-        if drec is None and (rec is None or len(dest) < _SCAN_MIN_WIDTH):
-            return
-        start = len(dest) - (len(stays) - len(kept))
-        if drec is None:
-            drec = arrays[id(dest)] = _Columns.of(dest, dest[:start], self.m)
-        if rec is None:
-            drec.extend(dest[start:])
-        else:
-            moved = ~stays
-            drec.extend(list(compress(rec.members, moved.tolist())), rec.cols[:, moved])
+            self._arrays[id(kept)] = rec.take(stays, kept)
+        drec = self._arrays.get(id(dest))
+        if drec is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
+            drec = self._arrays[id(dest)] = _Columns.of(dest, dest[:start], self.m)
+        if drec is not None:
+            drec.extend(rec.take(~stays, dest) if rec is not None else _Columns.of(dest, dest[start:], self.m))
+        return kept
 
     def _columns(self, front: list[Solution]) -> _Columns | None:
         """The objective array of ``front``, a front of this set at least

@@ -82,35 +82,26 @@ def _scan_columns(cols: np.ndarray, ids: list[str], probe: Solution) -> tuple[in
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
 
 
-def dom_set(
-    front: list[Solution],
-    new: Solution,
-    start: int,
-    collected: list[Solution],
-    counter: Counter,
-) -> np.ndarray:
-    """Move every solution of ``front`` at or after position ``start`` (1-based)
-    that ``new`` dominates into ``collected``; return the tail's codes.
-
-    The tail is one ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test,
-    so each candidate is compared exactly once; the returned int8 array
-    holds its codes, 1 for each member moved.  Survivors keep their
-    relative order.  Positions before ``start`` were already classified by
-    the caller.
+def dom_set(front: list[Solution], new: Solution, start: int, counter: Counter) -> np.ndarray:
+    """Classify ``front`` against ``new``, moving nothing: one bool per
+    member, False for each member at or after position ``start`` (1-based)
+    that ``new`` dominates and True for the rest, as ``stays`` for
+    :meth:`~ndfronts.core.FrontSet._move`.  Positions before ``start`` were
+    classified by the caller.  The tail is one ``1 x len(tail)``
+    :func:`~ndfronts.core.dom_block` test, so each candidate is compared
+    exactly once.
     """
-    kept = front[: start - 1]
-    tail = front[start - 1 :]
-    codes = dom_block([new], tail, counter)[0]
-    for sol, nat in zip(tail, codes.tolist()):
-        (collected if nat == 1 else kept).append(sol)
-    front[:] = kept
-    return codes
+    stays = np.empty(len(front), dtype=bool)
+    stays[: start - 1] = True
+    np.not_equal(dom_block([new], front[start - 1 :], counter)[0], 1, out=stays[start - 1 :])
+    return stays
 
 
 def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
-    """Append to ``group`` every member of ``front`` that is non-dominated with
+    """Move to ``group`` every member of ``front`` that is non-dominated with
     all of ``group``'s current members; return the other members in order,
-    as ``front`` itself when none moved.
+    as ``front`` itself when none moved (see
+    :meth:`~ndfronts.core.FrontSet._move`, which carries the columns).
 
     Members appended here come from one front and need no mutual checks.
     The sweep is one ``len(group) x len(front)``
@@ -119,14 +110,7 @@ def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: 
     comparisons, which the closed-form worst cases in
     :mod:`ndfronts.analysis` count on.
     """
-    related = dom_block(group, front, counter).any(axis=0)
-    kept: list[Solution] = []
-    for sol, hit in zip(front, related.tolist()):
-        (kept if hit else group).append(sol)
-    if len(kept) == len(front):
-        return front
-    fs._carve(front, related, kept, group)
-    return kept
+    return fs._move(front, dom_block(group, front, counter).any(axis=0), group)
 
 
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
@@ -158,9 +142,9 @@ def _cascade_insert(fs: FrontSet, displaced: list[Solution], index: int, counter
     """The cascade of :func:`update_insert`, for a displaced antichain that
     is already indexed; runs no dominance test it does not count."""
     while index <= len(fs.fronts):
-        width = len(displaced)
-        kept = _sweep(fs, displaced, fs.fronts[index - 1], counter)
-        if len(displaced) == width:
+        front = fs.fronts[index - 1]
+        kept = _sweep(fs, displaced, front, counter)
+        if kept is front:
             # nothing promoted: the displaced set takes this rank, all lower fronts shift
             fs.fronts.insert(index - 1, displaced)
             return
@@ -178,7 +162,9 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     new last front.  ``new`` is already admitted to the id index.
 
     Non-domination merges ``new`` into the front.  A dominated witness is
-    displaced together with every later member ``new`` dominates, and the
+    displaced together with every later member ``new`` dominates: one
+    :func:`dom_set` mask, with the witness's flag cleared, moves them all
+    out of the front in one :meth:`~ndfronts.core.FrontSet._move`, and the
     displaced set is pushed down.
     """
     if index > len(fs.fronts):
@@ -188,17 +174,12 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     if nat == 0:
         fs._append(front, new)
         return
-    displaced = [front.pop(pos - 1)]
-    codes = dom_set(front, new, pos, displaced, counter)
-    if fs._tracks(front):
-        stays = np.ones(len(front) + len(displaced), dtype=bool)
-        stays[pos - 1] = False
-        stays[pos:] = codes != 1
-        fs._carve(front, stays, front, displaced)
+    stays = dom_set(front, new, pos + 1, counter)
+    stays[pos - 1] = False
+    displaced: list[Solution] = []
+    front = fs.fronts[index - 1] = fs._move(front, stays, displaced)
     fs._append(front, new)
-    if index == len(fs.fronts):
-        fs.fronts.append(displaced)
-    elif len(front) == 1:
+    if len(front) == 1:
         # the new solution dominated its whole front: ranks below shift by one as-is
         fs.fronts.insert(index, displaced)
     else:
@@ -246,20 +227,17 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     while the promotions keep opening holes."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
-    while True:
-        upper = fs.fronts[index - 1]
-        width = len(upper)
-        kept = _sweep(fs, upper, fs.fronts[index], counter)
+    while index < len(fs.fronts):
+        front = fs.fronts[index]
+        kept = _sweep(fs, fs.fronts[index - 1], front, counter)
         if not kept:
             # the whole next front moved up; ranks below collapse by one
             fs.fronts.pop(index)
             return
+        if kept is front:
+            return
         fs.fronts[index] = kept
-        if len(upper) == width:
-            return
         index += 1
-        if index >= len(fs.fronts):
-            return
 
 
 def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None:

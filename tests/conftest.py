@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from ndfronts import Counter, FrontSet, Solution
@@ -89,6 +90,17 @@ NINE_LEVELS = [{"2"}, {"1", "3", "6"}, {"4", "8"}, {"5", "7", "9"}]
 
 def build_front_set(m: int, levels: list[list[Solution]]) -> FrontSet:
     return FrontSet(m, levels)
+
+
+def assert_columns_consistent(fs: FrontSet) -> None:
+    """Every objective array of ``fs`` pairs each member of its own member
+    list with that member's id and objectives.  A record of a front edited
+    directly may be stale, but never mixed."""
+    for key, rec in fs._arrays.items():
+        assert key == id(rec.front)
+        assert rec.ids == [sol.id for sol in rec.members]
+        want = np.array([sol.objectives for sol in rec.members], dtype=np.float64).reshape(len(rec.members), fs.m)
+        assert np.array_equal(rec.cols, want.T)
 
 
 def random_population(rng: random.Random, n: int, m: int, grid: int | None = None) -> list[Solution]:

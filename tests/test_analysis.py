@@ -20,6 +20,7 @@ from ndfronts import (
     max_comp_left_tree,
     max_comp_linear,
     max_comp_right_tree,
+    probe_path_cost,
     same_partition,
     validate,
     worst_split,
@@ -40,6 +41,14 @@ def test_max_comp_left_tree_values():
     assert max_comp_left_tree(FrontProfile((52, 50))) == 2652
     assert max_comp_left_tree(FrontProfile((51, 50))) == 2601    # == (101^2 + 2*101 + 1)/4
     assert max_comp_left_tree(FrontProfile((77,))) == 77
+
+
+def test_probe_path_cost_values():
+    # round-up path: ranks 3, 2, 1 of either profile; round-down: 3, 1 and 2, 1
+    assert probe_path_cost(FrontProfile((3, 1, 4, 1, 5)), round_up=True) == 8
+    assert probe_path_cost(FrontProfile((3, 1, 4, 1, 5)), round_up=False) == 7
+    assert probe_path_cost(FrontProfile((2, 7, 1, 8)), round_up=True) == 10
+    assert probe_path_cost(FrontProfile((2, 7, 1, 8)), round_up=False) == 9
 
 
 def test_max_comp_right_tree_values():

@@ -391,25 +391,35 @@ def test_cli_run_against_preloaded_front_set(tmp_path, twelve_in_five_levels, ca
     assert "PASS" in report and "11 solutions" in report
 
 
+M2_INSERT = "op,id,obj_1,obj_2\ninsert,n,0.5,0.5\n"
+
+
 @pytest.mark.parametrize(
-    "fronts",
+    "fronts, workload, verdict",
     [
         # a repeated id, which the FrontSet constructor rejects
-        [[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}], [{"id": "a", "obj": [3.0, 3.0]}]],
+        ([[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}], [{"id": "a", "obj": [3.0, 3.0]}]], M2_INSERT, "FAIL"),
         # a solution whose objective count disagrees with the dump's m
-        [[{"id": "a", "obj": [1.0, 2.0]}], [{"id": "b", "obj": [3.0, 3.0, 3.0]}]],
+        ([[{"id": "a", "obj": [1.0, 2.0]}], [{"id": "b", "obj": [3.0, 3.0, 3.0]}]], M2_INSERT, "FAIL"),
         # an empty front, which validate reports
-        [[], [{"id": "a", "obj": [1.0, 2.0]}]],
+        ([[], [{"id": "a", "obj": [1.0, 2.0]}]], M2_INSERT, "FAIL"),
         # fronts out of order: the lower one dominates the upper one
-        [[{"id": "b", "obj": [5.0, 5.0]}], [{"id": "a", "obj": [1.0, 1.0]}]],
+        ([[{"id": "b", "obj": [5.0, 5.0]}], [{"id": "a", "obj": [1.0, 1.0]}]], M2_INSERT, "FAIL"),
+        # a valid dump under a workload of another M, whose lookup and delete
+        # would run before its insert failed
+        (
+            [[{"id": "a", "obj": [1.0, 2.0]}, {"id": "b", "obj": [2.0, 1.0]}]],
+            "op,id,obj_1,obj_2,obj_3\nlookup,a,,,\ndelete,b,,,\ninsert,n,0.5,0.5,0.5\n",
+            "PASS",
+        ),
     ],
-    ids=["duplicate-id", "wrong-m", "empty-front", "unsorted"],
+    ids=["duplicate-id", "wrong-m", "empty-front", "unsorted", "workload-m"],
 )
-def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts):
+def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts, workload, verdict):
     dump = tmp_path / "bad.json"
     dump.write_text(json.dumps({"m": 2, "fronts": fronts}))
     w = tmp_path / "w.csv"
-    w.write_text("op,id,obj_1,obj_2\ninsert,n,0.5,0.5\n")
+    w.write_text(workload)
     out = tmp_path / "after.json"
     assert main(["run", "--fs", str(dump), "--workload", str(w), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -417,8 +427,8 @@ def test_cli_run_rejects_invalid_dump_before_any_step(tmp_path, capsys, fronts):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {dump}: ")
     assert not out.exists()
-    assert main(["verify", "--fs", str(dump)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "--fs", str(dump)]) == (0 if verdict == "PASS" else 1)
+    assert verdict in capsys.readouterr().out
 
 
 def test_cli_run_rejects_workload_referencing_unknown_id(tmp_path, twelve_in_five_levels, capsys):

@@ -22,7 +22,7 @@ from ndfronts import (
     full_sort,
     validate,
 )
-from tests.conftest import TWELVE_LEVELS, s
+from tests.conftest import TWELVE_LEVELS, assert_columns_consistent, s
 
 vectors = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=5
@@ -231,7 +231,8 @@ def test_front_set_copy_edits_leave_the_original_scans_alone():
     before = answers(fs)  # also builds the arrays of both fronts
     levels = [[sol.id for sol in front] for front in fs.fronts]
     clone = fs.copy()
-    assert clone._tracks(clone.fronts[0]) and clone._tracks(clone.fronts[1])
+    assert id(clone.fronts[0]) in clone._arrays and id(clone.fronts[1]) in clone._arrays
+    assert_columns_consistent(clone)
     APPROACHES["linear"].delete(clone, top[1], Counter())  # shifts the clone's columns in place
     APPROACHES["linear"].insert(clone, s("n", 19.75, wide - 20.25), Counter())  # splits the clone's front 1
     clone.fronts[0][5] = s("edit", 5.25, wide - 5.25)
@@ -239,6 +240,8 @@ def test_front_set_copy_edits_leave_the_original_scans_alone():
     assert answers(fs) == before
     assert [[sol.id for sol in front] for front in fs.fronts] == levels
     assert validate(fs) == []
+    assert_columns_consistent(fs)
+    assert_columns_consistent(clone)
 
 
 def test_front_set_contains_and_len(twelve_in_five_levels):

@@ -33,7 +33,7 @@ from ndfronts import (
     worst_split,
 )
 from ndfronts.cli import APPROACHES
-from tests.conftest import NINE_LEVELS, dominates, random_population, s
+from tests.conftest import NINE_LEVELS, assert_columns_consistent, dominates, random_population, s
 
 
 def fs_of(*levels):
@@ -121,19 +121,15 @@ def test_insert_into_empty_front_set():
 
 # --- dom_set -----------------------------------------------------------------
 
-def test_dom_set_moves_dominated_tail():
+def test_dom_set_flags_the_dominated_tail():
     front = [s("a", 3, 3), s("b", 1, 4)]
-    moved = []
-    dom_set(front, s("n", 2, 2), 1, moved, Counter())
-    assert [sol.id for sol in moved] == ["a"]
-    assert [sol.id for sol in front] == ["b"]
+    assert dom_set(front, s("n", 2, 2), 1, Counter()).tolist() == [False, True]
+    assert [sol.id for sol in front] == ["a", "b"]
 
 
 def test_dom_set_no_dominated_members():
     front = [s("a", 1, 4), s("b", 4, 1)]
-    moved = []
-    dom_set(front, s("n", 2, 2), 1, moved, Counter())
-    assert moved == []
+    assert dom_set(front, s("n", 2, 2), 1, Counter()).tolist() == [True, True]
     assert [sol.id for sol in front] == ["a", "b"]
 
 
@@ -141,15 +137,9 @@ def test_dom_set_respects_start_and_counts_each_candidate_once():
     front = [s(f"a{i}", i, 12 - i) for i in range(1, 11)]
     new = Solution("n", (4.5, 3.5))
     for start in (1, 3, 7):
-        work = list(front)
-        moved = []
         c = Counter()
-        dom_set(work, new, start, moved, c)
-        expected = [p.id for p in front[start - 1 :] if dominates(new, p)]
-        assert [p.id for p in moved] == expected
-        assert [p.id for p in work] == [
-            p.id for p in front[: start - 1]
-        ] + [p.id for p in front[start - 1 :] if not dominates(new, p)]
+        stays = dom_set(front, new, start, c)
+        assert stays.tolist() == [i < start - 1 or not dominates(new, p) for i, p in enumerate(front)]
         assert c.pair_compares == len(front) - start + 1
 
 
@@ -160,10 +150,8 @@ def test_dom_set_matches_brute_force_filter(seed):
     raw = random_population(rng, 10, 2, grid=8)
     front = [p for p in full_sort(raw).fronts[0]]
     new = Solution("n", (float(rng.randrange(8)), float(rng.randrange(8))))
-    work = list(front)
-    moved = []
-    dom_set(work, new, 1, moved, Counter())
-    assert {p.id for p in moved} == {p.id for p in front if dominates(new, p)}
+    stays = dom_set(front, new, 1, Counter())
+    assert stays.tolist() == [not dominates(new, p) for p in front]
 
 
 # --- update_insert -----------------------------------------------------------
@@ -596,6 +584,7 @@ def test_wide_front_insert_kernel_calls_are_all_counted(monkeypatch, approach, p
     APPROACHES[approach].insert(fs, probe, c)
     assert scans and min(scans) >= WIDE
     assert calls[0] == c.pair_compares
+    assert_columns_consistent(fs)
     assert same_partition(fs, full_sort([sol for front in fronts for sol in front] + [probe]))
 
 
@@ -653,7 +642,7 @@ def test_direct_edits_of_a_wide_front_are_seen_by_its_scans(approach):
     fronts = _three_wide_fronts()
     fs = FrontSet(2, [list(front) for front in fronts])
     assert locate_sequential(fs, fronts[0][5], Counter()) == Position(1, 6)  # builds the array
-    assert fs._tracks(fs.fronts[0])
+    assert id(fs.fronts[0]) in fs._arrays
     fs.fronts[0][3] = s("r", 3.5, WIDE - 3.5)  # a replaced member
     fs.fronts[0].pop(7)  # and a removed one
     fresh = FrontSet(2, [list(front) for front in fs.fronts])
@@ -668,6 +657,28 @@ def test_direct_edits_of_a_wide_front_are_seen_by_its_scans(approach):
         ops.insert(fresh, sol, want)
         assert got.pair_compares == want.pair_compares
         assert [[x.id for x in front] for front in fs.fronts] == [[x.id for x in front] for front in fresh.fronts]
+    assert_columns_consistent(fs)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_a_stale_record_moved_by_a_cascade_before_any_scan_stays_stale(approach):
+    fronts = _three_wide_fronts()
+    fs = FrontSet(2, [list(front) for front in fronts])
+    ops = APPROACHES[approach]
+    for f_index, front in enumerate(fronts, 1):
+        assert ops.lookup(fs, front[0], Counter()) == Position(f_index, 1)  # builds the arrays
+    assert all(id(front) in fs._arrays for front in fs.fronts)
+    # still dominated by t100 and still dominating c100, so the partition holds
+    fs.fronts[1][100] = s("e", 100.5, WIDE - 99.6)
+    # displaces t60 alone: the cascade moves the edited member into a new
+    # wide rank 2 before any scan of its old front
+    ops.insert(fs, s("n", 59.9, WIDE - 60.1), Counter())
+    assert_columns_consistent(fs)
+    fresh = FrontSet(2, [list(front) for front in fs.fronts])
+    for sol in list(fs.solutions()):
+        got, want = Counter(), Counter()
+        assert ops.lookup(fs, sol, got) == ops.lookup(fresh, sol, want)
+        assert got.pair_compares == want.pair_compares
 
 
 def test_insert_then_delete_round_trip():

@@ -2,7 +2,8 @@
 tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the cascades onto the numpy block
-path."""
+path, and one batch wide enough to keep an objective array takes the moves
+onto its columns, whose consistency is an invariant too."""
 
 from __future__ import annotations
 
@@ -22,9 +23,11 @@ from hypothesis.stateful import (
 
 from ndfronts import Counter, FrontSet, Solution, core, full_sort
 from ndfronts.cli import APPROACHES
+from tests.conftest import assert_columns_consistent
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
 WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fills one block
+WIDE = core._SCAN_MIN_WIDTH + 1  # the batch front keeps an objective array
 
 
 class FrontSetsUnderChurn(RuleBasedStateMachine):
@@ -35,6 +38,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         self.live: dict[str, Solution] = {}
         self.next_id = 0
         self.batches = 0
+        self.wide = False
 
     @initialize(m=st.sampled_from([2, 3]))
     def start(self, m: int) -> None:
@@ -50,27 +54,43 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         self.live[sol.id] = sol
         return sol
 
-    @precondition(lambda self: self.batches < 2)  # each batch adds WIDTH + 1 solutions
-    @rule(target=solutions)
-    def insert_antidiagonal(self):
-        """Insert a front of ``WIDTH`` points on an anti-diagonal, then an apex
-        that dominates all of them.  Every batch lies below the grid and all
-        earlier batches, so the front is new and the apex displaces it in one
-        ``1 x (WIDTH - 1)`` block on the numpy path."""
-        base = 10 + (WIDTH + 2) * self.batches
+    def insert_batch(self, tag: str, slot: int, width: int) -> list[Solution]:
+        """Insert a front of ``width`` points on an anti-diagonal, then an apex
+        that dominates all of them.  Slot ``slot`` lies below the grid and
+        every lower-numbered slot, and above every higher-numbered one, so
+        the front is new and the apex displaces it in one
+        ``1 x (width - 1)`` block on the numpy path."""
+        base = 10 + (WIDTH + 2) * slot
         pad = (base + 1,) * (self.m - 2)
         batch = [
-            Solution(f"d{self.batches}.{i}", (base + 1 + i, base + WIDTH - i) + pad)
-            for i in range(WIDTH)
+            Solution(f"{tag}.{i}", (base + 1 + i, base + width - i) + pad)
+            for i in range(width)
         ]
-        batch.append(Solution(f"d{self.batches}.apex", (base,) * self.m))
-        self.batches += 1
+        batch.append(Solution(f"{tag}.apex", (base,) * self.m))
         for approach, fs in self.sets.items():
             with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
             assert numpy_path.called, approach
         self.live.update((sol.id, sol) for sol in batch)
+        return batch
+
+    @precondition(lambda self: self.batches < 2)  # each batch adds WIDTH + 1 solutions
+    @rule(target=solutions)
+    def insert_antidiagonal(self):
+        batch = self.insert_batch(f"d{self.batches}", self.batches, WIDTH)
+        self.batches += 1
+        return multiple(*batch)
+
+    @precondition(lambda self: not self.wide)
+    @rule(target=solutions)
+    def insert_wide_antidiagonal(self):
+        """Slot 2, below both narrower batches: the apex moves the whole wide
+        front, columns and all, one rank down."""
+        self.wide = True
+        batch = self.insert_batch("w", 2, WIDE)
+        for approach, fs in self.sets.items():
+            assert any(rec.members[0] is batch[0] for rec in fs._arrays.values()), approach
         return multiple(*batch)
 
     @rule(sol=consumes(solutions))
@@ -91,6 +111,11 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         want = full_sort(list(self.live.values()), self.m).level_ids()
         for approach, fs in self.sets.items():
             assert fs.level_ids() == want, approach
+
+    @invariant()
+    def columns_match_their_members(self) -> None:
+        for fs in self.sets.values():
+            assert_columns_consistent(fs)
 
 
 # the explain phase line-traces a failing run and takes minutes on one
