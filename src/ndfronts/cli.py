@@ -408,6 +408,8 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         if n % k:
             raise InputError(f"--k {k} does not divide --n {n}")
         q = n // k
+        if q < 1:
+            raise InputError(f"equal-fronts needs at least one solution per front, got --n {n} and --k {k}")
         population = analysis.gen_equal_fronts(n, k, pad_m)
         fronts = [population[i * q : (i + 1) * q] for i in range(k)]
         fs = FrontSet(pad_m, fronts)

@@ -120,22 +120,35 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
 _BLOCK_MIN_PAIRS = 32
 
 
-def _dom_codes(peers: list[Solution], members: list[Solution]) -> np.ndarray:
-    """:func:`dom_nature` codes of a whole block, one 2-D comparison per
-    objective and side; uncounted, so only :func:`dom_block` calls it."""
-    a = np.array([p.objectives for p in peers], dtype=np.float64)
-    b = np.array([q.objectives for q in members], dtype=np.float64).T
-    a_wins = a[:, :1] < b[0]
-    b_wins = a[:, :1] > b[0]
+def _cols(sols: list[Solution]) -> np.ndarray:
+    """Objectives of ``sols``, which share one M, as an ``(M, n)`` float64
+    array whose column ``j`` holds ``sols[j]``."""
+    return np.array([sol.objectives for sol in sols], dtype=np.float64).T
+
+
+def _dom_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`dom_nature` codes of a whole block, peer columns ``a``
+    ``(M, g)`` against member columns ``b`` ``(M, n)``, as a ``g x n`` array;
+    one 2-D comparison per objective and side.  Uncounted, so only
+    :func:`dom_block` calls it."""
+    a_wins = a[0, :, None] < b[0]
+    b_wins = a[0, :, None] > b[0]
     for k in range(1, len(b)):
-        col, row = a[:, k, None], b[k]
+        col, row = a[k, :, None], b[k]
         a_wins |= col < row
         b_wins |= col > row
     # a side that wins a coordinate and loses none dominates; both or neither is 0
     return a_wins.view(np.int8) - b_wins.view(np.int8)
 
 
-def dom_block(peers: list[Solution], members: list[Solution], counter: Counter) -> np.ndarray:
+def dom_block(
+    peers: list[Solution],
+    members: list[Solution],
+    counter: Counter,
+    *,
+    peer_cols: np.ndarray | None = None,
+    member_cols: np.ndarray | None = None,
+) -> np.ndarray:
     """:func:`dom_nature` of every (peer, member) pair, as a
     ``len(peers) x len(members)`` int8 array.
 
@@ -144,19 +157,33 @@ def dom_block(peers: list[Solution], members: list[Solution], counter: Counter) 
     raise :class:`DimensionMismatchError` before anything is counted.  Small
     blocks run the :func:`dom_nature` loop, larger ones one numpy comparison
     per objective.
+
+    ``peer_cols`` and ``member_cols`` may give a side's objectives as an
+    ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
+    such as a front's stored record (see :class:`FrontSet`) or a slice of
+    it.  The block then reads them instead of building an array from the
+    members' tuples, and checks that side's M by the array's shape alone:
+    a record holds only members of its M.
     """
     if not peers or not members:
         return np.zeros((len(peers), len(members)), dtype=np.int8)
     m = len(peers[0].objectives)
-    for sol in (*peers, *members):
-        if len(sol.objectives) != m:
-            raise DimensionMismatchError(
-                f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
-            )
+    for side, cols in ((peers, peer_cols), (members, member_cols)):
+        if cols is not None:
+            # every member of a record has its M, so the shape answers for the side
+            side = side[:1] if len(cols) != m else []
+        for sol in side:
+            if len(sol.objectives) != m:
+                raise DimensionMismatchError(
+                    f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
+                )
     if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
         return np.array([[dom_nature(p, q, counter) for q in members] for p in peers], dtype=np.int8)
     counter.pair_compares += len(peers) * len(members)
-    return _dom_codes(peers, members)
+    return _dom_codes(
+        _cols(peers) if peer_cols is None else peer_cols,
+        _cols(members) if member_cols is None else member_cols,
+    )
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
@@ -175,7 +202,10 @@ _SCAN_MIN_WIDTH = 96
 
 class _Columns:
     """Objective array of one wide front: column ``j`` of :attr:`cols`
-    holds ``members[j]``'s objectives and ``ids[j]`` its id.
+    holds ``members[j]``'s objectives and ``ids[j]`` its id.  Probe scans
+    and the cascades' :func:`dom_block` tests read :attr:`cols` (or a slice
+    of it) directly; every member has the array's M, so its shape alone
+    answers a dimension check.
 
     ``members`` is the front as the library last left it.  Every edit
     applies to the members, the ids and the array together, so the three
@@ -195,8 +225,8 @@ class _Columns:
     @classmethod
     def of(cls, front: list[Solution], members: list[Solution], m: int) -> "_Columns":
         """Build from the members' tuples; raises ValueError unless each has M ``m``."""
-        rows = np.array([sol.objectives for sol in members], dtype=np.float64).reshape(len(members), m)
-        return cls(front, members, [sol.id for sol in members], np.ascontiguousarray(rows.T))
+        cols = _cols(members).reshape(m, len(members))
+        return cls(front, members, [sol.id for sol in members], np.ascontiguousarray(cols))
 
     @property
     def cols(self) -> np.ndarray:
@@ -235,7 +265,8 @@ class FrontSet:
     :meth:`remove` change the id index.
 
     A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
-    array, which its probe scans read.  Only this class edits the arrays:
+    array, which its probe scans and the cascade blocks that test it read.
+    Only this class edits the arrays:
     :meth:`remove` and :meth:`_append` edit one member, and :meth:`_move`
     moves any number of members from one front to another, columns and
     all, in one step.  :meth:`_columns` checks an array against its front

@@ -43,15 +43,19 @@ class CmpRecord:
     s_index: int
 
 
-def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter) -> list[CmpRecord]:
+def navigate(
+    fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter, *, find_id: bool = True
+) -> list[CmpRecord]:
     """Binary-search the front ranks for where ``new`` belongs.
 
     At each probed front, solutions are scanned in order: a dominating
     witness sends the search left (better ranks), a dominated witness right
     (worse ranks, when the variant still has a right range), and
     non-domination with the whole front goes left.  A member with ``new``'s
-    id ends the search (lookups).  Requires K >= 2; with a single front the
-    linear path applies.
+    id ends the search (lookups); an insert, whose probe's id is never
+    stored, passes ``find_id=False`` to skip that search (see
+    :func:`~ndfronts.linear._first_witness`).  Requires K >= 2; with a
+    single front the linear path applies.
     """
     if fs.k < 2:
         raise ValueError("navigation needs at least 2 fronts; use the linear path")
@@ -62,7 +66,7 @@ def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter
     lo, hi = 1, fs.k
     while True:
         mid = (lo + hi + bias) // 2
-        nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter)
+        nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter, find_id=find_id)
         trace.append(CmpRecord(nat, mid, pos))
         if nat == -1 and mid != hi:
             lo = mid + 1
@@ -83,7 +87,7 @@ def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Coun
         insert_linear(fs, new, counter)
         return
     fs.admit(new)
-    trace = navigate(fs, new, variant, counter)
+    trace = navigate(fs, new, variant, counter, find_id=False)
     # Every record that is not dominated moves the search to strictly better
     # ranks, so the last such record is the best rank where no front member
     # dominates ``new``; without one, ``new`` is dominated by every front.

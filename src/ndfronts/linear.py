@@ -34,7 +34,9 @@ class Position:
     s_index: int
 
 
-def _first_witness(fs: FrontSet, front: list[Solution], probe: Solution, counter: Counter) -> tuple[int, int]:
+def _first_witness(
+    fs: FrontSet, front: list[Solution], probe: Solution, counter: Counter, *, find_id: bool = True
+) -> tuple[int, int]:
     """Scan ``front``, a front of ``fs``, in order for its first member that
     ``probe`` dominates (1), is dominated by (-1) or shares its id with (0);
     returns that nature and the member's 1-based position, or ``(0, 0)``
@@ -43,7 +45,9 @@ def _first_witness(fs: FrontSet, front: list[Solution], probe: Solution, counter
 
     One witness decides the front: as an antichain it cannot hold both a
     member dominating ``probe`` and one that ``probe`` dominates.  An insert
-    probe's id is never stored, so only lookups stop at an id match.
+    probe's id is never stored (:meth:`~ndfronts.core.FrontSet.admit`
+    guarantees it), so only lookups stop at an id match, and inserts pass
+    ``find_id=False`` to spare a wide front's scan the id search.
 
     A front with an objective array (see :class:`~ndfronts.core.FrontSet`)
     is tested whole by :func:`_scan_columns`; the counter still gets only
@@ -55,7 +59,7 @@ def _first_witness(fs: FrontSet, front: list[Solution], probe: Solution, counter
     if len(front) >= _SCAN_MIN_WIDTH and probe.m == fs.m:
         rec = fs._columns(front)
         if rec is not None:
-            nat, pos = _scan_columns(rec.cols, rec.ids, probe)
+            nat, pos = _scan_columns(rec.cols, rec.ids if find_id else None, probe)
             counter.pair_compares += pos or len(front)
             return nat, pos
     for pos, sol in enumerate(front, 1):
@@ -65,35 +69,41 @@ def _first_witness(fs: FrontSet, front: list[Solution], probe: Solution, counter
     return 0, 0
 
 
-def _scan_columns(cols: np.ndarray, ids: list[str], probe: Solution) -> tuple[int, int]:
+def _scan_columns(cols: np.ndarray, ids: list[str] | None, probe: Solution) -> tuple[int, int]:
     """:func:`_first_witness`'s answer for a front given as an ``(M, n)``
     objective array and its ids, from one numpy comparison of every member;
-    uncounted, so only :func:`_first_witness` calls it."""
+    with ``ids`` None no id can match.  Uncounted, so only
+    :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
     le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
     hit = ge != le  # exactly one holds: a strict dominance either way
     w = int(hit.argmax())
     found = bool(hit[w])
-    try:
-        return 0, ids.index(probe.id, 0, w if found else len(ids)) + 1
-    except ValueError:
-        pass
+    if ids is not None:
+        try:
+            return 0, ids.index(probe.id, 0, w if found else len(ids)) + 1
+        except ValueError:
+            pass
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
 
 
-def dom_set(front: list[Solution], new: Solution, start: int, counter: Counter) -> np.ndarray:
-    """Classify ``front`` against ``new``, moving nothing: one bool per
-    member, False for each member at or after position ``start`` (1-based)
-    that ``new`` dominates and True for the rest, as ``stays`` for
-    :meth:`~ndfronts.core.FrontSet._move`.  Positions before ``start`` were
-    classified by the caller.  The tail is one ``1 x len(tail)``
-    :func:`~ndfronts.core.dom_block` test, so each candidate is compared
-    exactly once.
+def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, counter: Counter) -> np.ndarray:
+    """Classify ``front``, a front of ``fs``, against ``new``, moving
+    nothing: one bool per member, False for each member at or after position
+    ``start`` (1-based) that ``new`` dominates and True for the rest, as
+    ``stays`` for :meth:`~ndfronts.core.FrontSet._move`.  Positions before
+    ``start`` were classified by the caller.  The tail is one
+    ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test, so each
+    candidate is compared exactly once; a wide front's tail is a slice of
+    its record's columns.
     """
+    rec = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
+    tail_cols = None if rec is None else rec.cols[:, start - 1 :]
     stays = np.empty(len(front), dtype=bool)
     stays[: start - 1] = True
-    np.not_equal(dom_block([new], front[start - 1 :], counter)[0], 1, out=stays[start - 1 :])
+    codes = dom_block([new], front[start - 1 :], counter, member_cols=tail_cols)
+    np.not_equal(codes[0], 1, out=stays[start - 1 :])
     return stays
 
 
@@ -108,9 +118,18 @@ def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: 
     :func:`~ndfronts.core.dom_block` test against ``group`` as it was on
     entry, with no early exit: it always costs ``len(group) * len(front)``
     comparisons, which the closed-form worst cases in
-    :mod:`ndfronts.analysis` count on.
+    :mod:`ndfronts.analysis` count on.  The block reads ``front``'s record
+    when it is wide, and ``group``'s when it has a current one; a group
+    that is not a front of ``fs`` (an insert cascade's displaced set) never
+    gets one built here.
     """
-    return fs._move(front, dom_block(group, front, counter).any(axis=0), group)
+    # fetched first: rebuilding front's record frees those of lists not in fs.fronts
+    rec = fs._arrays.get(id(group))
+    group_cols = rec.cols if rec is not None and rec.members == group else None
+    rec = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
+    front_cols = None if rec is None else rec.cols
+    stays = dom_block(group, front, counter, peer_cols=group_cols, member_cols=front_cols).any(axis=0)
+    return fs._move(front, stays, group)
 
 
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
@@ -174,7 +193,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     if nat == 0:
         fs._append(front, new)
         return
-    stays = dom_set(front, new, pos + 1, counter)
+    stays = dom_set(fs, front, new, pos + 1, counter)
     stays[pos - 1] = False
     displaced: list[Solution] = []
     front = fs.fronts[index - 1] = fs._move(front, stays, displaced)
@@ -197,7 +216,7 @@ def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
     """
     fs.admit(new)
     for index, front in enumerate(fs.fronts, 1):
-        nat, pos = _first_witness(fs, front, new, counter)
+        nat, pos = _first_witness(fs, front, new, counter, find_id=False)
         if nat != -1:
             break
     else:

@@ -163,6 +163,17 @@ def test_cli_bench_equal_fronts_requires_divisible_k(capsys):
     assert main(["bench", "--scenario", "equal-fronts", "--n", "100", "--k", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--n", "0"], ["bench", "--scenario", "equal-fronts", "--n", "0", "--k", "2"]],
+    ids=["default-scenarios", "equal-fronts"],
+)
+def test_cli_bench_with_no_solutions_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_random_workload_is_deterministic_and_live():
     w1 = random_workload(42, m=3, total_steps=50)
     w2 = random_workload(42, m=3, total_steps=50)

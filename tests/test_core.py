@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,6 +156,44 @@ def test_dom_block_dimension_mismatch_counts_nothing(width):
         dom_block([s("p", 0, 0)], members, c)
     with pytest.raises(DimensionMismatchError):
         dom_block([Solution("odd", (1, 2, 3)), s("p", 0, 0)], members[:-1], c)
+    assert c.pair_compares == 0
+
+
+def _record_of(side: list[Solution], m: int):
+    return core._Columns.of(side, side[:], m)
+
+
+@given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
+def test_dom_block_reads_record_columns_exactly_as_tuples(block, given_side):
+    peers, members = block
+    m = next((sol.m for sol in peers + members), 2)
+    recs = [
+        _record_of(peers, m) if given_side != "members" else None,
+        _record_of(members, m) if given_side != "peers" else None,
+    ]
+    peer_cols, member_cols = (None if rec is None else rec.cols for rec in recs)
+    want_counter, got_counter = Counter(), Counter()
+    want = dom_block(peers, members, want_counter)
+    with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
+        got = dom_block(peers, members, got_counter, peer_cols=peer_cols, member_cols=member_cols)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_counter.pair_compares == want_counter.pair_compares == len(peers) * len(members)
+    if numpy_path.called:  # a side given as columns is read, not rebuilt
+        for arg, rec in zip(numpy_path.call_args.args, recs):
+            assert rec is None or np.shares_memory(arg, rec.buf)
+
+
+def test_dom_block_checks_a_columns_side_by_its_shape():
+    members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MIN_PAIRS)]
+    cols = _record_of(members, 2).cols
+    odd = [Solution("odd", (1, 2, 3))]
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        dom_block(odd, members, c, member_cols=cols)
+    with pytest.raises(DimensionMismatchError):
+        dom_block(members, odd, c, peer_cols=cols)
+    with pytest.raises(DimensionMismatchError):
+        dom_block(odd, members, c, peer_cols=_record_of(odd, 3).cols, member_cols=cols)
     assert c.pair_compares == 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,23 +123,26 @@ def test_insert_into_empty_front_set():
 # --- dom_set -----------------------------------------------------------------
 
 def test_dom_set_flags_the_dominated_tail():
-    front = [s("a", 3, 3), s("b", 1, 4)]
-    assert dom_set(front, s("n", 2, 2), 1, Counter()).tolist() == [False, True]
+    fs = fs_of([s("a", 3, 3), s("b", 1, 4)])
+    front = fs.fronts[0]
+    assert dom_set(fs, front, s("n", 2, 2), 1, Counter()).tolist() == [False, True]
     assert [sol.id for sol in front] == ["a", "b"]
 
 
 def test_dom_set_no_dominated_members():
-    front = [s("a", 1, 4), s("b", 4, 1)]
-    assert dom_set(front, s("n", 2, 2), 1, Counter()).tolist() == [True, True]
+    fs = fs_of([s("a", 1, 4), s("b", 4, 1)])
+    front = fs.fronts[0]
+    assert dom_set(fs, front, s("n", 2, 2), 1, Counter()).tolist() == [True, True]
     assert [sol.id for sol in front] == ["a", "b"]
 
 
 def test_dom_set_respects_start_and_counts_each_candidate_once():
-    front = [s(f"a{i}", i, 12 - i) for i in range(1, 11)]
+    fs = fs_of([s(f"a{i}", i, 12 - i) for i in range(1, 11)])
+    front = fs.fronts[0]
     new = Solution("n", (4.5, 3.5))
     for start in (1, 3, 7):
         c = Counter()
-        stays = dom_set(front, new, start, c)
+        stays = dom_set(fs, front, new, start, c)
         assert stays.tolist() == [i < start - 1 or not dominates(new, p) for i, p in enumerate(front)]
         assert c.pair_compares == len(front) - start + 1
 
@@ -148,9 +152,10 @@ def test_dom_set_respects_start_and_counts_each_candidate_once():
 def test_dom_set_matches_brute_force_filter(seed):
     rng = random.Random(seed)
     raw = random_population(rng, 10, 2, grid=8)
-    front = [p for p in full_sort(raw).fronts[0]]
+    fs = full_sort(raw)
+    front = fs.fronts[0]
     new = Solution("n", (float(rng.randrange(8)), float(rng.randrange(8))))
-    stays = dom_set(front, new, 1, Counter())
+    stays = dom_set(fs, front, new, 1, Counter())
     assert stays.tolist() == [not dominates(new, p) for p in front]
 
 
@@ -409,7 +414,8 @@ def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel tests, in each ``ndfronts``
     namespace that binds the kernel, and record the entry width of every
     insert cascade (``linear._cascade_insert``).  A ``dom_nature`` call is
-    one pair; a block on ``dom_block``'s numpy path is rows x columns pairs;
+    one pair; a block on ``dom_block``'s numpy path is the product of its
+    two column arrays' widths;
     a numpy front scan (``linear._scan_columns``) is the pairs the sequential
     scan would test: up to the member where it stops, or the whole front
     when it finds nothing.  Returns ``(calls, widths)``; ``calls[0]`` is the
@@ -425,16 +431,16 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_block(fn):
-        def wrapper(peers, members):
-            calls[0] += len(peers) * len(members)
-            return fn(peers, members)
+        def wrapper(a, b):
+            calls[0] += a.shape[1] * b.shape[1]
+            return fn(a, b)
 
         return wrapper
 
     def counted_scan(fn):
         def wrapper(cols, ids, probe):
             nat, pos = fn(cols, ids, probe)
-            calls[0] += pos or len(ids)
+            calls[0] += pos or cols.shape[1]
             return nat, pos
 
         return wrapper
@@ -528,9 +534,9 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     blocks = []
     audited = ndfronts.core._dom_codes
 
-    def numpy_path(peers, members):
-        blocks.append((len(peers), len(members)))
-        return audited(peers, members)
+    def numpy_path(a, b):
+        blocks.append((a.shape[1], b.shape[1]))
+        return audited(a, b)
 
     monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
     c = Counter()
@@ -576,7 +582,7 @@ def test_wide_front_insert_kernel_calls_are_all_counted(monkeypatch, approach, p
     audited = ndfronts.linear._scan_columns
 
     def numpy_scan(cols, ids, probe):
-        scans.append(len(ids))
+        scans.append(cols.shape[1])
         return audited(cols, ids, probe)
 
     monkeypatch.setattr(ndfronts.linear, "_scan_columns", numpy_scan)
@@ -679,6 +685,72 @@ def test_a_stale_record_moved_by_a_cascade_before_any_scan_stays_stale(approach)
         got, want = Counter(), Counter()
         assert ops.lookup(fs, sol, got) == ops.lookup(fresh, sol, want)
         assert got.pair_compares == want.pair_compares
+
+
+def _wide_cascade(approach, op):
+    """The three wide fronts with every record built, and the cascade ``op``
+    to run on them: an insert whose probe displaces 115 members of the first
+    front, or a delete from it.  Either way each cascade block tests 115
+    members against a whole wide front."""
+    fronts = _three_wide_fronts()
+    fs = FrontSet(2, [list(front) for front in fronts])
+    ops = APPROACHES[approach]
+    for f_index, front in enumerate(fronts, 1):
+        assert ops.lookup(fs, front[0], Counter()) == Position(f_index, 1)  # builds the arrays
+    if op == "insert":
+        probe = s("n", 0.5, 0.5)  # dominates every t but t0
+        return fs, lambda: ops.insert(fs, probe, Counter()), lambda pop: pop + [probe]
+    target = fronts[0][5]
+    return fs, lambda: ops.delete(fs, target, Counter()), lambda pop: [sol for sol in pop if sol is not target]
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
+    fs, run, _ = _wide_cascade(approach, op)
+    blocks = []
+    audited = ndfronts.core._dom_codes
+
+    def numpy_path(a, b):
+        # a record's slice shares its buffer; an array built from tuples is new
+        read = [any(np.shares_memory(side, rec.buf) for rec in fs._arrays.values()) for side in (a, b)]
+        blocks.append((a.shape[1], b.shape[1], *read))
+        return audited(a, b)
+
+    monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
+    run()
+    cascade = [(WIDE - 1, WIDE, True, True)] * 2
+    # an insert's dom_set tail is the record's slice after the witness t1
+    assert blocks == ([(1, WIDE - 2, False, True)] + cascade if op == "insert" else cascade)
+    assert_columns_consistent(fs)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["insert", "delete"])
+@pytest.mark.parametrize(
+    "f_index, member",
+    [
+        (0, s("e", 99.9, WIDE - 100.1)),  # non-dominated with t and above b100 alone
+        (1, s("e", 100.5, WIDE - 99.6)),  # still below t100 and above c100
+    ],
+    ids=["first-front", "second-front"],
+)
+def test_a_cascade_after_a_direct_edit_of_a_wide_front_ends_sorted(approach, op, f_index, member):
+    fs, run, apply = _wide_cascade(approach, op)
+    fs.fronts[f_index][100] = member
+    want = full_sort(apply(list(fs.solutions())))
+    run()
+    assert same_partition(fs, want)
+    assert_columns_consistent(fs)
+
+
+def test_a_delete_cascade_reads_no_stale_record_of_its_upper_front():
+    fs, _, _ = _wide_cascade("linear", "delete")  # every record built
+    fs.fronts[0][5] = s("x", 5.0, WIDE - 4.4)  # same length, and b5 is no longer dominated
+    want = full_sort(list(fs.solutions()))
+    update_delete(fs, 1, Counter())
+    assert same_partition(fs, want)
+    assert_columns_consistent(fs)
 
 
 def test_insert_then_delete_round_trip():
