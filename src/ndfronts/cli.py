@@ -136,54 +136,58 @@ def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int 
     return Workload(m, steps)
 
 
-def _check_negate(negate: Sequence[int], m: int) -> None:
+def _read_rows(path: str, lead: tuple[str, ...], negate: Sequence[int]) -> tuple[int, list[tuple[str, list[str]]]]:
+    """Read a CSV whose header is ``lead`` (ending in ``id``) followed by
+    ``obj_1,...,obj_M``; returns M and, for each non-blank row after the
+    header, ``path:line`` and its cells.  Every returned row has an id."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = [cell.strip().lower() for cell in rows[0]] if rows else []
+    if len(header) < len(lead) + 2 or tuple(header[: len(lead)]) != lead:
+        raise InputError(f"{path}: header must be {','.join(lead)},obj_1,...,obj_M with M >= 2")
+    m = len(header) - len(lead)
     for col in negate:
         if not 1 <= col <= m:
             raise InputError(f"--negate column {col} out of range 1..{m}")
+    out = []
+    for lineno, row in enumerate(rows[1:], 2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) < len(lead) or not row[len(lead) - 1].strip():
+            raise InputError(f"{path}:{lineno}: missing id")
+        out.append((f"{path}:{lineno}", row))
+    return m, out
 
 
-def _parse_objectives(where: str, cells: Sequence[str], negate: Sequence[int]) -> tuple[float, ...]:
-    """Parse one row's objective cells, negating the ``negate`` columns."""
+def _solution(where: str, cells: Sequence[str], m: int, negate: Sequence[int]) -> Solution:
+    """The solution of one row's ``id,obj_1,...,obj_M`` cells, negating the
+    ``negate`` columns; any fault is an InputError naming ``where``."""
+    if len(cells) != m + 1:
+        raise InputError(f"{where}: expected {m} objective values")
     try:
-        objs = [float(cell) for cell in cells]
+        objs = [float(cell) for cell in cells[1:]]
+        for col in negate:
+            objs[col - 1] = -objs[col - 1]
+        return Solution(cells[0].strip(), tuple(objs))
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from None
-    for col in negate:
-        objs[col - 1] = -objs[col - 1]
-    return tuple(objs)
 
 
 def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
     """Read a workload CSV: header ``op,id,obj_1,...,obj_M``; insert rows carry
     a full objective vector, delete/lookup rows leave the objective cells empty."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty workload file")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if len(header) < 4 or header[0] != "op" or header[1] != "id":
-        raise InputError(f"{path}: header must be op,id,obj_1,...,obj_M with M >= 2")
-    m = len(header) - 2
-    _check_negate(negate, m)
+    m, rows = _read_rows(path, ("op", "id"), negate)
     steps: list[Step] = []
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for where, row in rows:
         op = row[0].strip().lower()
-        sid = row[1].strip()
-        if not sid:
-            raise InputError(f"{path}:{lineno}: missing id")
         if op == "insert":
-            if len(row) != m + 2:
-                raise InputError(f"{path}:{lineno}: expected {m} objective values")
-            objs = _parse_objectives(f"{path}:{lineno}", row[2:], negate)
-            steps.append(InsertStep(Solution(sid, objs)))
+            steps.append(InsertStep(_solution(where, row[1:], m, negate)))
         elif op == "delete":
-            steps.append(DeleteStep(sid))
+            steps.append(DeleteStep(row[1].strip()))
         elif op == "lookup":
-            steps.append(LookupStep(sid))
+            steps.append(LookupStep(row[1].strip()))
         else:
-            raise InputError(f"{path}:{lineno}: unknown op {op!r}")
+            raise InputError(f"{where}: unknown op {op!r}")
     return Workload(m, steps)
 
 
@@ -193,26 +197,8 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
 def load_population(path: str, negate: Sequence[int] = ()) -> tuple[list[Solution], int]:
     """Read a population CSV (header ``id,obj_1,...,obj_M``); returns the
     solutions in row order plus M."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty file, header row required")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if len(header) < 3 or header[0] != "id":
-        raise InputError(f"{path}: header must be id,obj_1,...,obj_M with M >= 2")
-    m = len(header) - 1
-    _check_negate(negate, m)
-    sols = []
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != m + 1:
-            raise InputError(f"{path}:{lineno}: expected {m} objective values")
-        sid = row[0].strip()
-        if not sid:
-            raise InputError(f"{path}:{lineno}: missing id")
-        sols.append(Solution(sid, _parse_objectives(f"{path}:{lineno}", row[1:], negate)))
-    return sols, m
+    m, rows = _read_rows(path, ("id",), negate)
+    return [_solution(where, row, m, negate) for where, row in rows], m
 
 
 def front_set_to_doc(fs: FrontSet) -> dict:
@@ -345,27 +331,6 @@ def verify_front_set(fs: FrontSet) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
-def _floor_log2(n: int) -> int:
-    return n.bit_length() - 1
-
-
-def _deepest_leaf(k: int) -> tuple[int, int]:
-    """(front rank, depth) of a deepest leaf of the round-up rank tree over 1..k."""
-    best_rank, best_depth = 1, 0
-    stack = [(1, k, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        if lo == hi:
-            if depth > best_depth:
-                best_rank, best_depth = lo, depth
-            continue
-        mid = (lo + hi + 1) // 2
-        stack.append((lo, mid - 1, depth + 1))
-        if mid != hi:
-            stack.append((mid + 1, hi, depth + 1))
-    return best_rank, best_depth
-
-
 def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) -> list[dict]:
     """Run one benchmark scenario; each row compares a measured counter value
     against its closed-form prediction."""
@@ -384,7 +349,7 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
 
     if scenario == "chain":
         population = analysis.gen_chain(n, pad_m)
-        log_cost = _floor_log2(n) + 1
+        log_cost = n.bit_length()
         for approach in approaches:
             fs = FrontSet(pad_m, [[sol] for sol in population])
             counter = Counter()
@@ -413,15 +378,15 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         population = analysis.gen_equal_fronts(n, k, pad_m)
         fronts = [population[i * q : (i + 1) * q] for i in range(k)]
         fs = FrontSet(pad_m, fronts)
-        leaf_rank, leaf_depth = _deepest_leaf(k)
         for approach in approaches:
             counter = Counter()
             if approach == "linear":
                 target = fronts[-1][-1]  # last solution of the last front
                 expected = k + q - 1
             else:
-                target = fronts[leaf_rank - 1][-1]  # last solution of a deepest leaf front
-                expected = leaf_depth + q
+                # front 1 is a deepest leaf of the round-up rank tree, at depth floor(log2 k)
+                target = fronts[0][-1]
+                expected = k.bit_length() - 1 + q
             pos = APPROACHES[approach].lookup(fs, target, counter)
             measured = counter.pair_compares if pos is not None else -1
             rows.append(row(approach, "lookup worst probe", measured, expected))
@@ -542,11 +507,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     approaches = [args.approach] if args.approach else list(APPROACHES)
     scenarios = [args.scenario] if args.scenario else list(SCENARIOS)
+    if args.k is not None and args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     rows = []
     started = time.perf_counter()
     for scenario in scenarios:
         k = args.k
-        if scenario == "equal-fronts" and not k:
+        if scenario == "equal-fronts" and k is None:
             k = max(2, int(math.isqrt(args.n)))
             while args.n % k:
                 k -= 1
@@ -609,7 +576,7 @@ def _parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measured vs formula comparison counts")
     p_bench.add_argument("--scenario", choices=SCENARIOS, help="default: all scenarios")
     p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--k", type=int, help="front count for equal-fronts")
+    p_bench.add_argument("--k", type=int, help="front count (at least 1) for equal-fronts")
     p_bench.add_argument("--approach", choices=APPROACHES, help="default: all approaches")
     p_bench.add_argument("--report", choices=("text", "json"), default="text")
     p_bench.set_defaults(func=_cmd_bench)
@@ -630,6 +597,8 @@ def _parse_cols(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad column list {text!r}") from None
     if any(c < 1 for c in cols):
         raise argparse.ArgumentTypeError("columns are 1-based")
+    if len(set(cols)) != len(cols):
+        raise argparse.ArgumentTypeError(f"repeated column in {text!r}")
     return cols
 
 

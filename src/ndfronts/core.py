@@ -207,26 +207,24 @@ class _Columns:
     of it) directly; every member has the array's M, so its shape alone
     answers a dimension check.
 
-    ``members`` is the front as the library last left it.  Every edit
-    applies to the members, the ids and the array together, so the three
-    always agree; a front that no longer equals ``members`` was edited
-    directly, and its record is stale.
+    Every edit applies to the members, the ids and the array together, so
+    the three always agree.  Only :meth:`FrontSet._columns` hands a record
+    out, and only while ``members`` equals its front.
     """
 
-    __slots__ = ("front", "members", "ids", "buf", "n")
+    __slots__ = ("members", "ids", "buf", "n")
 
-    def __init__(self, front: list[Solution], members: list[Solution], ids: list[str], cols: np.ndarray) -> None:
-        self.front = front  # holds the list alive, so its id() keys only this record
+    def __init__(self, members: list[Solution], ids: list[str], cols: np.ndarray) -> None:
         self.members = members
         self.ids = ids
         self.buf = cols  # (M, capacity); the first n columns are live
         self.n = len(members)
 
     @classmethod
-    def of(cls, front: list[Solution], members: list[Solution], m: int) -> "_Columns":
+    def of(cls, members: list[Solution], m: int) -> "_Columns":
         """Build from the members' tuples; raises ValueError unless each has M ``m``."""
         cols = _cols(members).reshape(m, len(members))
-        return cls(front, members, [sol.id for sol in members], np.ascontiguousarray(cols))
+        return cls(members, [sol.id for sol in members], np.ascontiguousarray(cols))
 
     @property
     def cols(self) -> np.ndarray:
@@ -244,10 +242,10 @@ class _Columns:
         self.members += part.members
         self.ids += part.ids
 
-    def take(self, mask: np.ndarray, front: list[Solution]) -> "_Columns":
-        """A record for ``front`` of the members flagged in ``mask``."""
+    def take(self, mask: np.ndarray) -> "_Columns":
+        """A record of the members flagged in ``mask``."""
         keep = mask.tolist()
-        return _Columns(front, list(compress(self.members, keep)), list(compress(self.ids, keep)), self.cols[:, mask])
+        return _Columns(list(compress(self.members, keep)), list(compress(self.ids, keep)), self.cols[:, mask])
 
     def pop(self, i: int) -> None:
         self.buf[:, i : self.n - 1] = self.buf[:, i + 1 : self.n]
@@ -265,13 +263,14 @@ class FrontSet:
     :meth:`remove` change the id index.
 
     A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
-    array, which its probe scans and the cascade blocks that test it read.
-    Only this class edits the arrays:
+    array, its record, which its probe scans and the cascade blocks that
+    test it read.  One rule keeps the records right: :meth:`_columns` is
+    the only way to read one, and it hands out a record only while its
+    members equal the front, building it afresh otherwise.  So ``fronts``
+    stays a plain list anyone may edit.  Only this class edits the records:
     :meth:`remove` and :meth:`_append` edit one member, and :meth:`_move`
     moves any number of members from one front to another, columns and
-    all, in one step.  :meth:`_columns` checks an array against its front
-    before each use and builds it afresh when it is missing or the front
-    was edited directly, so ``fronts`` stays a plain list anyone may edit.
+    all, in one step, dropping the record of the front it splits.
     At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
     """
@@ -323,7 +322,7 @@ class FrontSet:
         front.append(sol)
         rec = self._arrays.get(id(front))
         if rec is not None:
-            rec.extend(_Columns(front, [sol], [sol.id], np.array(sol.objectives)[:, None]))
+            rec.extend(_Columns([sol], [sol.id], np.array(sol.objectives)[:, None]))
 
     def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
         """Append the members of ``src`` flagged False in ``stays`` to
@@ -345,29 +344,28 @@ class FrontSet:
         if rec is not None and rec.n != len(src):
             rec = None  # stale by length: no mask can pick its columns
         if rec is not None and len(kept) >= _SCAN_MIN_WIDTH:
-            self._arrays[id(kept)] = rec.take(stays, kept)
+            self._arrays[id(kept)] = rec.take(stays)
         drec = self._arrays.get(id(dest))
         if drec is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
-            drec = self._arrays[id(dest)] = _Columns.of(dest, dest[:start], self.m)
+            drec = self._arrays[id(dest)] = _Columns.of(dest[:start], self.m)
         if drec is not None:
-            drec.extend(rec.take(~stays, dest) if rec is not None else _Columns.of(dest, dest[start:], self.m))
+            drec.extend(rec.take(~stays) if rec is not None else _Columns.of(dest[start:], self.m))
         return kept
 
     def _columns(self, front: list[Solution]) -> _Columns | None:
-        """The objective array of ``front``, a front of this set at least
-        ``_SCAN_MIN_WIDTH`` wide, or None when a member's M is not the
-        set's.  A missing or stale record is built from the members' tuples,
-        and records of fronts no longer in the set are freed."""
-        rec = self._arrays.get(id(front))
-        if rec is not None and rec.members == front:
-            return rec
-        live = {id(f) for f in self.fronts}
-        for key in [key for key in self._arrays if key not in live]:
-            del self._arrays[key]
-        try:
-            rec = self._arrays[id(front)] = _Columns.of(front, front[:], self.m)
-        except ValueError:
+        """The objective array of ``front``, a front of this set (or a
+        displaced set about to become one), or None when ``front`` is
+        narrower than ``_SCAN_MIN_WIDTH`` or a member's M is not the set's.
+        This is the only way to read a record: one whose members are not
+        ``front`` is stale and is built afresh from the members' tuples."""
+        if len(front) < _SCAN_MIN_WIDTH:
             return None
+        rec = self._arrays.get(id(front))
+        if rec is None or rec.members != front:
+            try:
+                rec = self._arrays[id(front)] = _Columns.of(front[:], self.m)
+            except ValueError:
+                return None
         return rec
 
     @property
@@ -402,7 +400,7 @@ class FrontSet:
         for front, twin in zip(self.fronts, clone.fronts):
             rec = self._arrays.get(id(front))
             if rec is not None:
-                clone._arrays[id(twin)] = _Columns(twin, rec.members[:], rec.ids[:], rec.cols.copy())
+                clone._arrays[id(twin)] = _Columns(rec.members[:], rec.ids[:], rec.cols.copy())
         return clone
 
     def __repr__(self) -> str:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ndfronts.core import (
-    _SCAN_MIN_WIDTH,
     ContractViolationError,
     Counter,
     FrontSet,
@@ -49,19 +48,18 @@ def _first_witness(
     guarantees it), so only lookups stop at an id match, and inserts pass
     ``find_id=False`` to spare a wide front's scan the id search.
 
-    A front with an objective array (see :class:`~ndfronts.core.FrontSet`)
+    A front with a record (see :meth:`~ndfronts.core.FrontSet._columns`)
     is tested whole by :func:`_scan_columns`; the counter still gets only
     the pairs the sequential scan tests, the position where it stops, or
-    the front's width when it finds nothing.  Narrower fronts run the
+    the front's width when it finds nothing.  Other fronts run the
     :func:`~ndfronts.core.dom_nature` loop, and so does a probe of another
     M, which it rejects at the first pair.
     """
-    if len(front) >= _SCAN_MIN_WIDTH and probe.m == fs.m:
-        rec = fs._columns(front)
-        if rec is not None:
-            nat, pos = _scan_columns(rec.cols, rec.ids if find_id else None, probe)
-            counter.pair_compares += pos or len(front)
-            return nat, pos
+    rec = fs._columns(front)
+    if rec is not None and probe.m == fs.m:
+        nat, pos = _scan_columns(rec.cols, rec.ids if find_id else None, probe)
+        counter.pair_compares += pos or len(front)
+        return nat, pos
     for pos, sol in enumerate(front, 1):
         nat = dom_nature(probe, sol, counter)
         if nat != 0 or sol.id == probe.id:
@@ -95,10 +93,10 @@ def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, coun
     ``stays`` for :meth:`~ndfronts.core.FrontSet._move`.  Positions before
     ``start`` were classified by the caller.  The tail is one
     ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test, so each
-    candidate is compared exactly once; a wide front's tail is a slice of
-    its record's columns.
+    candidate is compared exactly once; when ``front`` has a record (see
+    :meth:`~ndfronts.core.FrontSet._columns`), the tail is a slice of it.
     """
-    rec = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
+    rec = fs._columns(front)
     tail_cols = None if rec is None else rec.cols[:, start - 1 :]
     stays = np.empty(len(front), dtype=bool)
     stays[: start - 1] = True
@@ -118,16 +116,14 @@ def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: 
     :func:`~ndfronts.core.dom_block` test against ``group`` as it was on
     entry, with no early exit: it always costs ``len(group) * len(front)``
     comparisons, which the closed-form worst cases in
-    :mod:`ndfronts.analysis` count on.  The block reads ``front``'s record
-    when it is wide, and ``group``'s when it has a current one; a group
-    that is not a front of ``fs`` (an insert cascade's displaced set) never
-    gets one built here.
+    :mod:`ndfronts.analysis` count on.  The block reads the records (see
+    :meth:`~ndfronts.core.FrontSet._columns`) of ``group`` and ``front``
+    when they have them.  ``group`` is a front of ``fs`` or an insert
+    cascade's displaced set, which becomes one in the same step.
     """
-    # fetched first: rebuilding front's record frees those of lists not in fs.fronts
-    rec = fs._arrays.get(id(group))
-    group_cols = rec.cols if rec is not None and rec.members == group else None
-    rec = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
-    front_cols = None if rec is None else rec.cols
+    group_rec, front_rec = fs._columns(group), fs._columns(front)
+    group_cols = None if group_rec is None else group_rec.cols
+    front_cols = None if front_rec is None else front_rec.cols
     stays = dom_block(group, front, counter, peer_cols=group_cols, member_cols=front_cols).any(axis=0)
     return fs._move(front, stays, group)
 

@@ -118,6 +118,13 @@ def test_load_workload_rejects_unknown_op_and_missing_id(tmp_path):
         load_workload(str(no_id))
 
 
+def test_a_workload_row_with_no_id_cell_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\nlookup\n")
+    assert main(["run", "--workload", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: missing id"]
+
+
 def test_load_workload_negate_applies_to_inserts(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")
@@ -133,6 +140,21 @@ def test_cli_run_rejects_out_of_range_negate_for_workload_file(tmp_path, capsys)
     assert main(["run", "--workload", str(path), "--negate", "5"]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: --negate column 5 out of range 1..3"]
+
+
+@pytest.mark.parametrize(
+    "header, row",
+    [("id,obj_1,obj_2", "b,{},1"), ("op,id,obj_1,obj_2", "insert,b,{},1")],
+    ids=["population", "workload"],
+)
+@pytest.mark.parametrize("cell", ["x", "inf", "nan"])
+def test_a_bad_objective_names_its_file_and_line(tmp_path, capsys, header, row, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, row.format(0), "", row.replace("b,", "c,").format(cell)]) + "\n")
+    command = ["sort", "--input"] if header.startswith("id") else ["run", "--workload"]
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:4: ")
 
 
 def test_front_set_from_doc_rejects_malformed_documents():
@@ -172,6 +194,24 @@ def test_cli_bench_with_no_solutions_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_cli_bench_rejects_a_k_below_one(capsys, k):
+    assert main(["bench", "--n", "16", "--k", k]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --k must be at least 1, got {k}"]
+
+
+def test_equal_fronts_tree_lookup_saves_k_minus_1_minus_log_k():
+    """The abstract's delete claim: on K equal fronts the tree finds its
+    worst target with K - 1 - floor(log2 K) fewer comparisons than the
+    sequential scan finds its own."""
+    for k in range(2, 65):
+        rows = bench_rows("equal-fronts", 3 * k, k, list(APPROACHES))
+        assert all(r["ok"] for r in rows), k
+        cost = {r["approach"]: r["measured"] for r in rows}
+        assert cost["ltree"] == cost["rtree"]
+        assert cost["linear"] - cost["ltree"] == k - 1 - (k.bit_length() - 1), k
 
 
 def test_random_workload_is_deterministic_and_live():
@@ -472,6 +512,15 @@ def test_cli_negate_handles_maximization(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     levels = [[e["id"] for e in front] for front in doc["front_set"]["fronts"]]
     assert levels == [["c"], ["b"], ["a"]]
+
+
+def test_cli_negate_rejects_a_repeated_column(tmp_path, capsys):
+    path = tmp_path / "pop.csv"
+    write_population_csv(path, ["a,1,1", "b,2,2"])
+    with pytest.raises(SystemExit) as exc:
+        main(["sort", "--input", str(path), "--negate", "1,1"])  # would negate column 1 twice
+    assert exc.value.code == 2
+    assert "argument --negate: repeated column in '1,1'" in capsys.readouterr().err
 
 
 def test_online_ratio_script_runs_its_checks():

@@ -160,7 +160,7 @@ def test_dom_block_dimension_mismatch_counts_nothing(width):
 
 
 def _record_of(side: list[Solution], m: int):
-    return core._Columns.of(side, side[:], m)
+    return core._Columns.of(side, m)
 
 
 @given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
