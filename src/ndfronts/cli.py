@@ -146,9 +146,11 @@ def _read_rows(path: str, lead: tuple[str, ...], negate: Sequence[int]) -> tuple
     if len(header) < len(lead) + 2 or tuple(header[: len(lead)]) != lead:
         raise InputError(f"{path}: header must be {','.join(lead)},obj_1,...,obj_M with M >= 2")
     m = len(header) - len(lead)
-    for col in negate:
+    for i, col in enumerate(negate):
         if not 1 <= col <= m:
             raise InputError(f"--negate column {col} out of range 1..{m}")
+        if col in negate[:i]:  # negating twice would leave the column as it was
+            raise InputError(f"--negate column {col} repeated")
     out = []
     for lineno, row in enumerate(rows[1:], 2):
         if not any(cell.strip() for cell in row):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
+from operator import not_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -120,10 +121,21 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
 _BLOCK_MIN_PAIRS = 32
 
 
-def _cols(sols: list[Solution]) -> np.ndarray:
-    """Objectives of ``sols``, which share one M, as an ``(M, n)`` float64
-    array whose column ``j`` holds ``sols[j]``."""
-    return np.array([sol.objectives for sol in sols], dtype=np.float64).T
+def _cols(sols: list[Solution], m: int) -> np.ndarray:
+    """Objectives of ``sols`` as an ``(M, n)`` float64 array whose column
+    ``j`` holds ``sols[j]``, read from their tuples in one flat pass.
+
+    Every array of a group of members, record or block side, is built
+    here, so this is where a member whose M is not ``m`` is caught: it
+    raises :class:`DimensionMismatchError`, a ValueError, before reading
+    any value.  A flat read alone would accept members whose lengths only
+    sum to ``n * m``.
+    """
+    objs = [sol.objectives for sol in sols]
+    if not {m}.issuperset(map(len, objs)):
+        odd = next(sol for sol in sols if sol.m != m)
+        raise DimensionMismatchError(f"solution {odd.id!r} has M={odd.m}, expected M={m}")
+    return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
 
 
 def _dom_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,30 +172,46 @@ def dom_block(
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
-    such as a front's stored record (see :class:`FrontSet`) or a slice of
-    it.  The block then reads them instead of building an array from the
-    members' tuples, and checks that side's M by the array's shape alone:
-    a record holds only members of its M.
+    such as a front's stored record (see :class:`FrontSet`), a slice of it,
+    or columns a cascade carried from its previous step.  The block then
+    reads them instead of building an array from the members' tuples, and
+    checks that side's M by the array's shape alone: such an array was
+    built by :func:`_cols`, which admits only members of its M.
     """
+    return _dom_block(peers, members, counter, peer_cols, member_cols)[0]
+
+
+def _dom_block(
+    peers: list[Solution],
+    members: list[Solution],
+    counter: Counter,
+    peer_cols: np.ndarray | None,
+    member_cols: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`dom_block`'s codes, and the member columns its numpy path
+    read, given or built; None when the block ran the :func:`dom_nature`
+    loop.  A cascade step carries a slice of them to its next step."""
     if not peers or not members:
-        return np.zeros((len(peers), len(members)), dtype=np.int8)
+        return np.zeros((len(peers), len(members)), dtype=np.int8), None
     m = len(peers[0].objectives)
-    for side, cols in ((peers, peer_cols), (members, member_cols)):
-        if cols is not None:
-            # every member of a record has its M, so the shape answers for the side
-            side = side[:1] if len(cols) != m else []
-        for sol in side:
+    if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
+        for sol in chain(peers, members):
             if len(sol.objectives) != m:
                 raise DimensionMismatchError(
                     f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
                 )
-    if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
-        return np.array([[dom_nature(p, q, counter) for q in members] for p in peers], dtype=np.int8)
+        return np.array([[dom_nature(p, q, counter) for q in members] for p in peers], dtype=np.int8), None
+    sides = []
+    for side, cols in ((peers, peer_cols), (members, member_cols)):
+        if cols is None:
+            cols = _cols(side, m)
+        elif len(cols) != m:
+            raise DimensionMismatchError(
+                f"cannot compare {peers[0].id!r} (M={m}) with {side[0].id!r} (M={side[0].m})"
+            )
+        sides.append(cols)
     counter.pair_compares += len(peers) * len(members)
-    return _dom_codes(
-        _cols(peers) if peer_cols is None else peer_cols,
-        _cols(members) if member_cols is None else member_cols,
-    )
+    return _dom_codes(*sides), sides[1]
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
@@ -222,9 +250,9 @@ class _Columns:
 
     @classmethod
     def of(cls, members: list[Solution], m: int) -> "_Columns":
-        """Build from the members' tuples; raises ValueError unless each has M ``m``."""
-        cols = _cols(members).reshape(m, len(members))
-        return cls(members, [sol.id for sol in members], np.ascontiguousarray(cols))
+        """Build from the members' tuples with :func:`_cols`; raises
+        ValueError unless each has M ``m``."""
+        return cls(members, [sol.id for sol in members], np.ascontiguousarray(_cols(members, m)))
 
     @property
     def cols(self) -> np.ndarray:
@@ -327,17 +355,17 @@ class FrontSet:
     def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
         """Append the members of ``src`` flagged False in ``stays`` to
         ``dest``, in order; return the others in order, as ``src`` itself
-        when all stay and as a new list otherwise.  Columns move with their
+        when all stay and as a new list otherwise.  Each part is one
+        :func:`~itertools.compress` of ``src``.  Columns move with their
         members: each part's record is taken from the record's own member
         list, so the parts of a stale record stay stale.  A narrow part
-        keeps no array."""
+        keeps no array; a cascade carries the columns it needs itself."""
         keep = stays.tolist()
         if all(keep):
             return src
         start = len(dest)
-        kept: list[Solution] = []
-        for sol, stay in zip(src, keep):
-            (kept if stay else dest).append(sol)
+        kept = list(compress(src, keep))
+        dest.extend(compress(src, map(not_, keep)))
         if not self._arrays:
             return kept
         rec = self._arrays.pop(id(src), None)

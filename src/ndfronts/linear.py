@@ -20,6 +20,7 @@ from ndfronts.core import (
     FrontSet,
     MissingSolutionError,
     Solution,
+    _dom_block,
     dom_block,
     dom_nature,
 )
@@ -105,27 +106,37 @@ def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, coun
     return stays
 
 
-def _sweep(fs: FrontSet, group: list[Solution], front: list[Solution], counter: Counter) -> list[Solution]:
+def _sweep(
+    fs: FrontSet, group: list[Solution], front: list[Solution], counter: Counter, group_cols: np.ndarray | None = None
+) -> tuple[list[Solution], np.ndarray | None]:
     """Move to ``group`` every member of ``front`` that is non-dominated with
     all of ``group``'s current members; return the other members in order,
     as ``front`` itself when none moved (see
-    :meth:`~ndfronts.core.FrontSet._move`, which carries the columns).
+    :meth:`~ndfronts.core.FrontSet._move`), and their columns when the
+    block had ``front``'s, else None.
 
     Members appended here come from one front and need no mutual checks.
     The sweep is one ``len(group) x len(front)``
     :func:`~ndfronts.core.dom_block` test against ``group`` as it was on
     entry, with no early exit: it always costs ``len(group) * len(front)``
     comparisons, which the closed-form worst cases in
-    :mod:`ndfronts.analysis` count on.  The block reads the records (see
-    :meth:`~ndfronts.core.FrontSet._columns`) of ``group`` and ``front``
-    when they have them.  ``group`` is a front of ``fs`` or an insert
-    cascade's displaced set, which becomes one in the same step.
+    :mod:`ndfronts.analysis` count on.  ``group`` is a front of ``fs`` or
+    an insert cascade's displaced set, which becomes one in the same step.
+
+    The block reads each side's record (see
+    :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  Otherwise
+    it reads ``group_cols``, the columns the previous step returned for
+    ``group``, or builds them from the tuples.  The members that stay are
+    the next step's group, so returning their columns lets a cascade read
+    each front's tuples at most once.
     """
     group_rec, front_rec = fs._columns(group), fs._columns(front)
-    group_cols = None if group_rec is None else group_rec.cols
-    front_cols = None if front_rec is None else front_rec.cols
-    stays = dom_block(group, front, counter, peer_cols=group_cols, member_cols=front_cols).any(axis=0)
-    return fs._move(front, stays, group)
+    if group_rec is not None:
+        group_cols = group_rec.cols
+    codes, front_cols = _dom_block(group, front, counter, group_cols, None if front_rec is None else front_rec.cols)
+    stays = codes.any(axis=0)
+    kept = fs._move(front, stays, group)
+    return kept, None if front_cols is None or kept is front else front_cols.compress(stays, axis=1)
 
 
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
@@ -155,10 +166,14 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
 
 def _cascade_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
     """The cascade of :func:`update_insert`, for a displaced antichain that
-    is already indexed; runs no dominance test it does not count."""
+    is already indexed; runs no dominance test it does not count.  The
+    members a step leaves behind are the next displaced set, and their
+    columns, when the step's block had them, go with them (see
+    :func:`_sweep`)."""
+    cols = None
     while index <= len(fs.fronts):
         front = fs.fronts[index - 1]
-        kept = _sweep(fs, displaced, front, counter)
+        kept, cols = _sweep(fs, displaced, front, counter, cols)
         if kept is front:
             # nothing promoted: the displaced set takes this rank, all lower fronts shift
             fs.fronts.insert(index - 1, displaced)
@@ -239,12 +254,15 @@ def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position
 def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     """Promote into front ``index`` every next-front member that is
     non-dominated with its pre-promotion occupants, continuing downward
-    while the promotions keep opening holes."""
+    while the promotions keep opening holes.  The members a step leaves in
+    the next front are the next step's occupants, and their columns, when
+    the step's block had them, go with them (see :func:`_sweep`)."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
+    cols = None
     while index < len(fs.fronts):
         front = fs.fronts[index]
-        kept = _sweep(fs, fs.fronts[index - 1], front, counter)
+        kept, cols = _sweep(fs, fs.fronts[index - 1], front, counter, cols)
         if not kept:
             # the whole next front moved up; ranks below collapse by one
             fs.fronts.pop(index)

@@ -142,6 +142,17 @@ def test_cli_run_rejects_out_of_range_negate_for_workload_file(tmp_path, capsys)
     assert err.splitlines() == ["error: --negate column 5 out of range 1..3"]
 
 
+def test_the_loaders_reject_a_repeated_negate_column(tmp_path):
+    population, workload = tmp_path / "pop.csv", tmp_path / "w.csv"
+    write_population_csv(population, ["a,1,2"])
+    workload.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")
+    # negating column 1 twice would leave it as it was
+    with pytest.raises(InputError, match="--negate column 1 repeated"):
+        load_population(str(population), negate=(1, 1))
+    with pytest.raises(InputError, match="--negate column 2 repeated"):
+        load_workload(str(workload), negate=(2, 1, 2))
+
+
 @pytest.mark.parametrize(
     "header, row",
     [("id,obj_1,obj_2", "b,{},1"), ("op,id,obj_1,obj_2", "insert,b,{},1")],

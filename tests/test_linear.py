@@ -467,17 +467,15 @@ def _audit_kernel(monkeypatch):
     return calls, widths
 
 
-def _two_column_ladder(k):
-    """k fronts of three: two chains xa, xb and a chain y.  A probe that
-    dominates xa1 and xb1 but not y1 displaces both, and the pair then sinks
-    one rank per front while each y moves up beside it."""
+def _column_ladder(k, columns=2):
+    """k fronts of ``columns + 1``: chains xa, xb, ... and a chain y.  A
+    probe that dominates every x of rank 1 but not y1 displaces them all,
+    and they then sink one rank per front while each y moves up beside
+    them.  Deleting y1 instead moves each y up one rank past the xs."""
     big = 10_000.0
     return [
-        [
-            s(f"xa{j}", j - 1 - 1 / j, big + j),
-            s(f"xb{j}", j - 1.01 - 1 / j, big + j + 0.01),
-            s(f"y{j}", j, j),
-        ]
+        [s(f"x{chr(97 + c)}{j}", j - (1 + c / 100) - 1 / j, big + j + c / 100) for c in range(columns)]
+        + [s(f"y{j}", j, j)]
         for j in range(1, k + 1)
     ]
 
@@ -485,7 +483,7 @@ def _two_column_ladder(k):
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_insert_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
     k = 6
-    fronts = _two_column_ladder(k)
+    fronts = _column_ladder(k)
     fs = FrontSet(2, [list(front) for front in fronts])
     assert validate(fs) == []
     probe = s("probe", -2, 10_000.5)
@@ -548,6 +546,58 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     if approach == "linear":
         assert c.pair_compares == 2501
     assert same_partition(fs, full_sort(pop[: n1 - 1] + pop[n1:]))
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach, op):
+    # six x chains and one y: every cascade block is 6 x 7, on the numpy path
+    # but far below the record width
+    k = 50
+    fronts = _column_ladder(k, columns=6)
+    fs = FrontSet(2, [list(front) for front in fronts])
+    pop = [sol for front in fronts for sol in front]
+    builds = []  # the ids of every array core._cols builds from tuples
+    build = ndfronts.core._cols
+
+    def recorded(sols, m):
+        builds.append([sol.id for sol in sols])
+        return build(sols, m)
+
+    monkeypatch.setattr(ndfronts.core, "_cols", recorded)
+    calls, _ = _audit_kernel(monkeypatch)
+    c = Counter()
+    if op == "insert":
+        probe = s("probe", -2, 10_000.5)  # displaces every x of rank 1
+        APPROACHES[approach].insert(fs, probe, c)
+        assert fs.k == k + 1 and fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(6)}
+        pop.append(probe)
+    else:
+        APPROACHES[approach].delete(fs, fronts[0][-1], c)
+        assert fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(6)}
+        pop.remove(fronts[0][-1])
+    # a step's survivors are the next step's group: their columns are carried
+    built = [sol_id for ids in builds for sol_id in ids]
+    assert len(built) == len(set(built))
+    assert len(builds) <= k
+    assert calls[0] == c.pair_compares
+    assert same_partition(fs, full_sort(pop))
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_a_cascade_rejects_a_front_with_compensating_m_members(op):
+    fs = FrontSet(3, [[s(f"{name}{i}", i + x, 12 - i + x, x) for i in range(12)] for name, x in (("t", 0), ("b", 0.5))])
+    # an M=2 and an M=4 member: their lengths sum to what two M=3 members' would
+    fs.fronts[1][1] = s("two", 1.5, 11.5)
+    fs.fronts[1][2] = s("four", 2.5, 10.5, 0.5, 0.5)
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        if op == "delete":
+            update_delete(fs, 1, c)  # a 12 x 12 block
+        else:
+            # three new solutions above the edited front: a 3 x 12 block
+            update_insert(fs, [s(f"n{i}", i + 0.25, 12.25 - i, 0.25) for i in range(3)], 2, c)
+    assert c.pair_compares == 0
 
 
 CROSSOVER = ndfronts.core._SCAN_MIN_WIDTH
