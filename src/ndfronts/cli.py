@@ -485,6 +485,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workload:
         workload = load_workload(args.workload, args.negate)
     elif args.seed is not None:
+        if args.steps < 0:
+            raise InputError(f"--steps must be at least 0, got {args.steps}")
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
     else:
         raise InputError("run needs --workload FILE or --seed N")
@@ -569,7 +571,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workload", help="workload CSV (op,id,obj_1,...,obj_M)")
     p_run.add_argument("--fs", help="start from this front-set dump instead of empty")
     p_run.add_argument("--seed", type=int, help="generate a seeded random workload instead of a file")
-    p_run.add_argument("--steps", type=int, default=60, help="steps for --seed workloads")
+    p_run.add_argument("--steps", type=int, default=60, help="steps (at least 0) for --seed workloads")
     p_run.add_argument("--m", type=int, default=3, help="objective count for --seed workloads")
     p_run.add_argument("--out", help="write the final front-set dump to this path")
     common(p_run)

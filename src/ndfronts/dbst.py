@@ -8,8 +8,8 @@ trace, at most floor(log2 K) + 1 records long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ndfronts.core import Counter, FrontSet, Solution
 from ndfronts.linear import (
@@ -28,14 +28,15 @@ class TreeVariant(Enum):
     RIGHT_BALANCED = "right"  # midpoint rounds down; right children fill first
 
 
-@dataclass(frozen=True)
-class CmpRecord:
+class CmpRecord(NamedTuple):
     """One probed front during navigation.
 
     ``dom`` is the probe's nature against that front (1 dominating witness,
     -1 dominated witness, 0 non-dominated); ``s_index`` is the 1-based
     witness position.  When ``dom`` is 0, ``s_index`` is the position of the
-    member with the probe's id, or 0 when no member has it.
+    member with the probe's id, or 0 when no member has it.  A named tuple
+    is cheap to build once per probed front; like any tuple, a record
+    compares equal to a plain tuple of the same three values.
     """
 
     dom: int

@@ -17,12 +17,12 @@ import numpy as np
 from ndfronts.core import (
     ContractViolationError,
     Counter,
+    DimensionMismatchError,
     FrontSet,
     MissingSolutionError,
     Solution,
     _dom_block,
     dom_block,
-    dom_nature,
 )
 
 
@@ -47,31 +47,29 @@ def _first_witness(
     member dominating ``probe`` and one that ``probe`` dominates.  An insert
     probe's id is never stored (:meth:`~ndfronts.core.FrontSet.admit`
     guarantees it), so only lookups stop at an id match, and inserts pass
-    ``find_id=False`` to spare a wide front's scan the id search.
+    ``find_id=False`` to spare the scan the id search.
 
     A front with a record (see :meth:`~ndfronts.core.FrontSet._columns`)
-    is tested whole by :func:`_scan_columns`; the counter still gets only
-    the pairs the sequential scan tests, the position where it stops, or
-    the front's width when it finds nothing.  Other fronts run the
-    :func:`~ndfronts.core.dom_nature` loop, and so does a probe of another
-    M, which it rejects at the first pair.
+    is tested whole by :func:`_scan_columns`.  Any other front, and any
+    probe of another M, goes to :func:`_scan_members`, which tests one
+    member at a time and rejects such a probe at the first member.  Both
+    scans are uncounted; the counter gets, here and only here, the pairs
+    the sequential scan tests: the position where it stops, or the front's
+    width when it finds nothing.
     """
     rec = fs._columns(front)
     if rec is not None and probe.m == fs.m:
         nat, pos = _scan_columns(rec.cols, rec.ids if find_id else None, probe)
-        counter.pair_compares += pos or len(front)
-        return nat, pos
-    for pos, sol in enumerate(front, 1):
-        nat = dom_nature(probe, sol, counter)
-        if nat != 0 or sol.id == probe.id:
-            return nat, pos
-    return 0, 0
+    else:
+        nat, pos = _scan_members(front, probe, find_id)
+    counter.pair_compares += pos or len(front)
+    return nat, pos
 
 
 def _scan_columns(cols: np.ndarray, ids: list[str] | None, probe: Solution) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for a front given as an ``(M, n)``
-    objective array and its ids, from one numpy comparison of every member;
-    with ``ids`` None no id can match.  Uncounted, so only
+    """:func:`_first_witness`'s answer for a wide front given as an
+    ``(M, n)`` objective array and its ids, from one numpy comparison of
+    every member; with ``ids`` None no id can match.  Uncounted, so only
     :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
@@ -85,6 +83,37 @@ def _scan_columns(cols: np.ndarray, ids: list[str] | None, probe: Solution) -> t
         except ValueError:
             pass
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
+
+
+def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tuple[int, int]:
+    """:func:`_first_witness`'s answer for a front given as its members,
+    tested one at a time with :func:`~ndfronts.core.dom_nature`'s rule
+    inline, so a pair costs no call; with ``find_id`` False no id can
+    match, and none is compared.  A member reached whose M is not the
+    probe's raises :class:`~ndfronts.core.DimensionMismatchError`.
+    Uncounted, so only :func:`_first_witness` calls it."""
+    objs, pid = probe.objectives, probe.id
+    m = len(objs)
+    for pos, sol in enumerate(front, 1):
+        other = sol.objectives
+        if len(other) != m:
+            raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})")
+        probe_better = sol_better = False
+        for x, y in zip(objs, other):
+            if x < y:
+                if sol_better:
+                    break
+                probe_better = True
+            elif y < x:
+                if probe_better:
+                    break
+                sol_better = True
+        else:  # neither side lost a coordinate: a dominance, or equal vectors
+            if probe_better or sol_better:
+                return 1 if probe_better else -1, pos
+        if find_id and sol.id == pid:
+            return 0, pos
+    return 0, 0
 
 
 def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, counter: Counter) -> np.ndarray:

@@ -213,6 +213,18 @@ def test_cli_bench_rejects_a_k_below_one(capsys, k):
     assert capsys.readouterr().err.splitlines() == [f"error: --k must be at least 1, got {k}"]
 
 
+@pytest.mark.parametrize("steps", ["-5", "-1"])
+def test_cli_run_rejects_negative_steps(capsys, steps):
+    assert main(["run", "--seed", "1", "--steps", steps]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --steps must be at least 0, got {steps}"]
+
+
+def test_cli_run_with_zero_steps_is_an_empty_run(capsys):
+    assert main(["run", "--seed", "1", "--steps", "0", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["steps"] == [] and report["total_compares"] == 0
+
+
 def test_equal_fronts_tree_lookup_saves_k_minus_1_minus_log_k():
     """The abstract's delete claim: on K equal fronts the tree finds its
     worst target with K - 1 - floor(log2 K) fewer comparisons than the

@@ -415,11 +415,12 @@ def _audit_kernel(monkeypatch):
     namespace that binds the kernel, and record the entry width of every
     insert cascade (``linear._cascade_insert``).  A ``dom_nature`` call is
     one pair; a block on ``dom_block``'s numpy path is the product of its
-    two column arrays' widths;
-    a numpy front scan (``linear._scan_columns``) is the pairs the sequential
-    scan would test: up to the member where it stops, or the whole front
-    when it finds nothing.  Returns ``(calls, widths)``; ``calls[0]`` is the
-    running tally."""
+    two column arrays' widths; a front scan, numpy
+    (``linear._scan_columns``) or member by member
+    (``linear._scan_members``), is the pairs the sequential scan would test:
+    up to the member where it stops, or the whole front when it finds
+    nothing.  Returns ``(calls, widths)``; ``calls[0]`` is the running
+    tally."""
     calls = [0]
     widths: list[int] = []
 
@@ -437,16 +438,18 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
-    def counted_scan(fn):
-        def wrapper(cols, ids, probe):
-            nat, pos = fn(cols, ids, probe)
-            calls[0] += pos or cols.shape[1]
+    def counted_scan(fn, width):
+        def wrapper(front, *args):
+            nat, pos = fn(front, *args)
+            calls[0] += pos or width(front)
             return nat, pos
 
         return wrapper
 
     monkeypatch.setattr(ndfronts.core, "_dom_codes", counted_block(ndfronts.core._dom_codes))
-    monkeypatch.setattr(ndfronts.linear, "_scan_columns", counted_scan(ndfronts.linear._scan_columns))
+    scans = {"_scan_columns": lambda cols: cols.shape[1], "_scan_members": len}
+    for name, width in scans.items():
+        monkeypatch.setattr(ndfronts.linear, name, counted_scan(getattr(ndfronts.linear, name), width))
 
     def recorded(fs, displaced, index, counter):
         widths.append(len(displaced))
@@ -652,11 +655,32 @@ def test_wide_front_scan_rejects_a_probe_of_another_m():
     assert c.pair_compares == 0
 
 
-def _loop_scan(front, probe, counter):
-    """The sequential front scan, the reference for the numpy one."""
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
+    fs = fs_of([s("a", 1, 5), s("b", 2, 4), s("c", 3, 3)], [s("d", 4, 4)])
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        APPROACHES[approach].lookup(fs, Solution("b", (2.0, 4.0, 0.0)), c)
+    assert c.pair_compares == 0
+
+
+@pytest.mark.parametrize("find_id", [True, False])
+def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(find_id):
+    # the probe is non-dominated with the first two members, so the scan
+    # reaches the hand-edited third
+    fs = fs_of([s("a", 1, 5), s("b", 2, 4), s("c", 3, 3), s("d", 4, 2)])
+    fs.fronts[0][2] = Solution("odd", (3.0, 3.0, 3.0))
+    c = Counter()
+    with pytest.raises(DimensionMismatchError):
+        ndfronts.linear._first_witness(fs, fs.fronts[0], s("p", 4.5, 1.5), c, find_id=find_id)
+    assert c.pair_compares == 0
+
+
+def _loop_scan(front, probe, counter, find_id):
+    """The sequential front scan, the reference for both scans."""
     for pos, sol in enumerate(front, 1):
         nat = ndfronts.dom_nature(probe, sol, counter)
-        if nat != 0 or sol.id == probe.id:
+        if nat != 0 or (find_id and sol.id == probe.id):
             return nat, pos
     return 0, 0
 
@@ -668,8 +692,9 @@ def _loop_scan(front, probe, counter):
     st.sampled_from(["grid", "line"]),
     st.integers(0, 2**32),
     st.sampled_from(["absent", "present", "member"]),
+    st.booleans(),
 )
-def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind):
+def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind, find_id):
     rng = random.Random(seed)
     zero = lambda: rng.choice([0.0, -0.0])  # noqa: E731
     if shape == "grid":  # ties and dominance everywhere, so witnesses come early
@@ -688,8 +713,8 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
         probe = Solution(f"s{target}" if probe_kind == "present" else "absent", probe_vec)
     fs = FrontSet(m, [front])
     want_counter, got_counter = Counter(), Counter()
-    want = _loop_scan(front, probe, want_counter)
-    assert ndfronts.linear._first_witness(fs, fs.fronts[0], probe, got_counter) == want
+    want = _loop_scan(front, probe, want_counter, find_id)
+    assert ndfronts.linear._first_witness(fs, fs.fronts[0], probe, got_counter, find_id=find_id) == want
     assert got_counter.pair_compares == want_counter.pair_compares
 
 
