@@ -198,9 +198,17 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
 
 def load_population(path: str, negate: Sequence[int] = ()) -> tuple[list[Solution], int]:
     """Read a population CSV (header ``id,obj_1,...,obj_M``); returns the
-    solutions in row order plus M."""
+    solutions in row order plus M.  A repeated id is an InputError naming
+    the row that repeats it."""
     m, rows = _read_rows(path, ("id",), negate)
-    return [_solution(where, row, m, negate) for where, row in rows], m
+    population, seen = [], set()
+    for where, row in rows:
+        sol = _solution(where, row, m, negate)
+        if sol.id in seen:
+            raise InputError(f"{where}: duplicate solution id {sol.id!r}")
+        seen.add(sol.id)
+        population.append(sol)
+    return population, m
 
 
 def front_set_to_doc(fs: FrontSet) -> dict:
@@ -213,14 +221,26 @@ def front_set_to_doc(fs: FrontSet) -> dict:
     }
 
 
+def _doc_solution(entry: dict) -> Solution:
+    obj = entry["obj"]
+    # JSON true and false load as bool, which is an int
+    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+        raise InputError(f"solution {entry['id']!r}: obj must be an array of numbers, got {obj!r}")
+    return Solution(str(entry["id"]), tuple(obj))
+
+
 def front_set_from_doc(doc: dict) -> FrontSet:
+    """The front set of a :func:`front_set_to_doc` document.  Unless ``m``
+    is an integer of at least 2 and every ``obj`` an array of numbers (a
+    bool is not one), it raises InputError; a repeated id or a solution of
+    the wrong M raises the :class:`FrontSet` constructor's error."""
     try:
-        m = int(doc["m"])
-        fronts = [
-            [Solution(str(entry["id"]), tuple(entry["obj"])) for entry in front]
-            for front in doc["fronts"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        m = doc["m"]
+        if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+            raise InputError(f"m must be an integer of at least 2, got {m!r}")
+        fronts = [[_doc_solution(entry) for entry in front] for front in doc["fronts"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float
         raise InputError(f"malformed front-set document: {exc}") from None
     return FrontSet(m, fronts)
 
@@ -232,8 +252,9 @@ def write_dump(fs: FrontSet, path: str) -> None:
 
 
 def read_dump(path: str) -> FrontSet:
-    """Load a dump; a repeated id or a solution of the wrong M raises the
-    :class:`FrontSet` constructor's error, prefixed with ``path``."""
+    """Load a dump; a malformed document raises InputError, and a repeated
+    id or a solution of the wrong M the :class:`FrontSet` constructor's
+    error, each prefixed with ``path``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -241,7 +262,7 @@ def read_dump(path: str) -> FrontSet:
         raise InputError(f"cannot read front-set dump {path}: {exc}") from None
     try:
         return front_set_from_doc(doc)
-    except (core.DuplicateIdError, core.DimensionMismatchError) as exc:
+    except (InputError, core.DuplicateIdError, core.DimensionMismatchError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

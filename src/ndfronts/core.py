@@ -72,9 +72,9 @@ class Counter:
     objectives the pair carries, and a :func:`dom_block` block adds one for
     every pair in it.  The only other place that counts is the front scan
     (:func:`ndfronts.linear._first_witness`): it tests a wide front in
-    numpy and a narrow one member by member, both uncounted, and then adds
-    in one place the pairs the sequential scan tests.  Reset it between
-    operations to read per-operation costs.
+    numpy and a narrow one member by member (unrolled when M is 2), both
+    uncounted, and then adds in one place the pairs the sequential scan
+    tests.  Reset it between operations to read per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -94,12 +94,13 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     dominates ``a``, 0 otherwise.
 
     Identical vectors cannot dominate each other and yield 0.  This is the
-    library's pair kernel: small :func:`dom_block` blocks, :func:`validate`
-    and :func:`check_dom` call it.  It stops as soon as each side has won a
-    coordinate.  :func:`dom_block`'s numpy path tests whole blocks of pairs
-    with the same rule, and the front scans of
+    library's reference pair kernel, for any M: small :func:`dom_block`
+    blocks, :func:`validate` and :func:`check_dom` call it.  It stops as
+    soon as each side has won a coordinate.  :func:`dom_block`'s numpy path
+    tests whole blocks of pairs with the same rule, and the front scans of
     :func:`ndfronts.linear._first_witness` apply it to one probe and a
-    front's members without a call per pair.
+    front's members without a call per pair, in numpy or member by member,
+    unrolled when M is 2.
     """
     if len(a.objectives) != len(b.objectives):
         raise DimensionMismatchError(

@@ -175,6 +175,28 @@ def test_front_set_from_doc_rejects_malformed_documents():
         front_set_from_doc({"m": 2, "fronts": [[{"id": "a"}]]})
 
 
+@pytest.mark.parametrize(
+    "m, obj",
+    [(2, "12"), (2.9, [1.0, 2.0]), (2, [True, 2]), (2, [10**400, 2])],
+    ids=["obj-string", "fractional-m", "bool-objective", "overflowing-objective"],
+)
+def test_cli_verify_rejects_a_malformed_dump_with_its_path(tmp_path, capsys, m, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"m": m, "fronts": [[{"id": "a", "obj": obj}]]}))
+    assert main(["verify", "--fs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
+def test_cli_sort_names_the_line_of_a_repeated_id(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    write_population_csv(path, ["a,1,2", "b,2,1", "", "a,3,3"])
+    assert main(["sort", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:5: duplicate solution id 'a'"]
+
+
 def test_cli_verify_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
