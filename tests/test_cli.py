@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -299,6 +300,33 @@ def test_wide_front_workload_totals_are_pinned(approach):
         widest = max(widest, *map(len, fs.fronts))
     assert widest >= core._SCAN_MIN_WIDTH
     assert total == WIDE_TOTALS[approach]
+
+
+# sha256 of the JSON of every step's compares, every lookup's (front, index)
+# and the final dump of run_workload over random_workload(seed, m, 60), seeds
+# 0-19 at M = 2, 3 and 5: where SEEDED_TOTALS pins sums, this pins each step.
+STEP_DIGESTS = {
+    "linear": "c60c68d807af249886a520649360c0284712c4545ee0052494a5f6f7019b3659",
+    "ltree": "4a94829fa1bebba8a9fed4ecce5c9f0730c2b9bec7d7751f725cea5c440532f6",
+    "rtree": "46223e4d44d29660626f6a18325cf8f15e2ed4a970966d20f5ecd77a013f4476",
+}
+
+
+@pytest.mark.parametrize("approach", sorted(STEP_DIGESTS))
+def test_seeded_workload_steps_are_pinned(approach):
+    runs = []
+    for m in (2, 3, 5):
+        for seed in range(20):
+            fs = FrontSet(m)
+            steps = run_workload(fs, random_workload(seed, m, 60), approach)["steps"]
+            runs.append(
+                {
+                    "compares": [r["compares"] for r in steps],
+                    "lookups": [[r.get("front"), r.get("index")] for r in steps if r["op"] == "lookup"],
+                    "dump": front_set_to_doc(fs),
+                }
+            )
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == STEP_DIGESTS[approach]
 
 
 def test_run_workload_delete_reshapes_levels(nine_in_four_levels):
