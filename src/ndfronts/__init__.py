@@ -28,16 +28,17 @@ from ndfronts.core import (
     dom_nature,
     validate,
 )
-from ndfronts.dbst import CmpRecord, TreeVariant, insert_tree, lookup_tree, navigate
-from ndfronts.linear import (
-    Position,
+from ndfronts.dbst import (
+    CmpRecord,
+    TreeVariant,
     delete,
-    dom_set,
     insert_linear,
+    insert_tree,
     locate_sequential,
-    update_delete,
-    update_insert,
+    lookup_tree,
+    navigate,
 )
+from ndfronts.linear import Position, dom_set, update_delete, update_insert
 from ndfronts.oracle import full_sort, same_partition
 
 __version__ = "0.1.0"

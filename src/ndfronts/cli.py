@@ -18,39 +18,38 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ndfronts import analysis, core, oracle
 from ndfronts.core import Counter, FrontSet, Solution, validate
-from ndfronts.dbst import TreeVariant, insert_tree, lookup_tree
-from ndfronts.linear import Position, delete, insert_linear, locate_sequential
+from ndfronts.dbst import TreeVariant, _delete, _insert, _locate
+from ndfronts.linear import Position
 
 
 @dataclass(frozen=True)
 class Approach:
-    """One update approach's operations, each called as ``(fs, sol, counter)``."""
+    """One update approach: the rank order its inserts search, and the one
+    its deletes and lookups search (see :class:`~ndfronts.dbst.TreeVariant`).
+    Each operation is called as ``(fs, sol, counter)``."""
 
-    insert: Callable[[FrontSet, Solution, Counter], None]
-    delete: Callable[[FrontSet, Solution, Counter], None]
-    lookup: Callable[[FrontSet, Solution, Counter], Position | None]
+    insert_order: TreeVariant
+    search_order: TreeVariant
+
+    def insert(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
+        _insert(fs, sol, self.insert_order, counter)
+
+    def delete(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
+        _delete(fs, sol, self.search_order, counter)
+
+    def lookup(self, fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
+        return _locate(fs, sol, self.search_order, counter)
 
 
+# Lookups and deletes of both tree approaches bisect with round-up midpoints.
 APPROACHES: dict[str, Approach] = {
-    "linear": Approach(
-        insert_linear,
-        lambda fs, sol, c: delete(fs, sol, "sequential", c),
-        locate_sequential,
-    ),
-    "ltree": Approach(
-        lambda fs, sol, c: insert_tree(fs, sol, TreeVariant.LEFT_BALANCED, c),
-        lambda fs, sol, c: delete(fs, sol, "tree", c),
-        lookup_tree,
-    ),
-    "rtree": Approach(
-        lambda fs, sol, c: insert_tree(fs, sol, TreeVariant.RIGHT_BALANCED, c),
-        lambda fs, sol, c: delete(fs, sol, "tree", c),
-        lookup_tree,
-    ),
+    "linear": Approach(TreeVariant.SEQUENTIAL, TreeVariant.SEQUENTIAL),
+    "ltree": Approach(TreeVariant.LEFT_BALANCED, TreeVariant.LEFT_BALANCED),
+    "rtree": Approach(TreeVariant.RIGHT_BALANCED, TreeVariant.LEFT_BALANCED),
 }
 
 SCENARIOS = ("chain", "antichain", "equal-fronts", "worst-two-front")
@@ -88,27 +87,32 @@ Step = Union[InsertStep, DeleteStep, LookupStep]
 @dataclass
 class Workload:
     """Ordered steps over one front set; ids referenced by delete/lookup must
-    be live at that point (previously inserted or preloaded, not deleted)."""
+    be live at that point (previously inserted or preloaded, not deleted).
+    ``where`` holds each step's ``path:line`` when the steps come from a file."""
 
     m: int
     steps: list[Step]
+    where: list[str] | None = None
 
 
 def check_workload(workload: Workload, initial_ids: Iterable[str] = ()) -> None:
-    """Raise InputError unless every delete/lookup references a live id."""
+    """Raise InputError unless every delete/lookup references a live id and
+    no insert repeats one; the error names the step's ``path:line``, or
+    ``step N`` when the workload has no file."""
     live = set(initial_ids)
     for num, step in enumerate(workload.steps, 1):
+        at = workload.where[num - 1] if workload.where else f"step {num}"
         if isinstance(step, InsertStep):
             if step.solution.id in live:
-                raise InputError(f"step {num}: insert of already-live id {step.solution.id!r}")
+                raise InputError(f"{at}: insert of already-live id {step.solution.id!r}")
             live.add(step.solution.id)
         elif isinstance(step, DeleteStep):
             if step.id not in live:
-                raise InputError(f"step {num}: delete of unknown id {step.id!r}")
+                raise InputError(f"{at}: delete of unknown id {step.id!r}")
             live.discard(step.id)
         else:
             if step.id not in live:
-                raise InputError(f"step {num}: lookup of unknown id {step.id!r}")
+                raise InputError(f"{at}: lookup of unknown id {step.id!r}")
 
 
 def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int = 40) -> Workload:
@@ -190,7 +194,7 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
             steps.append(LookupStep(row[1].strip()))
         else:
             raise InputError(f"{where}: unknown op {op!r}")
-    return Workload(m, steps)
+    return Workload(m, steps, [where for where, _ in rows])
 
 
 # ---------------------------------------------------------------------------

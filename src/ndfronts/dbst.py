@@ -1,9 +1,13 @@
-"""Dominance binary search over the ordered front list.
+"""The rank search: where a probe belongs among the ordered fronts, and the
+insert, locate and delete built on it.
 
-The "tree" is pure index arithmetic over front ranks: a node is a front,
-its left subtree holds better (lower) ranks, its right subtree worse ones.
-Nothing is materialized; a navigation leaves behind only its comparison
-trace, at most floor(log2 K) + 1 records long.
+The approaches differ only in the order in which the search probes the
+front ranks.  :attr:`TreeVariant.SEQUENTIAL` probes them best-first.  The
+two bisection orders binary-search them, and their "tree" is pure index
+arithmetic over front ranks: a node is a front, its left subtree holds
+better (lower) ranks, its right subtree worse ones.  Nothing is
+materialized; a navigation leaves behind only its comparison trace, at
+most floor(log2 K) + 1 records long.
 """
 
 from __future__ import annotations
@@ -11,21 +15,22 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from ndfronts.core import Counter, FrontSet, Solution
-from ndfronts.linear import (
-    Position,
-    _first_witness,
-    _settle,
-    insert_linear,
-    locate_sequential,
-)
+from ndfronts.core import Counter, FrontSet, MissingSolutionError, Solution
+from ndfronts.linear import Position, _first_witness, _settle, update_delete
 
 
 class TreeVariant(Enum):
-    """How the root of a rank range is picked when bisecting."""
+    """The order in which a search probes the front ranks."""
 
-    LEFT_BALANCED = "left"  # midpoint rounds up; left children fill first
-    RIGHT_BALANCED = "right"  # midpoint rounds down; right children fill first
+    SEQUENTIAL = "sequential"  # best-first, the linear approach's scan
+    LEFT_BALANCED = "left"  # bisection; midpoint rounds up, left children fill first
+    RIGHT_BALANCED = "right"  # bisection; midpoint rounds down, right children fill first
+
+
+# Every linear operation reads this member twice.  On CPython 3.11, reading
+# it as ``TreeVariant.SEQUENTIAL`` goes through the enum metaclass's
+# ``__getattr__`` and costs about 0.1 us; a module global costs a tenth.
+_SEQUENTIAL = TreeVariant.SEQUENTIAL
 
 
 class CmpRecord(NamedTuple):
@@ -47,63 +52,140 @@ class CmpRecord(NamedTuple):
 def navigate(
     fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter, *, find_id: bool = True
 ) -> list[CmpRecord]:
-    """Binary-search the front ranks for where ``new`` belongs.
+    """Binary-search the front ranks for where ``new`` belongs, in one of
+    the two bisection orders.
 
     At each probed front, solutions are scanned in order: a dominating
     witness sends the search left (better ranks), a dominated witness right
-    (worse ranks, when the variant still has a right range), and
-    non-domination with the whole front goes left.  A member with ``new``'s
-    id ends the search (lookups); an insert, whose probe's id is never
-    stored, passes ``find_id=False`` to skip that search (see
-    :func:`~ndfronts.linear._first_witness`).  Requires K >= 2; with a
-    single front the linear path applies.
+    (worse ranks), and non-domination with the whole front goes left; the
+    search ends when that side's range is empty, so it probes nothing when
+    ``fs`` has no fronts.  A member with ``new``'s id ends the search
+    (lookups); an insert, whose probe's id is never stored, passes
+    ``find_id=False`` to skip that search (see
+    :func:`~ndfronts.linear._first_witness`).
     """
-    if fs.k < 2:
-        raise ValueError("navigation needs at least 2 fronts; use the linear path")
-    # Round-up midpoints always leave a left range and round-down ones a right
-    # range, so a leaf (lo == hi) is just a midpoint with neither.
     bias = 1 if variant is TreeVariant.LEFT_BALANCED else 0
     trace: list[CmpRecord] = []
     lo, hi = 1, fs.k
-    while True:
+    while lo <= hi:
         mid = (lo + hi + bias) // 2
         nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter, find_id=find_id)
         trace.append(CmpRecord(nat, mid, pos))
-        if nat == -1 and mid != hi:
+        if nat == -1:
             lo = mid + 1
-        elif (nat == 1 or not pos) and mid != lo:
+        elif nat == 1 or not pos:
             hi = mid - 1
         else:
-            return trace
+            break
+    return trace
+
+
+def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter, find_id: bool) -> tuple[int, int, int]:
+    """The probe that decides where ``probe`` belongs when the fronts are
+    searched in ``order``: its nature, rank and position (see
+    :func:`~ndfronts.linear._first_witness`) at the best rank where no
+    member dominates ``probe``, or ``(0, K + 1, 0)`` when every front has
+    such a member.
+
+    The sequential order is a plain loop that builds no trace: the linear
+    approach probes every front above the decision, and a record per probe
+    would slow it down.  The bisection orders run :func:`navigate`, where a
+    record that is not dominated moves the search to strictly better ranks,
+    so the last such record decides.
+    """
+    if order is _SEQUENTIAL:
+        for rank, front in enumerate(fs.fronts, 1):
+            nat, pos = _first_witness(fs, front, probe, counter, find_id=find_id)
+            if nat != -1:
+                return nat, rank, pos
+        return 0, fs.k + 1, 0
+    for rec in reversed(navigate(fs, probe, order, counter, find_id=find_id)):
+        if rec.dom != -1:
+            return rec
+    return 0, fs.k + 1, 0
+
+
+def _insert(fs: FrontSet, new: Solution, order: TreeVariant, counter: Counter) -> None:
+    """Insert ``new`` at the rank the search in ``order`` decides, where
+    :func:`~ndfronts.linear._settle` stores it.  Every order produces the
+    same partition; only the comparison counts differ."""
+    fs.admit(new)
+    nat, rank, pos = _search(fs, new, order, counter, False)
+    _settle(fs, rank, nat, pos, new, counter)
+
+
+def _locate(fs: FrontSet, sol: Solution, order: TreeVariant, counter: Counter) -> Position | None:
+    """The position of the stored solution with ``sol``'s id, searched in
+    ``order``, or None when it is not stored.
+
+    ``sol``'s vector only steers.  A front with a member dominating ``sol``
+    is better than the target's.  The deciding front has none, so every
+    member ahead of the target there is non-dominated with it, and the scan
+    either reaches the id or proves it absent.
+    """
+    nat, rank, pos = _search(fs, sol, order, counter, True)
+    return Position(rank, pos) if nat == 0 and pos else None
+
+
+def _delete(fs: FrontSet, sol: Solution, order: TreeVariant, counter: Counter) -> None:
+    """Remove the stored solution with ``sol``'s id, located in ``order``,
+    and restore validity; see :func:`delete`."""
+    pos = _locate(fs, sol, order, counter)
+    if pos is None:
+        raise MissingSolutionError(sol.id)
+    if fs.remove(pos.f_index, pos.s_index) and pos.f_index < len(fs.fronts):
+        update_delete(fs, pos.f_index, counter)
+
+
+def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
+    """Insert ``new`` by scanning fronts best-first.
+
+    Per front: a solution dominating ``new`` sends it to the next front after
+    one witness; ``new`` dominating a solution triggers collection of every
+    dominated member and a downward cascade; non-domination with the whole
+    front merges ``new`` there.  Dominated by all fronts, it becomes the new
+    last front.
+    """
+    _insert(fs, new, _SEQUENTIAL, counter)
 
 
 def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter) -> None:
     """Insert ``new`` using binary-search navigation to find its rank.
 
-    With fewer than two fronts this is exactly the linear insertion.  The
-    final partition always equals what :func:`ndfronts.linear.insert_linear`
-    produces on the same input; only the comparison counts differ.
+    The final partition always equals what :func:`insert_linear` produces on
+    the same input; only the comparison counts differ.
     """
-    if fs.k < 2:
-        insert_linear(fs, new, counter)
-        return
-    fs.admit(new)
-    trace = navigate(fs, new, variant, counter, find_id=False)
-    # Every record that is not dominated moves the search to strictly better
-    # ranks, so the last such record is the best rank where no front member
-    # dominates ``new``; without one, ``new`` is dominated by every front.
-    rec = next((r for r in reversed(trace) if r.dom != -1), CmpRecord(0, fs.k + 1, 0))
-    _settle(fs, rec.f_index, rec.dom, rec.s_index, new, counter)
+    _insert(fs, new, variant, counter)
+
+
+def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
+    """Front-by-front scan for the stored solution with ``sol``'s id."""
+    return _locate(fs, sol, _SEQUENTIAL, counter)
 
 
 def lookup_tree(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
     """Binary-search the fronts for the stored solution with ``sol``'s id.
 
-    ``sol``'s vector only steers the left-balanced :func:`navigate`, which
-    stops at the member with ``sol``'s id; the last trace record holds the
-    answer.  With fewer than two fronts this is the sequential scan.
+    Lookups always bisect with round-up midpoints, whichever variant the
+    inserts use; the pinned counts depend on it.
     """
-    if fs.k < 2:
-        return locate_sequential(fs, sol, counter)
-    last = navigate(fs, sol, TreeVariant.LEFT_BALANCED, counter)[-1]
-    return Position(last.f_index, last.s_index) if last.dom == 0 and last.s_index else None
+    return _locate(fs, sol, TreeVariant.LEFT_BALANCED, counter)
+
+
+def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None:
+    """Remove the stored solution with ``sol``'s id and restore validity.
+
+    ``strategy`` picks the search: ``"sequential"`` scans fronts in order,
+    ``"tree"`` binary-searches over front ranks as :func:`lookup_tree` does;
+    an id it does not find raises
+    :class:`~ndfronts.core.MissingSolutionError`.  The solution then leaves
+    its front and the id index through
+    :meth:`~ndfronts.core.FrontSet.remove`.  Deleting from the last front
+    costs nothing further; an emptied front is dropped outright and lower
+    ranks renumber; otherwise the promotion cascade runs from the source
+    front.
+    """
+    order = {"sequential": TreeVariant.SEQUENTIAL, "tree": TreeVariant.LEFT_BALANCED}.get(strategy)
+    if order is None:
+        raise ValueError(f"unknown delete strategy {strategy!r}")
+    _delete(fs, sol, order, counter)

@@ -1,11 +1,13 @@
-"""Linear-scan maintenance of non-domination levels.
+"""The front scan and the update rules that every approach shares.
 
-Insertion walks the fronts best-first until the new solution settles;
-deletion locates its target, removes it, and promotes solutions upward.
-No solution is ever held in two places at once: displaced sets are moved,
-not copied, so the only working storage is the set currently in flight.
-Comparisons stop at the first deciding witness exactly where the update
-rules allow, which makes counter values reproducible run over run.
+:func:`_first_witness` probes one front for a solution's place;
+:mod:`ndfronts.dbst` decides which fronts it probes.  :func:`_settle`
+stores a new solution where the search put it, and the insert and delete
+cascades restore the partition below it.  No solution is ever held in two
+places at once: displaced sets are moved, not copied, so the only working
+storage is the set currently in flight.  Comparisons stop at the first
+deciding witness exactly where the update rules allow, which makes counter
+values reproducible run over run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from ndfronts.core import (
     Counter,
     DimensionMismatchError,
     FrontSet,
-    MissingSolutionError,
     Solution,
     _dom_block,
     dom_block,
@@ -264,41 +265,6 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
         _cascade_insert(fs, displaced, index + 1, counter)
 
 
-def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
-    """Insert ``new`` by scanning fronts best-first.
-
-    Per front: a solution dominating ``new`` sends it to the next front after
-    one witness; ``new`` dominating a solution triggers collection of every
-    dominated member and a downward cascade; non-domination with the whole
-    front merges ``new`` there.  Dominated by all fronts, it becomes the new
-    last front.
-    """
-    fs.admit(new)
-    for index, front in enumerate(fs.fronts, 1):
-        nat, pos = _first_witness(fs, front, new, counter, find_id=False)
-        if nat != -1:
-            break
-    else:
-        index, nat, pos = len(fs.fronts) + 1, 0, 0
-    _settle(fs, index, nat, pos, new, counter)
-
-
-def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-    """Front-by-front scan for the stored solution with ``sol``'s id.
-
-    ``sol``'s vector only steers.  A front with a member dominating ``sol``
-    is better than the target's, so the scan moves on after that one
-    witness.  The first front without one decides: every member ahead of
-    the target there is non-dominated with it, so the scan either reaches
-    the id or proves it absent.
-    """
-    for f_index, front in enumerate(fs.fronts, 1):
-        nat, pos = _first_witness(fs, front, sol, counter)
-        if nat != -1:
-            return Position(f_index, pos) if nat == 0 and pos else None
-    return None
-
-
 def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     """Promote into front ``index`` every next-front member that is
     non-dominated with its pre-promotion occupants, continuing downward
@@ -319,30 +285,3 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
             return
         fs.fronts[index] = kept
         index += 1
-
-
-def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None:
-    """Remove the stored solution with ``sol``'s id and restore validity.
-
-    ``strategy`` picks the search: ``"sequential"`` scans fronts in order,
-    ``"tree"`` binary-searches over front ranks; an id it does not find
-    raises :class:`~ndfronts.core.MissingSolutionError`.  The solution then
-    leaves its front and the id index through
-    :meth:`~ndfronts.core.FrontSet.remove`.  Deleting from the last front
-    costs nothing further; an emptied front is dropped outright and lower
-    ranks renumber; otherwise the promotion cascade runs from the source
-    front.
-    """
-    if strategy == "sequential":
-        pos = locate_sequential(fs, sol, counter)
-    elif strategy == "tree":
-        from ndfronts.dbst import lookup_tree  # deferred: dbst builds on this module
-
-        pos = lookup_tree(fs, sol, counter)
-    else:
-        raise ValueError(f"unknown delete strategy {strategy!r}")
-    if pos is None:
-        raise MissingSolutionError(sol.id)
-
-    if fs.remove(pos.f_index, pos.s_index) and pos.f_index < len(fs.fronts):
-        update_delete(fs, pos.f_index, counter)

@@ -126,6 +126,28 @@ def test_a_workload_row_with_no_id_cell_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: missing id"]
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("delete,b,,", "delete of unknown id 'b'"),
+        ("lookup,b,,", "lookup of unknown id 'b'"),
+        ("insert,a,3,3", "insert of already-live id 'a'"),
+    ],
+    ids=["delete", "lookup", "repeated-insert"],
+)
+def test_a_dead_reference_names_its_file_and_line(tmp_path, capsys, row, message):
+    from ndfronts.cli import Workload
+
+    path = tmp_path / "w.csv"
+    path.write_text(f"op,id,obj_1,obj_2\ninsert,a,1,2\n\n{row}\n")
+    assert main(["run", "--workload", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:4: {message}"]
+    # the same steps built in code, as seeded workloads are, are named by number
+    workload = load_workload(str(path))
+    with pytest.raises(InputError, match=f"^step 2: {message}$"):
+        check_workload(Workload(workload.m, workload.steps))
+
+
 def test_load_workload_negate_applies_to_inserts(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")

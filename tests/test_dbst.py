@@ -20,6 +20,7 @@ from ndfronts import (
     gen_equal_fronts,
     insert_linear,
     insert_tree,
+    locate_sequential,
     lookup_tree,
     navigate,
     same_partition,
@@ -53,10 +54,29 @@ def staircase_front_set(rng, k, max_width):
 
 # --- navigate ----------------------------------------------------------------
 
-def test_navigate_requires_two_fronts():
-    fs = FrontSet(2, [[s("a", 1, 1)]])
-    with pytest.raises(ValueError):
-        navigate(fs, s("n", 2, 2), LEFT, Counter())
+def test_navigate_on_no_fronts_and_tree_searches_on_one_front():
+    c = Counter()
+    for variant in (LEFT, RIGHT):
+        assert navigate(FrontSet(2), s("n", 2, 2), variant, c) == []
+    assert c.pair_compares == 0
+    # at K = 1 each bisection order makes the sequential scan's single probe
+    front = [s(f"a{i}", i, 6 - i) for i in range(1, 6)]
+
+    def ids(fs):
+        return [[sol.id for sol in f] for f in fs.fronts]
+
+    for probe in (s("below", 9, 9), s("above", 0, 0), s("merges", 0.5, 6.5), s("splits", 2.5, 2.5)):
+        want_fs, want = FrontSet(2, [list(front)]), Counter()
+        insert_linear(want_fs, probe, want)
+        for variant in (LEFT, RIGHT):
+            got_fs, got = FrontSet(2, [list(front)]), Counter()
+            insert_tree(got_fs, probe, variant, got)
+            assert (ids(got_fs), got.pair_compares) == (ids(want_fs), want.pair_compares), (probe.id, variant)
+    fs = FrontSet(2, [list(front)])
+    for sol in front + [s("absent", 0.5, 6.5), s("dominated", 9, 9)]:
+        want, got = Counter(), Counter()
+        assert lookup_tree(fs, sol, got) == locate_sequential(fs, sol, want)
+        assert got.pair_compares == want.pair_compares, sol.id
 
 
 def test_navigate_left_visits_descending_right_spine():
