@@ -481,9 +481,6 @@ def _render(doc: dict, fmt: str, out=None) -> None:
             f"total: {doc['total_compares']} pair comparisons, "
             f"{doc['final_solutions']} solutions in {doc['final_fronts']} fronts\n"
         )
-    else:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
@@ -573,18 +570,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_negate: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--approach", choices=APPROACHES, default="linear")
         p.add_argument("--check", action="store_true", help="validate after every mutation")
         p.add_argument("--report", choices=("text", "json"), default="text")
-        if with_negate:
-            p.add_argument(
-                "--negate",
-                type=_parse_cols,
-                default=(),
-                metavar="COLS",
-                help="comma-separated 1-based objective columns to negate at ingestion",
-            )
+        p.add_argument(
+            "--negate",
+            type=_parse_cols,
+            default=(),
+            metavar="COLS",
+            help="comma-separated 1-based objective columns to negate at ingestion",
+        )
 
     p_sort = sub.add_parser("sort", help="online-sort a CSV population in arrival order")
     p_sort.add_argument("--input", required=True, help="population CSV (id,obj_1,...,obj_M)")

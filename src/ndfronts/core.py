@@ -157,14 +157,7 @@ def _dom_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a_wins.view(np.int8) - b_wins.view(np.int8)
 
 
-def dom_block(
-    peers: list[Solution],
-    members: list[Solution],
-    counter: Counter,
-    *,
-    peer_cols: np.ndarray | None = None,
-    member_cols: np.ndarray | None = None,
-) -> np.ndarray:
+def dom_block(peers: list[Solution], members: list[Solution], counter: Counter) -> np.ndarray:
     """:func:`dom_nature` of every (peer, member) pair, as a
     ``len(peers) x len(members)`` int8 array.
 
@@ -173,16 +166,8 @@ def dom_block(
     raise :class:`DimensionMismatchError` before anything is counted.  Small
     blocks run the :func:`dom_nature` loop, larger ones one numpy comparison
     per objective.
-
-    ``peer_cols`` and ``member_cols`` may give a side's objectives as an
-    ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
-    such as a front's stored record (see :class:`FrontSet`), a slice of it,
-    or columns a cascade carried from its previous step.  The block then
-    reads them instead of building an array from the members' tuples, and
-    checks that side's M by the array's shape alone: such an array was
-    built by :func:`_cols`, which admits only members of its M.
     """
-    return _dom_block(peers, members, counter, peer_cols, member_cols)[0]
+    return _dom_block(peers, members, counter, None, None)[0]
 
 
 def _dom_block(
@@ -194,7 +179,16 @@ def _dom_block(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`dom_block`'s codes, and the member columns its numpy path
     read, given or built; None when the block ran the :func:`dom_nature`
-    loop.  A cascade step carries a slice of them to its next step."""
+    loop.  A cascade step carries a slice of them to its next step.
+
+    ``peer_cols`` and ``member_cols`` may give a side's objectives as an
+    ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
+    such as a front's stored record (see :class:`FrontSet`), a slice of it,
+    or columns a cascade carried from its previous step.  The block then
+    reads them instead of building an array from the members' tuples, and
+    checks that side's M by the array's shape alone: such an array was
+    built by :func:`_cols`, which admits only members of its M.
+    """
     if not peers or not members:
         return np.zeros((len(peers), len(members)), dtype=np.int8), None
     m = len(peers[0].objectives)
@@ -235,7 +229,7 @@ _SCAN_MIN_WIDTH = 96
 class _Columns:
     """Objective array of one wide front: column ``j`` of :attr:`cols`
     holds ``members[j]``'s objectives and ``ids[j]`` its id.  Probe scans
-    and the cascades' :func:`dom_block` tests read :attr:`cols` (or a slice
+    and the cascade's :func:`dom_block` tests read :attr:`cols` (or a slice
     of it) directly; every member has the array's M, so its shape alone
     answers a dimension check.
 
@@ -385,9 +379,9 @@ class FrontSet:
         return kept
 
     def _columns(self, front: list[Solution]) -> _Columns | None:
-        """The objective array of ``front``, a front of this set (or a
-        displaced set about to become one), or None when ``front`` is
-        narrower than ``_SCAN_MIN_WIDTH`` or a member's M is not the set's.
+        """The objective array of ``front``, a front of this set, or None
+        when ``front`` is narrower than ``_SCAN_MIN_WIDTH`` or a member's M
+        is not the set's.
         This is the only way to read a record: one whose members are not
         ``front`` is stale and is built afresh from the members' tuples."""
         if len(front) < _SCAN_MIN_WIDTH:

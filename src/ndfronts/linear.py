@@ -2,12 +2,13 @@
 
 :func:`_first_witness` probes one front for a solution's place;
 :mod:`ndfronts.dbst` decides which fronts it probes.  :func:`_settle`
-stores a new solution where the search put it, and the insert and delete
-cascades restore the partition below it.  No solution is ever held in two
-places at once: displaced sets are moved, not copied, so the only working
-storage is the set currently in flight.  Comparisons stop at the first
-deciding witness exactly where the update rules allow, which makes counter
-values reproducible run over run.
+stores a new solution where the search put it, and one cascade,
+:func:`_cascade`, restores the partition below it after an insert and
+after a delete.  No solution is ever held in two places at once:
+displaced sets are moved, not copied, so the only working storage is the
+set currently in flight.  Comparisons stop at the first deciding witness
+exactly where the update rules allow, which makes counter values
+reproducible run over run.
 """
 
 from __future__ import annotations
@@ -150,54 +151,21 @@ def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, coun
     tail_cols = None if rec is None else rec.cols[:, start - 1 :]
     stays = np.empty(len(front), dtype=bool)
     stays[: start - 1] = True
-    codes = dom_block([new], front[start - 1 :], counter, member_cols=tail_cols)
+    codes = _dom_block([new], front[start - 1 :], counter, None, tail_cols)[0]
     np.not_equal(codes[0], 1, out=stays[start - 1 :])
     return stays
-
-
-def _sweep(
-    fs: FrontSet, group: list[Solution], front: list[Solution], counter: Counter, group_cols: np.ndarray | None = None
-) -> tuple[list[Solution], np.ndarray | None]:
-    """Move to ``group`` every member of ``front`` that is non-dominated with
-    all of ``group``'s current members; return the other members in order,
-    as ``front`` itself when none moved (see
-    :meth:`~ndfronts.core.FrontSet._move`), and their columns when the
-    block had ``front``'s, else None.
-
-    Members appended here come from one front and need no mutual checks.
-    The sweep is one ``len(group) x len(front)``
-    :func:`~ndfronts.core.dom_block` test against ``group`` as it was on
-    entry, with no early exit: it always costs ``len(group) * len(front)``
-    comparisons, which the closed-form worst cases in
-    :mod:`ndfronts.analysis` count on.  ``group`` is a front of ``fs`` or
-    an insert cascade's displaced set, which becomes one in the same step.
-
-    The block reads each side's record (see
-    :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  Otherwise
-    it reads ``group_cols``, the columns the previous step returned for
-    ``group``, or builds them from the tuples.  The members that stay are
-    the next step's group, so returning their columns lets a cascade read
-    each front's tuples at most once.
-    """
-    group_rec, front_rec = fs._columns(group), fs._columns(front)
-    if group_rec is not None:
-        group_cols = group_rec.cols
-    codes, front_cols = _dom_block(group, front, counter, group_cols, None if front_rec is None else front_rec.cols)
-    stays = codes.any(axis=0)
-    kept = fs._move(front, stays, group)
-    return kept, None if front_cols is None or kept is front else front_cols.compress(stays, axis=1)
 
 
 def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
     """Settle a displaced set of new solutions at rank ``index``, cascading
     leftovers downward.
 
-    Members of the front at ``index`` that are non-dominated with every
-    displaced solution join them at this rank; the rest sink one rank and the
-    cascade moves down.  Past the last front the displaced set simply becomes
-    the new last front.  ``displaced`` must be a non-empty antichain of new
-    solutions with the set's M and distinct ids, and ``index`` must lie in
-    2..K+1; anything else raises before a comparison is counted or a solution
+    The displaced set becomes the front at ``index``, and :func:`_cascade`
+    lifts into it every member of the front below that is non-dominated
+    with all of it; the rest stay one rank lower and the cascade moves
+    down.  ``displaced`` must be a non-empty antichain of new solutions
+    with the set's M and distinct ids, and ``index`` must lie in 2..K+1;
+    anything else raises before a comparison is counted or a solution
     moved.  The antichain check is uncounted, so inserts skip it: their
     displaced sets are carved out of one front.
     """
@@ -210,29 +178,8 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         a, b = displaced[rows[0]], displaced[cols[0]]
         raise ContractViolationError(f"displaced set is internally dominated: {a.id!r} vs {b.id!r}")
     fs.admit(*displaced)
-    _cascade_insert(fs, displaced, index, counter)
-
-
-def _cascade_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
-    """The cascade of :func:`update_insert`, for a displaced antichain that
-    is already indexed; runs no dominance test it does not count.  The
-    members a step leaves behind are the next displaced set, and their
-    columns, when the step's block had them, go with them (see
-    :func:`_sweep`)."""
-    cols = None
-    while index <= len(fs.fronts):
-        front = fs.fronts[index - 1]
-        kept, cols = _sweep(fs, displaced, front, counter, cols)
-        if kept is front:
-            # nothing promoted: the displaced set takes this rank, all lower fronts shift
-            fs.fronts.insert(index - 1, displaced)
-            return
-        fs.fronts[index - 1] = displaced
-        if not kept:
-            return
-        displaced = kept
-        index += 1
-    fs.fronts.append(displaced)
+    fs.fronts.insert(index - 1, displaced)
+    _cascade(fs, index, counter)
 
 
 def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter: Counter) -> None:
@@ -244,7 +191,9 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     displaced together with every later member ``new`` dominates: one
     :func:`dom_set` mask, with the witness's flag cleared, moves them all
     out of the front in one :meth:`~ndfronts.core.FrontSet._move`, and the
-    displaced set is pushed down.
+    displaced set becomes the next front.  When ``new`` dominated its whole
+    front, every rank below simply shifts by one; otherwise
+    :func:`_cascade` settles the displaced set.
     """
     if index > len(fs.fronts):
         fs.fronts.append([new])
@@ -258,30 +207,50 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     displaced: list[Solution] = []
     front = fs.fronts[index - 1] = fs._move(front, stays, displaced)
     fs._append(front, new)
-    if len(front) == 1:
-        # the new solution dominated its whole front: ranks below shift by one as-is
-        fs.fronts.insert(index, displaced)
-    else:
-        _cascade_insert(fs, displaced, index + 1, counter)
+    fs.fronts.insert(index, displaced)
+    if len(front) > 1:
+        _cascade(fs, index + 1, counter)
 
 
 def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
-    """Promote into front ``index`` every next-front member that is
-    non-dominated with its pre-promotion occupants, continuing downward
-    while the promotions keep opening holes.  The members a step leaves in
-    the next front are the next step's occupants, and their columns, when
-    the step's block had them, go with them (see :func:`_sweep`)."""
+    """Restore the partition below front ``index`` after a member left it:
+    :func:`_cascade` from that rank."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
+    _cascade(fs, index, counter)
+
+
+def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
+    """Move into front ``index`` every member of the next front that is
+    non-dominated with all of its members on entry, and go on one rank
+    down while a step promotes something and leaves the next front
+    non-empty; a front emptied this way is popped, and ranks below
+    collapse by one.
+
+    Members promoted in one step come from one front and need no mutual
+    checks.  A step is one ``len(upper) x len(lower)``
+    :func:`~ndfronts.core.dom_block` test, with no early exit: it always
+    costs that many comparisons, which the closed-form worst cases in
+    :mod:`ndfronts.analysis` count on.  The block reads each side's record
+    (see :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  The
+    members a step leaves in the lower front are the next step's upper
+    front, so the step carries the columns its block read for them, and a
+    cascade builds each front's array from tuples at most once.
+    """
     cols = None
     while index < len(fs.fronts):
-        front = fs.fronts[index]
-        kept, cols = _sweep(fs, fs.fronts[index - 1], front, counter, cols)
+        upper, lower = fs.fronts[index - 1], fs.fronts[index]
+        upper_rec, lower_rec = fs._columns(upper), fs._columns(lower)
+        if upper_rec is not None:
+            cols = upper_rec.cols
+        codes, lower_cols = _dom_block(upper, lower, counter, cols, None if lower_rec is None else lower_rec.cols)
+        stays = codes.any(axis=0)
+        kept = fs._move(lower, stays, upper)
+        if kept is lower:
+            return
         if not kept:
-            # the whole next front moved up; ranks below collapse by one
             fs.fronts.pop(index)
             return
-        if kept is front:
-            return
         fs.fronts[index] = kept
+        cols = None if lower_cols is None else lower_cols.compress(stays, axis=1)
         index += 1

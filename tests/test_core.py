@@ -175,7 +175,7 @@ def test_dom_block_reads_record_columns_exactly_as_tuples(block, given_side):
     want_counter, got_counter = Counter(), Counter()
     want = dom_block(peers, members, want_counter)
     with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
-        got = dom_block(peers, members, got_counter, peer_cols=peer_cols, member_cols=member_cols)
+        got = core._dom_block(peers, members, got_counter, peer_cols, member_cols)[0]
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got_counter.pair_compares == want_counter.pair_compares == len(peers) * len(members)
     if numpy_path.called:  # a side given as columns is read, not rebuilt
@@ -189,11 +189,11 @@ def test_dom_block_checks_a_columns_side_by_its_shape():
     odd = [Solution("odd", (1, 2, 3))]
     c = Counter()
     with pytest.raises(DimensionMismatchError):
-        dom_block(odd, members, c, member_cols=cols)
+        core._dom_block(odd, members, c, None, cols)
     with pytest.raises(DimensionMismatchError):
-        dom_block(members, odd, c, peer_cols=cols)
+        core._dom_block(members, odd, c, cols, None)
     with pytest.raises(DimensionMismatchError):
-        dom_block(odd, members, c, peer_cols=_record_of(odd, 3).cols, member_cols=cols)
+        core._dom_block(odd, members, c, _record_of(odd, 3).cols, cols)
     assert c.pair_compares == 0
 
 

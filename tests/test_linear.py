@@ -412,8 +412,8 @@ def test_insert_cascade_through_thousands_of_levels():
 
 def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel tests, in each ``ndfronts``
-    namespace that binds the kernel, and record the entry width of every
-    insert cascade (``linear._cascade_insert``).  A ``dom_nature`` call is
+    namespace that binds the kernel, and record the width of the front
+    every cascade (``linear._cascade``) starts from.  A ``dom_nature`` call is
     one pair; a block on ``dom_block``'s numpy path is the product of its
     two column arrays' widths; a front scan, numpy
     (``linear._scan_columns``) or member by member
@@ -451,12 +451,12 @@ def _audit_kernel(monkeypatch):
     for name, width in scans.items():
         monkeypatch.setattr(ndfronts.linear, name, counted_scan(getattr(ndfronts.linear, name), width))
 
-    def recorded(fs, displaced, index, counter):
-        widths.append(len(displaced))
-        return cascade(fs, displaced, index, counter)
+    def recorded(fs, index, counter):
+        widths.append(len(fs.fronts[index - 1]))
+        return cascade(fs, index, counter)
 
-    cascade = ndfronts.linear._cascade_insert
-    monkeypatch.setattr(ndfronts.linear, "_cascade_insert", recorded)
+    cascade = ndfronts.linear._cascade
+    monkeypatch.setattr(ndfronts.linear, "_cascade", recorded)
     wrappers = {
         "dom_nature": counted(ndfronts.dom_nature),
         "check_dom": counted(ndfronts.check_dom),
@@ -522,7 +522,7 @@ def test_delete_cascade_kernel_calls_are_all_counted(monkeypatch, approach):
     c = Counter()
     APPROACHES[approach].delete(fs, xs[0], c)
     assert fs.level_ids()[-1] == {f"y{k}"}  # the cascade reached the last rank
-    assert widths == []
+    assert widths == [1]
     assert calls[0] == c.pair_compares
 
 
@@ -544,11 +544,41 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     APPROACHES[approach].delete(fs, pop[n1 - 1], c)
     # the whole lower front is one block against the survivors of the upper one
     assert blocks == [(n1 - 1, 100 - n1)]
-    assert widths == []
+    assert widths == [n1 - 1]
     assert calls[0] == c.pair_compares
     if approach == "linear":
         assert c.pair_compares == 2501
     assert same_partition(fs, full_sort(pop[: n1 - 1] + pop[n1:]))
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_only_a_delete_cascade_goes_through_update_delete(monkeypatch, approach, op):
+    # the tracer's update_delete span must time deletes only
+    k = 6
+    fronts = _column_ladder(k)
+    fs = FrontSet(2, [list(front) for front in fronts])
+    entered = []  # the rank update_delete is called with, per call
+    entry = ndfronts.linear.update_delete
+
+    def counted(*args):
+        entered.append(args[1])
+        return entry(*args)
+
+    for module in (ndfronts.linear, ndfronts.dbst):
+        monkeypatch.setattr(module, "update_delete", counted)
+    started = []  # the rank each cascade starts from
+    cascade = ndfronts.linear._cascade
+    monkeypatch.setattr(ndfronts.linear, "_cascade", lambda *args: started.append(args[1]) or cascade(*args))
+    if op == "insert":
+        APPROACHES[approach].insert(fs, s("probe", -2, 10_000.5), Counter())  # displaces both x of rank 1
+        assert fs.k == k + 1
+        assert (started, entered) == ([2], [])
+    else:
+        APPROACHES[approach].delete(fs, fronts[0][-1], Counter())  # y1: each y moves up one rank
+        assert fs.level_ids()[-1] == {"xa6", "xb6"}
+        assert (started, entered) == ([1], [1])
+    assert validate(fs) == []
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
