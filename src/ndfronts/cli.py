@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from ndfronts import analysis, core, oracle
 from ndfronts.core import Counter, FrontSet, Solution, validate
@@ -30,7 +30,8 @@ from ndfronts.linear import Position
 class Approach:
     """One update approach: the rank order its inserts search, and the one
     its deletes and lookups search (see :class:`~ndfronts.dbst.TreeVariant`).
-    Each operation is called as ``(fs, sol, counter)``."""
+    Each operation is called as ``(fs, sol, counter)``, and a workload
+    :class:`Step`'s ``op`` names the one to call."""
 
     insert_order: TreeVariant
     search_order: TreeVariant
@@ -66,22 +67,14 @@ class CheckFailedError(AssertionError):
 # ---------------------------------------------------------------------------
 # workloads
 
-@dataclass(frozen=True)
-class InsertStep:
-    solution: Solution
+class Step(NamedTuple):
+    """One workload step: the :class:`Approach` method ``op`` (``insert``,
+    ``delete`` or ``lookup``) applied to the solution with ``id``.  Only an
+    insert carries its ``solution``; the others act on the live one."""
 
-
-@dataclass(frozen=True)
-class DeleteStep:
+    op: str
     id: str
-
-
-@dataclass(frozen=True)
-class LookupStep:
-    id: str
-
-
-Step = Union[InsertStep, DeleteStep, LookupStep]
+    solution: Solution | None = None
 
 
 @dataclass
@@ -102,17 +95,14 @@ def check_workload(workload: Workload, initial_ids: Iterable[str] = ()) -> None:
     live = set(initial_ids)
     for num, step in enumerate(workload.steps, 1):
         at = workload.where[num - 1] if workload.where else f"step {num}"
-        if isinstance(step, InsertStep):
-            if step.solution.id in live:
-                raise InputError(f"{at}: insert of already-live id {step.solution.id!r}")
-            live.add(step.solution.id)
-        elif isinstance(step, DeleteStep):
-            if step.id not in live:
-                raise InputError(f"{at}: delete of unknown id {step.id!r}")
+        if step.op == "insert":
+            if step.id in live:
+                raise InputError(f"{at}: insert of already-live id {step.id!r}")
+            live.add(step.id)
+        elif step.id not in live:
+            raise InputError(f"{at}: {step.op} of unknown id {step.id!r}")
+        elif step.op == "delete":
             live.discard(step.id)
-        else:
-            if step.id not in live:
-                raise InputError(f"{at}: lookup of unknown id {step.id!r}")
 
 
 def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int = 40) -> Workload:
@@ -130,13 +120,13 @@ def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int 
         if want_insert and len(live) < max_live:
             sid = f"s{next_id}"
             next_id += 1
-            steps.append(InsertStep(Solution(sid, tuple(rng.random() for _ in range(m)))))
+            steps.append(Step("insert", sid, Solution(sid, tuple(rng.random() for _ in range(m)))))
             live.append(sid)
         elif roll < 0.85 and live:
             idx = rng.randrange(len(live))
-            steps.append(DeleteStep(live.pop(idx)))
+            steps.append(Step("delete", live.pop(idx)))
         elif live:
-            steps.append(LookupStep(rng.choice(live)))
+            steps.append(Step("lookup", rng.choice(live)))
     return Workload(m, steps)
 
 
@@ -186,14 +176,9 @@ def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
     steps: list[Step] = []
     for where, row in rows:
         op = row[0].strip().lower()
-        if op == "insert":
-            steps.append(InsertStep(_solution(where, row[1:], m, negate)))
-        elif op == "delete":
-            steps.append(DeleteStep(row[1].strip()))
-        elif op == "lookup":
-            steps.append(LookupStep(row[1].strip()))
-        else:
+        if op not in ("insert", "delete", "lookup"):
             raise InputError(f"{where}: unknown op {op!r}")
+        steps.append(Step(op, row[1].strip(), _solution(where, row[1:], m, negate) if op == "insert" else None))
     return Workload(m, steps, [where for where, _ in rows])
 
 
@@ -273,6 +258,15 @@ def read_dump(path: str) -> FrontSet:
 # ---------------------------------------------------------------------------
 # operations behind the subcommands
 
+def _check(fs: FrontSet, check: bool, after: str) -> None:
+    """When ``check`` is set, raise CheckFailedError naming ``after`` unless
+    ``fs`` is a valid partition."""
+    if check:
+        problems = validate(fs)
+        if problems:
+            raise CheckFailedError(f"invalid partition after {after}: {problems[0]}")
+
+
 def sort_online(
     population: Iterable[Solution],
     m: int,
@@ -285,10 +279,7 @@ def sort_online(
     fs = FrontSet(m)
     for sol in population:
         APPROACHES[approach].insert(fs, sol, counter)
-        if check:
-            problems = validate(fs)
-            if problems:
-                raise CheckFailedError(f"invalid partition after {sol.id!r}: {problems[0]}")
+        _check(fs, check, repr(sol.id))
     return fs
 
 
@@ -307,37 +298,25 @@ def run_workload(
     total = 0
     for num, step in enumerate(workload.steps, 1):
         counter.reset()
-        if isinstance(step, InsertStep):
-            ops.insert(fs, step.solution, counter)
-            by_id[step.solution.id] = step.solution
-            op, sid, extra = "insert", step.solution.id, {}
-        elif isinstance(step, DeleteStep):
-            ops.delete(fs, by_id.pop(step.id), counter)
-            op, sid, extra = "delete", step.id, {}
-        else:
-            pos = ops.lookup(fs, by_id[step.id], counter)
-            found = pos is not None
-            op, sid = "lookup", step.id
-            extra = {"found": found}
-            if found:
-                extra["front"] = pos.f_index
-                extra["index"] = pos.s_index
-        if check:
-            problems = validate(fs)
-            if problems:
-                raise CheckFailedError(f"invalid partition after step {num}: {problems[0]}")
+        if step.op == "insert":
+            by_id[step.id] = step.solution
+        sol = by_id.pop(step.id) if step.op == "delete" else by_id[step.id]
+        pos = getattr(ops, step.op)(fs, sol, counter)
+        _check(fs, check, f"step {num}")
         total += counter.pair_compares
-        step_reports.append(
-            {
-                "step": num,
-                "op": op,
-                "id": sid,
-                "compares": counter.pair_compares,
-                "fronts": fs.k,
-                "solutions": len(fs),
-                **extra,
-            }
-        )
+        report = {
+            "step": num,
+            "op": step.op,
+            "id": step.id,
+            "compares": counter.pair_compares,
+            "fronts": fs.k,
+            "solutions": len(fs),
+        }
+        if step.op == "lookup":
+            report["found"] = pos is not None
+            if pos is not None:
+                report["front"], report["index"] = pos.f_index, pos.s_index
+        step_reports.append(report)
     return {
         "approach": approach,
         "steps": step_reports,
@@ -361,86 +340,73 @@ def verify_front_set(fs: FrontSet) -> tuple[bool, list[str]]:
 def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) -> list[dict]:
     """Run one benchmark scenario; each row compares a measured counter value
     against its closed-form prediction."""
-    rows = []
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
     pad_m = 2
-
-    def row(approach: str, operation: str, measured: int, expected: int) -> dict:
-        return {
-            "scenario": scenario,
-            "approach": approach,
-            "operation": operation,
-            "measured": measured,
-            "expected": expected,
-            "ok": measured == expected,
-        }
-
+    # each approach's case: the operation, its worst probe, and the closed form
     if scenario == "chain":
-        population = analysis.gen_chain(n, pad_m)
-        log_cost = n.bit_length()
-        for approach in approaches:
-            fs = FrontSet(pad_m, [[sol] for sol in population])
-            counter = Counter()
-            # the left-balanced worst case is a probe dominating every front;
-            # the others' is a probe dominated by every front
-            probe = Solution("probe", (0.0 if approach == "ltree" else float(n + 1),) * pad_m)
-            expected = n if approach == "linear" else log_cost
-            APPROACHES[approach].insert(fs, probe, counter)
-            rows.append(row(approach, "insert worst probe", counter.pair_compares, expected))
+        fronts = [[sol] for sol in analysis.gen_chain(n, pad_m)]
+        # the left-balanced worst case is a probe dominating every front;
+        # the others' is a probe dominated by every front
+        cases = {
+            approach: (
+                "insert",
+                Solution("probe", (0.0 if approach == "ltree" else float(n + 1),) * pad_m),
+                n if approach == "linear" else n.bit_length(),
+            )
+            for approach in APPROACHES
+        }
     elif scenario == "antichain":
-        population = analysis.gen_antichain(n, pad_m)
-        probe = Solution("probe", (0.5, float(n)))
-        for approach in approaches:
-            fs = FrontSet(pad_m, [population])
-            counter = Counter()
-            APPROACHES[approach].insert(fs, probe, counter)
-            rows.append(row(approach, "insert worst probe", counter.pair_compares, n))
+        fronts = [analysis.gen_antichain(n, pad_m)]
+        cases = dict.fromkeys(APPROACHES, ("insert", Solution("probe", (0.5, float(n))), n))
     elif scenario == "equal-fronts":
         if not k:
             raise InputError("equal-fronts needs --k")
         if n % k:
             raise InputError(f"--k {k} does not divide --n {n}")
         q = n // k
-        if q < 1:
-            raise InputError(f"equal-fronts needs at least one solution per front, got --n {n} and --k {k}")
         population = analysis.gen_equal_fronts(n, k, pad_m)
         fronts = [population[i * q : (i + 1) * q] for i in range(k)]
-        fs = FrontSet(pad_m, fronts)
-        for approach in approaches:
-            counter = Counter()
-            if approach == "linear":
-                target = fronts[-1][-1]  # last solution of the last front
-                expected = k + q - 1
-            else:
-                # front 1 is a deepest leaf of the round-up rank tree, at depth floor(log2 k)
-                target = fronts[0][-1]
-                expected = k.bit_length() - 1 + q
-            pos = APPROACHES[approach].lookup(fs, target, counter)
-            measured = counter.pair_compares if pos is not None else -1
-            rows.append(row(approach, "lookup worst probe", measured, expected))
+        # linear's worst target is the last solution of the last front; front
+        # 1 is a deepest leaf of the round-up rank tree, at depth floor(log2 k)
+        tree = ("lookup", fronts[0][-1], k.bit_length() - 1 + q)
+        cases = {"linear": ("lookup", fronts[-1][-1], k + q - 1), "ltree": tree, "rtree": tree}
     elif scenario == "worst-two-front":
         population, probe = analysis.gen_worst_two_front(n, pad_m)
         profile = analysis.worst_split(n)
         n1 = profile.sizes[0]
-        formulas = {
-            "linear": analysis.max_comp_linear,
-            "ltree": analysis.max_comp_left_tree,
-            "rtree": analysis.max_comp_right_tree,
+        fronts = [population[:n1], population[n1:]]
+        cases = {
+            "linear": ("insert", probe, analysis.max_comp_linear(profile)),
+            "ltree": ("insert", probe, analysis.max_comp_left_tree(profile)),
+            "rtree": ("insert", probe, analysis.max_comp_right_tree(profile)),
         }
-        for approach in approaches:
-            fs = FrontSet(pad_m, [population[:n1], population[n1:]])
-            counter = Counter()
-            APPROACHES[approach].insert(fs, probe, counter)
-            rows.append(row(approach, "insert worst probe", counter.pair_compares, formulas[approach](profile)))
     else:
         raise InputError(f"unknown scenario {scenario!r}")
+    rows = []
+    for approach in approaches:
+        op, probe, expected = cases[approach]
+        counter = Counter()
+        pos = getattr(APPROACHES[approach], op)(FrontSet(pad_m, fronts), probe, counter)
+        measured = -1 if op == "lookup" and pos is None else counter.pair_compares
+        rows.append(
+            {
+                "scenario": scenario,
+                "approach": approach,
+                "operation": f"{op} worst probe",
+                "measured": measured,
+                "expected": expected,
+                "ok": measured == expected,
+            }
+        )
     return rows
 
 
 # ---------------------------------------------------------------------------
 # rendering and entry points
 
-def _render(doc: dict, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _render(doc: dict, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json":
         json.dump(doc, out, indent=2)
         out.write("\n")

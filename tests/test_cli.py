@@ -243,13 +243,20 @@ def test_cli_bench_equal_fronts_requires_divisible_k(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bench", "--n", "0"], ["bench", "--scenario", "equal-fronts", "--n", "0", "--k", "2"]],
-    ids=["default-scenarios", "equal-fronts"],
+    [
+        ["bench", "--n", "0"],
+        ["bench", "--scenario", "equal-fronts", "--n", "0", "--k", "2"],
+        ["bench", "--scenario", "chain", "--n", "0"],
+        ["bench", "--scenario", "antichain", "--n", "0"],
+        ["bench", "--scenario", "worst-two-front", "--n", "0"],
+    ],
+    ids=["default-scenarios", "equal-fronts", "chain", "antichain", "worst-two-front"],
 )
 def test_cli_bench_with_no_solutions_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --n must be at least 1, got 0"]
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])
@@ -362,10 +369,10 @@ def test_run_workload_delete_reshapes_levels(nine_in_four_levels):
 
 
 def load_workload_from_steps(by_id):
-    from ndfronts.cli import DeleteStep, InsertStep, Workload
+    from ndfronts.cli import Step, Workload
 
-    steps = [InsertStep(sol) for sol in by_id.values()]
-    steps.append(DeleteStep("4"))
+    steps = [Step("insert", sol.id, sol) for sol in by_id.values()]
+    steps.append(Step("delete", "4"))
     return Workload(2, steps)
 
 
@@ -482,6 +489,28 @@ def test_cli_delete_and_lookup_act_on_the_requested_twin(tmp_path, capsys, appro
     assert (lookup["found"], lookup["front"], lookup["index"]) == (True, 1, 1)
 
 
+@pytest.mark.parametrize("command", ["run", "sort"])
+def test_cli_check_fails_on_an_invalid_partition(tmp_path, capsys, monkeypatch, command):
+    from ndfronts.cli import Approach
+
+    class SwapsFronts(Approach):
+        """An approach whose inserts swap fronts 1 and 2 afterwards."""
+
+        def insert(self, fs, sol, counter):
+            super().insert(fs, sol, counter)
+            if fs.k >= 2:
+                fs.fronts[0], fs.fronts[1] = fs.fronts[1], fs.fronts[0]
+
+    linear = APPROACHES["linear"]
+    monkeypatch.setitem(APPROACHES, "linear", SwapsFronts(linear.insert_order, linear.search_order))
+    population = tmp_path / "chain.csv"
+    write_population_csv(population, ["a,1,1", "b,2,2", "c,3,3"])
+    argv = ["sort", "--input", str(population)] if command == "sort" else ["run", "--seed", "3", "--steps", "40"]
+    assert main([*argv, "--check"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("FAIL: invalid partition after ")
+
+
 def test_cli_run_fuzz_seed_then_verify(tmp_path, capsys):
     dump = tmp_path / "fuzz.json"
     assert main(["run", "--seed", "9", "--steps", "80", "--approach", "rtree", "--check", "--out", str(dump)]) == 0
@@ -504,6 +533,46 @@ def test_cli_bench_json_report(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert doc["rows"][0]["measured"] == 7  # floor(log2 64) + 1
+
+
+# sha256 of stdout for a fixed set of commands: where STEP_DIGESTS pins the
+# counts, these pin the reports' layout too (JSON key order, text columns).
+# "{population}" stands for a CSV of forty M = 3 solutions with tied vectors.
+STDOUT_COMMANDS = {
+    "bench-text": ["bench", "--n", "64"],
+    "bench-json": ["bench", "--n", "64", "--report", "json"],
+    **{
+        f"run-{approach}-{report}": ["run", "--seed", "5", "--steps", "80", "--approach", approach, "--report", report]
+        for approach in APPROACHES
+        for report in ("text", "json")
+    },
+    **{
+        f"sort-{approach}": ["sort", "--input", "{population}", "--approach", approach, "--report", "json"]
+        for approach in APPROACHES
+    },
+}
+STDOUT_DIGESTS = {
+    "bench-text": "73fbb439c2253373eb8972df76ac359fa8b7aaca7703e8a136d18b9b87b1fd3f",
+    "bench-json": "193aab6ab3d106195af0b2d42d71482333cce0f3b19aa204058e4df950fa720a",
+    "run-linear-text": "049f4fd4888862867e8496859d525b92345dfa01ea50b4effa4d6a167b5650a2",
+    "run-linear-json": "df0bfbb2d5793be719ac04cb2872b9d234f5d5a61b9d5d1792354f7bfa8cbbfd",
+    "run-ltree-text": "4da163f1741c5c599cc0899b370700dad69a19c1f00f8170b1f3f85e676262aa",
+    "run-ltree-json": "bb0191a10ac14d7a28db8537cc7267cd8db5f679cac124551e2df97cbed00030",
+    "run-rtree-text": "f1332a31951463f86f1d8d3b80983eda7bf60958a97ecbb71f6a6d311ef96a6b",
+    "run-rtree-json": "91d47759b56859ffade30acaeebe114dfbefdfa7ec06e51583ad8bb0cb0bf2b6",
+    "sort-linear": "65aea13941a475b606a998b29a9ad7d9c7becc7154bacd5e6b1ee1e7ce499842",
+    "sort-ltree": "43ada0cab76b6b85b35ced5f63cfb55c804a5e4d926632efa3aea82ac2ed04a1",
+    "sort-rtree": "ef6b29fcfa847734b01c2f4d7d2dbd4df909b3b0409a2851e183554088105930",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_cli_stdout_is_pinned(tmp_path, capsys, name):
+    population = tmp_path / "pop.csv"
+    write_population_csv(population, [f"q{i},{i * 7 % 11},{i * 5 % 13},{i * 3 % 7}" for i in range(40)], m=3)
+    argv = [str(population) if arg == "{population}" else arg for arg in STDOUT_COMMANDS[name]]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
 def test_cli_same_workload_same_report_across_runs(tmp_path, capsys):
