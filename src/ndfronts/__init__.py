@@ -24,7 +24,6 @@ from ndfronts.core import (
     MissingSolutionError,
     Solution,
     check_dom,
-    dom_block,
     dom_nature,
     validate,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "TreeVariant",
     "check_dom",
     "delete",
-    "dom_block",
     "dom_nature",
     "dom_set",
     "full_sort",

@@ -372,6 +372,8 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         tree = ("lookup", fronts[0][-1], k.bit_length() - 1 + q)
         cases = {"linear": ("lookup", fronts[-1][-1], k + q - 1), "ltree": tree, "rtree": tree}
     elif scenario == "worst-two-front":
+        if n < 4:
+            raise InputError(f"worst-two-front needs --n of at least 4, got {n}")
         population, probe = analysis.gen_worst_two_front(n, pad_m)
         profile = analysis.worst_split(n)
         n1 = profile.sizes[0]
@@ -475,6 +477,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif args.seed is not None:
         if args.steps < 0:
             raise InputError(f"--steps must be at least 0, got {args.steps}")
+        if args.m < 2:
+            raise InputError(f"--m must be at least 2, got {args.m}")
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
     else:
         raise InputError("run needs --workload FILE or --seed N")

@@ -69,7 +69,7 @@ class Counter:
     """Monotone tally of solution-pair dominance comparisons.
 
     A :func:`dom_nature` call adds exactly one, no matter how many
-    objectives the pair carries, and a :func:`dom_block` block adds one for
+    objectives the pair carries, and a :func:`_dominated` block adds one for
     every pair in it.  The only other place that counts is the front scan
     (:func:`ndfronts.linear._first_witness`): it tests a wide front in
     numpy and a narrow one member by member (unrolled when M is 2), both
@@ -94,10 +94,10 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     dominates ``a``, 0 otherwise.
 
     Identical vectors cannot dominate each other and yield 0.  This is the
-    library's reference pair kernel, for any M: small :func:`dom_block`
+    library's reference pair kernel, for any M: small :func:`_dominated`
     blocks, :func:`validate` and :func:`check_dom` call it.  It stops as
-    soon as each side has won a coordinate.  :func:`dom_block`'s numpy path
-    tests whole blocks of pairs with the same rule, and the front scans of
+    soon as each side has won a coordinate.  :func:`_dominated`'s numpy
+    path tests whole blocks of pairs with the same rule, and the front scans of
     :func:`ndfronts.linear._first_witness` apply it to one probe and a
     front's members without a call per pair, in numpy or member by member,
     unrolled when M is 2.
@@ -142,44 +142,38 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
 
 
-def _dom_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`dom_nature` codes of a whole block, peer columns ``a``
-    ``(M, g)`` against member columns ``b`` ``(M, n)``, as a ``g x n`` array;
-    one 2-D comparison per objective and side.  Uncounted, so only
-    :func:`dom_block` calls it."""
-    a_wins = a[0, :, None] < b[0]
-    b_wins = a[0, :, None] > b[0]
+def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether some peer column of ``a`` ``(M, g)`` dominates each member
+    column of ``b`` ``(M, n)``, as ``n`` bools; one 2-D comparison per
+    objective and relation.  Uncounted, so only :func:`_dominated` calls it."""
+    weak = a[0, :, None] <= b[0]
+    strict = a[0, :, None] < b[0]
     for k in range(1, len(b)):
         col, row = a[k, :, None], b[k]
-        a_wins |= col < row
-        b_wins |= col > row
-    # a side that wins a coordinate and loses none dominates; both or neither is 0
-    return a_wins.view(np.int8) - b_wins.view(np.int8)
+        weak &= col <= row
+        strict |= col < row
+    # a peer no worse in every objective and better in one dominates
+    return (weak & strict).any(axis=0)
 
 
-def dom_block(peers: list[Solution], members: list[Solution], counter: Counter) -> np.ndarray:
-    """:func:`dom_nature` of every (peer, member) pair, as a
-    ``len(peers) x len(members)`` int8 array.
-
-    Every pair is tested, with no early exit, and the block adds exactly
-    ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
-    raise :class:`DimensionMismatchError` before anything is counted.  Small
-    blocks run the :func:`dom_nature` loop, larger ones one numpy comparison
-    per objective.
-    """
-    return _dom_block(peers, members, counter, None, None)[0]
-
-
-def _dom_block(
+def _dominated(
     peers: list[Solution],
     members: list[Solution],
     counter: Counter,
     peer_cols: np.ndarray | None,
     member_cols: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`dom_block`'s codes, and the member columns its numpy path
-    read, given or built; None when the block ran the :func:`dom_nature`
-    loop.  A cascade step carries a slice of them to its next step.
+    """Whether some peer dominates each member: a bool array ``mask`` with
+    ``mask[j]`` True when a member of ``peers`` dominates ``members[j]``, and
+    the member columns its numpy path read, given or built; None when the
+    block ran the :func:`dom_nature` loop.  A cascade step carries a slice
+    of them to its next step.
+
+    Every pair is tested, with no early exit, and the block adds exactly
+    ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
+    raise :class:`DimensionMismatchError` before anything is counted.  Small
+    blocks run the :func:`dom_nature` loop, larger ones
+    :func:`_dominated_cols`, one numpy comparison per objective.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
@@ -190,7 +184,7 @@ def _dom_block(
     built by :func:`_cols`, which admits only members of its M.
     """
     if not peers or not members:
-        return np.zeros((len(peers), len(members)), dtype=np.int8), None
+        return np.zeros(len(members), dtype=bool), None
     m = len(peers[0].objectives)
     if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
         for sol in chain(peers, members):
@@ -198,7 +192,7 @@ def _dom_block(
                 raise DimensionMismatchError(
                     f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
                 )
-        return np.array([[dom_nature(p, q, counter) for q in members] for p in peers], dtype=np.int8), None
+        return np.array([1 in [dom_nature(p, q, counter) for p in peers] for q in members]), None
     sides = []
     for side, cols in ((peers, peer_cols), (members, member_cols)):
         if cols is None:
@@ -209,7 +203,7 @@ def _dom_block(
             )
         sides.append(cols)
     counter.pair_compares += len(peers) * len(members)
-    return _dom_codes(*sides), sides[1]
+    return _dominated_cols(*sides), sides[1]
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
@@ -228,21 +222,20 @@ _SCAN_MIN_WIDTH = 96
 
 class _Columns:
     """Objective array of one wide front: column ``j`` of :attr:`cols`
-    holds ``members[j]``'s objectives and ``ids[j]`` its id.  Probe scans
-    and the cascade's :func:`dom_block` tests read :attr:`cols` (or a slice
-    of it) directly; every member has the array's M, so its shape alone
-    answers a dimension check.
+    holds ``members[j]``'s objectives.  Probe scans and the cascade's
+    :func:`_dominated` tests read :attr:`cols` (or a slice of it) directly;
+    every member has the array's M, so its shape alone answers a dimension
+    check.
 
-    Every edit applies to the members, the ids and the array together, so
-    the three always agree.  Only :meth:`FrontSet._columns` hands a record
+    Every edit applies to the members and the array together, so the two
+    always agree.  Only :meth:`FrontSet._columns` hands a record
     out, and only while ``members`` equals its front.
     """
 
-    __slots__ = ("members", "ids", "buf", "n")
+    __slots__ = ("members", "buf", "n")
 
-    def __init__(self, members: list[Solution], ids: list[str], cols: np.ndarray) -> None:
+    def __init__(self, members: list[Solution], cols: np.ndarray) -> None:
         self.members = members
-        self.ids = ids
         self.buf = cols  # (M, capacity); the first n columns are live
         self.n = len(members)
 
@@ -250,14 +243,14 @@ class _Columns:
     def of(cls, members: list[Solution], m: int) -> "_Columns":
         """Build from the members' tuples with :func:`_cols`; raises
         ValueError unless each has M ``m``."""
-        return cls(members, [sol.id for sol in members], np.ascontiguousarray(_cols(members, m)))
+        return cls(members, np.ascontiguousarray(_cols(members, m)))
 
     @property
     def cols(self) -> np.ndarray:
         return self.buf[:, : self.n]
 
     def extend(self, part: "_Columns") -> None:
-        """Append ``part``'s members, ids and columns."""
+        """Append ``part``'s members and columns."""
         n, end = self.n, self.n + part.n
         if end > self.buf.shape[1]:
             grown = np.empty((len(self.buf), end + end // 4), dtype=np.float64)
@@ -266,17 +259,15 @@ class _Columns:
         self.buf[:, n:end] = part.cols
         self.n = end
         self.members += part.members
-        self.ids += part.ids
 
     def take(self, mask: np.ndarray) -> "_Columns":
         """A record of the members flagged in ``mask``."""
-        keep = mask.tolist()
-        return _Columns(list(compress(self.members, keep)), list(compress(self.ids, keep)), self.cols[:, mask])
+        return _Columns(list(compress(self.members, mask.tolist())), self.cols[:, mask])
 
     def pop(self, i: int) -> None:
         self.buf[:, i : self.n - 1] = self.buf[:, i + 1 : self.n]
         self.n -= 1
-        del self.members[i], self.ids[i]
+        del self.members[i]
 
 
 class FrontSet:
@@ -348,7 +339,7 @@ class FrontSet:
         front.append(sol)
         rec = self._arrays.get(id(front))
         if rec is not None:
-            rec.extend(_Columns([sol], [sol.id], np.array(sol.objectives)[:, None]))
+            rec.extend(_Columns([sol], np.array(sol.objectives)[:, None]))
 
     def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
         """Append the members of ``src`` flagged False in ``stays`` to
@@ -426,7 +417,7 @@ class FrontSet:
         for front, twin in zip(self.fronts, clone.fronts):
             rec = self._arrays.get(id(front))
             if rec is not None:
-                clone._arrays[id(twin)] = _Columns(rec.members[:], rec.ids[:], rec.cols.copy())
+                clone._arrays[id(twin)] = _Columns(rec.members[:], rec.cols.copy())
         return clone
 
     def __repr__(self) -> str:

@@ -23,8 +23,8 @@ from ndfronts.core import (
     DimensionMismatchError,
     FrontSet,
     Solution,
-    _dom_block,
-    dom_block,
+    _dominated,
+    dom_nature,
 )
 
 
@@ -61,29 +61,29 @@ def _first_witness(
     """
     rec = fs._columns(front)
     if rec is not None and probe.m == fs.m:
-        nat, pos = _scan_columns(rec.cols, rec.ids if find_id else None, probe)
+        nat, pos = _scan_columns(rec.cols, rec.members if find_id else None, probe)
     else:
         nat, pos = _scan_members(front, probe, find_id)
     counter.pair_compares += pos or len(front)
     return nat, pos
 
 
-def _scan_columns(cols: np.ndarray, ids: list[str] | None, probe: Solution) -> tuple[int, int]:
+def _scan_columns(cols: np.ndarray, members: list[Solution] | None, probe: Solution) -> tuple[int, int]:
     """:func:`_first_witness`'s answer for a wide front given as an
-    ``(M, n)`` objective array and its ids, from one numpy comparison of
-    every member; with ``ids`` None no id can match.  Uncounted, so only
-    :func:`_first_witness` calls it."""
+    ``(M, n)`` objective array and its members, from one numpy comparison
+    of every member, then a search of the members before the witness for
+    the probe's id; with ``members`` None no id can match.  Uncounted, so
+    only :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
     le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
     hit = ge != le  # exactly one holds: a strict dominance either way
     w = int(hit.argmax())
     found = bool(hit[w])
-    if ids is not None:
-        try:
-            return 0, ids.index(probe.id, 0, w if found else len(ids)) + 1
-        except ValueError:
-            pass
+    if members is not None:
+        for pos, sol in enumerate(members[: w if found else len(members)], 1):
+            if sol.id == probe.id:
+                return 0, pos
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
 
 
@@ -143,16 +143,14 @@ def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, coun
     ``start`` (1-based) that ``new`` dominates and True for the rest, as
     ``stays`` for :meth:`~ndfronts.core.FrontSet._move`.  Positions before
     ``start`` were classified by the caller.  The tail is one
-    ``1 x len(tail)`` :func:`~ndfronts.core.dom_block` test, so each
+    ``1 x len(tail)`` :func:`~ndfronts.core._dominated` test, so each
     candidate is compared exactly once; when ``front`` has a record (see
     :meth:`~ndfronts.core.FrontSet._columns`), the tail is a slice of it.
     """
     rec = fs._columns(front)
     tail_cols = None if rec is None else rec.cols[:, start - 1 :]
-    stays = np.empty(len(front), dtype=bool)
-    stays[: start - 1] = True
-    codes = _dom_block([new], front[start - 1 :], counter, None, tail_cols)[0]
-    np.not_equal(codes[0], 1, out=stays[start - 1 :])
+    stays = np.ones(len(front), dtype=bool)
+    stays[start - 1 :] = ~_dominated([new], front[start - 1 :], counter, None, tail_cols)[0]
     return stays
 
 
@@ -168,15 +166,21 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
     anything else raises before a comparison is counted or a solution
     moved.  The antichain check is uncounted, so inserts skip it: their
     displaced sets are carved out of one front.
+
+    It also assumes, unchecked, that no member of front ``index`` dominates
+    a member of ``displaced``, as when the set was displaced from the front
+    above it.  Otherwise the partition it leaves is invalid: the cascade
+    asks only whether a lower member is dominated.
     """
     if not displaced:
         raise ContractViolationError("displaced set must be non-empty")
     if not 2 <= index <= len(fs.fronts) + 1:
         raise ContractViolationError(f"cascade rank {index} is outside 2..{len(fs.fronts) + 1}")
-    rows, cols = dom_block(displaced, displaced, Counter()).nonzero()
-    if len(rows):
-        a, b = displaced[rows[0]], displaced[cols[0]]
-        raise ContractViolationError(f"displaced set is internally dominated: {a.id!r} vs {b.id!r}")
+    dominated = _dominated(displaced, displaced, Counter(), None, None)[0]
+    if dominated.any():
+        q = displaced[dominated.argmax()]
+        p = next(p for p in displaced if dom_nature(p, q, Counter()) == 1)
+        raise ContractViolationError(f"displaced set is internally dominated: {p.id!r} vs {q.id!r}")
     fs.admit(*displaced)
     fs.fronts.insert(index - 1, displaced)
     _cascade(fs, index, counter)
@@ -221,15 +225,19 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
 
 
 def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
-    """Move into front ``index`` every member of the next front that is
-    non-dominated with all of its members on entry, and go on one rank
-    down while a step promotes something and leaves the next front
-    non-empty; a front emptied this way is popped, and ranks below
-    collapse by one.
+    """Move into front ``index`` every member of the next front that no
+    member of it dominates on entry, and go on one rank down while a step
+    promotes something and leaves the next front non-empty; a front emptied
+    this way is popped, and ranks below collapse by one.
 
-    Members promoted in one step come from one front and need no mutual
-    checks.  A step is one ``len(upper) x len(lower)``
-    :func:`~ndfronts.core.dom_block` test, with no early exit: it always
+    Such a member is non-dominated with the whole upper front too.  Some
+    ``p`` of the front above it, as the partition stood before the
+    operation, dominates it; had it dominated an upper member ``u``, ``p``
+    would dominate ``u``, and the two shared that front.  Members promoted
+    in one step come from one front and need no mutual checks.
+
+    A step is one ``len(upper) x len(lower)``
+    :func:`~ndfronts.core._dominated` test, with no early exit: it always
     costs that many comparisons, which the closed-form worst cases in
     :mod:`ndfronts.analysis` count on.  The block reads each side's record
     (see :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  The
@@ -243,8 +251,7 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
         upper_rec, lower_rec = fs._columns(upper), fs._columns(lower)
         if upper_rec is not None:
             cols = upper_rec.cols
-        codes, lower_cols = _dom_block(upper, lower, counter, cols, None if lower_rec is None else lower_rec.cols)
-        stays = codes.any(axis=0)
+        stays, lower_cols = _dominated(upper, lower, counter, cols, None if lower_rec is None else lower_rec.cols)
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return

@@ -94,13 +94,12 @@ def build_front_set(m: int, levels: list[list[Solution]]) -> FrontSet:
 
 def assert_columns_consistent(fs: FrontSet) -> None:
     """Every objective array of ``fs`` belongs to a front of ``fs`` and
-    pairs each member of its own member list with that member's id and
+    pairs each member of its own member list with that member's
     objectives.  A record of a front edited directly may be stale, but
     never mixed."""
     live = {id(front) for front in fs.fronts}
     for key, rec in fs._arrays.items():
         assert key in live
-        assert rec.ids == [sol.id for sol in rec.members]
         want = np.array([sol.objectives for sol in rec.members], dtype=np.float64).reshape(len(rec.members), fs.m)
         assert np.array_equal(rec.cols, want.T)
 

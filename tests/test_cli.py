@@ -242,21 +242,36 @@ def test_cli_bench_equal_fronts_requires_divisible_k(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["bench", "--n", "0"],
-        ["bench", "--scenario", "equal-fronts", "--n", "0", "--k", "2"],
-        ["bench", "--scenario", "chain", "--n", "0"],
-        ["bench", "--scenario", "antichain", "--n", "0"],
-        ["bench", "--scenario", "worst-two-front", "--n", "0"],
+        (["bench", "--n", "0"], "--n must be at least 1, got 0"),
+        (["bench", "--scenario", "equal-fronts", "--n", "0", "--k", "2"], "--n must be at least 1, got 0"),
+        (["bench", "--scenario", "chain", "--n", "0"], "--n must be at least 1, got 0"),
+        (["bench", "--scenario", "antichain", "--n", "0"], "--n must be at least 1, got 0"),
+        (["bench", "--scenario", "worst-two-front", "--n", "0"], "--n must be at least 1, got 0"),
+        (["bench", "--n", "3"], "worst-two-front needs --n of at least 4, got 3"),
+        (["bench", "--n", "3", "--scenario", "worst-two-front"], "worst-two-front needs --n of at least 4, got 3"),
     ],
-    ids=["default-scenarios", "equal-fronts", "chain", "antichain", "worst-two-front"],
+    ids=[
+        "default-scenarios",
+        "equal-fronts",
+        "chain",
+        "antichain",
+        "worst-two-front",
+        "default-scenarios-n3",
+        "worst-two-front-n3",
+    ],
 )
-def test_cli_bench_with_no_solutions_is_a_usage_error(capsys, argv):
+def test_cli_bench_with_no_solutions_is_a_usage_error(capsys, argv, error):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: --n must be at least 1, got 0"]
+    assert captured.err.splitlines() == [f"error: {error}"]
+
+
+def test_cli_bench_equal_fronts_runs_below_the_worst_two_front_minimum(capsys):
+    assert main(["bench", "--n", "3", "--scenario", "equal-fronts"]) == 0
+    assert "ALL PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])
@@ -265,10 +280,22 @@ def test_cli_bench_rejects_a_k_below_one(capsys, k):
     assert capsys.readouterr().err.splitlines() == [f"error: --k must be at least 1, got {k}"]
 
 
-@pytest.mark.parametrize("steps", ["-5", "-1"])
-def test_cli_run_rejects_negative_steps(capsys, steps):
-    assert main(["run", "--seed", "1", "--steps", steps]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: --steps must be at least 0, got {steps}"]
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--steps", "-5"], "--steps must be at least 0, got -5"),
+        (["--steps", "-1"], "--steps must be at least 0, got -1"),
+        (["--m", "1"], "--m must be at least 2, got 1"),
+        (["--m", "1", "--steps", "0"], "--m must be at least 2, got 1"),
+        (["--m", "0"], "--m must be at least 2, got 0"),
+    ],
+    ids=["steps-5", "steps-1", "m1", "m1-no-steps", "m0"],
+)
+def test_cli_run_rejects_bad_seeded_sizes(capsys, argv, error):
+    assert main(["run", "--seed", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {error}"]
 
 
 def test_cli_run_with_zero_steps_is_an_empty_run(capsys):

@@ -18,7 +18,6 @@ from ndfronts import (
     Solution,
     check_dom,
     core,
-    dom_block,
     dom_nature,
     full_sort,
     validate,
@@ -135,27 +134,27 @@ def grid_blocks(draw):
 
 
 @given(grid_blocks())
-def test_dom_block_equals_dom_nature_pair_by_pair(block):
+def test_dominated_equals_dom_nature_pair_by_pair(block):
     peers, members = block
     c = Counter()
-    with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
-        codes = dom_block(peers, members, c)
+    with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
+        mask = core._dominated(peers, members, c, None, None)[0]
     pairs = len(peers) * len(members)
     assert c.pair_compares == pairs
     assert numpy_path.called == (pairs >= core._BLOCK_MIN_PAIRS)
-    assert codes.shape == (len(peers), len(members))
+    assert mask.dtype == bool and mask.shape == (len(members),)
     scratch = Counter()
-    assert codes.tolist() == [[dom_nature(p, q, scratch) for q in members] for p in peers]
+    assert mask.tolist() == [any(dom_nature(p, q, scratch) == 1 for p in peers) for q in members]
 
 
 @pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS])
-def test_dom_block_dimension_mismatch_counts_nothing(width):
+def test_dominated_dimension_mismatch_counts_nothing(width):
     members = [s(f"q{j}", j, -j) for j in range(width)] + [Solution("odd", (1, 2, 3))]
     c = Counter()
     with pytest.raises(DimensionMismatchError):
-        dom_block([s("p", 0, 0)], members, c)
+        core._dominated([s("p", 0, 0)], members, c, None, None)
     with pytest.raises(DimensionMismatchError):
-        dom_block([Solution("odd", (1, 2, 3)), s("p", 0, 0)], members[:-1], c)
+        core._dominated([Solution("odd", (1, 2, 3)), s("p", 0, 0)], members[:-1], c, None, None)
     assert c.pair_compares == 0
 
 
@@ -164,7 +163,7 @@ def _record_of(side: list[Solution], m: int):
 
 
 @given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
-def test_dom_block_reads_record_columns_exactly_as_tuples(block, given_side):
+def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
     peers, members = block
     m = next((sol.m for sol in peers + members), 2)
     recs = [
@@ -173,9 +172,9 @@ def test_dom_block_reads_record_columns_exactly_as_tuples(block, given_side):
     ]
     peer_cols, member_cols = (None if rec is None else rec.cols for rec in recs)
     want_counter, got_counter = Counter(), Counter()
-    want = dom_block(peers, members, want_counter)
-    with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
-        got = core._dom_block(peers, members, got_counter, peer_cols, member_cols)[0]
+    want = core._dominated(peers, members, want_counter, None, None)[0]
+    with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
+        got = core._dominated(peers, members, got_counter, peer_cols, member_cols)[0]
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got_counter.pair_compares == want_counter.pair_compares == len(peers) * len(members)
     if numpy_path.called:  # a side given as columns is read, not rebuilt
@@ -183,17 +182,17 @@ def test_dom_block_reads_record_columns_exactly_as_tuples(block, given_side):
             assert rec is None or np.shares_memory(arg, rec.buf)
 
 
-def test_dom_block_checks_a_columns_side_by_its_shape():
+def test_dominated_checks_a_columns_side_by_its_shape():
     members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MIN_PAIRS)]
     cols = _record_of(members, 2).cols
     odd = [Solution("odd", (1, 2, 3))]
     c = Counter()
     with pytest.raises(DimensionMismatchError):
-        core._dom_block(odd, members, c, None, cols)
+        core._dominated(odd, members, c, None, cols)
     with pytest.raises(DimensionMismatchError):
-        core._dom_block(members, odd, c, cols, None)
+        core._dominated(members, odd, c, cols, None)
     with pytest.raises(DimensionMismatchError):
-        core._dom_block(odd, members, c, _record_of(odd, 3).cols, cols)
+        core._dominated(odd, members, c, _record_of(odd, 3).cols, cols)
     assert c.pair_compares == 0
 
 

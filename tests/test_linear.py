@@ -194,7 +194,7 @@ def test_update_insert_cascade_matches_full_resort():
 
 def test_update_insert_rejects_dominated_displaced_set():
     fs = fs_of([s("a", 1, 1)], [s("b", 9, 9)])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="internally dominated: 'm' vs 'w'"):
         update_insert(fs, [s("m", 3, 3), s("w", 4, 4)], 2, Counter())
 
 
@@ -414,8 +414,9 @@ def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel tests, in each ``ndfronts``
     namespace that binds the kernel, and record the width of the front
     every cascade (``linear._cascade``) starts from.  A ``dom_nature`` call is
-    one pair; a block on ``dom_block``'s numpy path is the product of its
-    two column arrays' widths; a front scan, numpy
+    one pair; a block on ``core._dominated``'s numpy path
+    (``core._dominated_cols``) is the product of its two column arrays'
+    widths; a front scan, numpy
     (``linear._scan_columns``) or member by member
     (``linear._scan_members``), is the pairs the sequential scan would test:
     up to the member where it stops, or the whole front when it finds
@@ -446,7 +447,7 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(ndfronts.core, "_dom_codes", counted_block(ndfronts.core._dom_codes))
+    monkeypatch.setattr(ndfronts.core, "_dominated_cols", counted_block(ndfronts.core._dominated_cols))
     scans = {"_scan_columns": lambda cols: cols.shape[1], "_scan_members": len}
     for name, width in scans.items():
         monkeypatch.setattr(ndfronts.linear, name, counted_scan(getattr(ndfronts.linear, name), width))
@@ -533,13 +534,13 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     fs = FrontSet(2, [pop[:n1], pop[n1:]])
     calls, widths = _audit_kernel(monkeypatch)
     blocks = []
-    audited = ndfronts.core._dom_codes
+    audited = ndfronts.core._dominated_cols
 
     def numpy_path(a, b):
         blocks.append((a.shape[1], b.shape[1]))
         return audited(a, b)
 
-    monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
+    monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     c = Counter()
     APPROACHES[approach].delete(fs, pop[n1 - 1], c)
     # the whole lower front is one block against the survivors of the upper one
@@ -814,7 +815,7 @@ def _wide_cascade(approach, op):
 def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
     fs, run, _ = _wide_cascade(approach, op)
     blocks = []
-    audited = ndfronts.core._dom_codes
+    audited = ndfronts.core._dominated_cols
 
     def numpy_path(a, b):
         # a record's slice shares its buffer; an array built from tuples is new
@@ -822,7 +823,7 @@ def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
         blocks.append((a.shape[1], b.shape[1], *read))
         return audited(a, b)
 
-    monkeypatch.setattr(ndfronts.core, "_dom_codes", numpy_path)
+    monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     run()
     cascade = [(WIDE - 1, WIDE, True, True)] * 2
     # an insert's dom_set tail is the record's slice after the witness t1

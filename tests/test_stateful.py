@@ -3,7 +3,10 @@ tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the cascades onto the numpy block
 path, and one batch wide enough to keep an objective array takes the moves
-onto its columns, whose consistency is an invariant too."""
+onto its columns, whose consistency is an invariant too.  Every
+dominance block the update rules run is checked as well: the rules ask
+only which members some peer dominates, which is enough while no member
+dominates a peer."""
 
 from __future__ import annotations
 
@@ -21,13 +24,25 @@ from hypothesis.stateful import (
     rule,
 )
 
-from ndfronts import Counter, FrontSet, Solution, core, full_sort
+from ndfronts import Counter, FrontSet, Solution, core, dom_nature, full_sort, linear
 from ndfronts.cli import APPROACHES
 from tests.conftest import assert_columns_consistent
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
 WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fills one block
 WIDE = core._SCAN_MIN_WIDTH + 1  # the batch front keeps an objective array
+
+
+def _dominated_where_no_member_dominates_a_peer(peers, members, *args):
+    """``linear._dominated``, after asserting the fact its callers rely on:
+    no member dominates any of its peers.  That makes "dominated by a peer"
+    the same as "in any relation with a peer" for each cascade step, and
+    the only relation a ``dom_set`` tail can have with its new solution."""
+    scratch = Counter()
+    for q in members:
+        for p in peers:
+            assert dom_nature(q, p, scratch) != 1, f"member {q.id!r} dominates peer {p.id!r}"
+    return core._dominated(peers, members, *args)
 
 
 class FrontSetsUnderChurn(RuleBasedStateMachine):
@@ -39,6 +54,11 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         self.next_id = 0
         self.batches = 0
         self.wide = False
+        self.blocks = mock.patch.object(linear, "_dominated", _dominated_where_no_member_dominates_a_peer)
+        self.blocks.start()
+
+    def teardown(self) -> None:
+        self.blocks.stop()
 
     @initialize(m=st.sampled_from([2, 3]))
     def start(self, m: int) -> None:
@@ -68,7 +88,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         ]
         batch.append(Solution(f"{tag}.apex", (base,) * self.m))
         for approach, fs in self.sets.items():
-            with mock.patch.object(core, "_dom_codes", wraps=core._dom_codes) as numpy_path:
+            with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
             assert numpy_path.called, approach
