@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import random
 
-from ndfronts import Counter, Solution, full_sort, gen_antichain, gen_chain, same_partition
-from ndfronts.cli import APPROACHES, sort_online
+from ndfronts import APPROACHES, Counter, Solution, full_sort, gen_antichain, gen_chain, same_partition
+from ndfronts.cli import sort_online
 
 
 def streams(n: int, seed: int) -> dict[str, list[Solution]]:

@@ -28,7 +28,8 @@ from ndfronts.core import (
     validate,
 )
 from ndfronts.dbst import (
-    CmpRecord,
+    APPROACHES,
+    Approach,
     TreeVariant,
     delete,
     insert_linear,
@@ -43,7 +44,8 @@ from ndfronts.oracle import full_sort, same_partition
 __version__ = "0.1.0"
 
 __all__ = [
-    "CmpRecord",
+    "APPROACHES",
+    "Approach",
     "ContractViolationError",
     "Counter",
     "DimensionMismatchError",

@@ -1,11 +1,14 @@
 """Closed-form worst-case comparison counts and deterministic scenario builders.
 
 The ``max_comp_*`` functions evaluate the worst-case cost formulas for a
-given front-size profile.  They are exact on two-front profiles, where the
-global maxima live (first front of ceil(N/2)+1 for even N, ceil(N/2) for odd
-N); for other profiles the navigation term is a literal evaluation of the
-probe-path sum and should be read as an upper envelope, with instrumented
-runs as ground truth.
+given front-size profile.  Each bounds the worst insert that settles at
+rank 1 on that profile, and :func:`gen_two_front` attains it on two fronts.
+They bound no other insert: on profile (1, 5), a probe dominated by front 1
+that dominates all of front 2 costs 6 under every approach, while
+:func:`max_comp_linear` and :func:`max_comp_right_tree` give 1.  Over all
+profiles of N solutions the linear formula peaks on a two-front profile,
+:func:`worst_split` (first front of ceil(N/2)+1 for even N, ceil(N/2) for
+odd N).
 
 The generators build populations with a known level structure and integer-
 exact comparison counts; no randomness anywhere, so measured counters are

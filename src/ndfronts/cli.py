@@ -22,36 +22,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ndfronts import analysis, core, oracle
 from ndfronts.core import Counter, FrontSet, Solution, validate
-from ndfronts.dbst import TreeVariant, _delete, _insert, _locate
-from ndfronts.linear import Position
+from ndfronts.dbst import APPROACHES
 
-
-@dataclass(frozen=True)
-class Approach:
-    """One update approach: the rank order its inserts search, and the one
-    its deletes and lookups search (see :class:`~ndfronts.dbst.TreeVariant`).
-    Each operation is called as ``(fs, sol, counter)``, and a workload
-    :class:`Step`'s ``op`` names the one to call."""
-
-    insert_order: TreeVariant
-    search_order: TreeVariant
-
-    def insert(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
-        _insert(fs, sol, self.insert_order, counter)
-
-    def delete(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
-        _delete(fs, sol, self.search_order, counter)
-
-    def lookup(self, fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-        return _locate(fs, sol, self.search_order, counter)
-
-
-# Lookups and deletes of both tree approaches bisect with round-up midpoints.
-APPROACHES: dict[str, Approach] = {
-    "linear": Approach(TreeVariant.SEQUENTIAL, TreeVariant.SEQUENTIAL),
-    "ltree": Approach(TreeVariant.LEFT_BALANCED, TreeVariant.LEFT_BALANCED),
-    "rtree": Approach(TreeVariant.RIGHT_BALANCED, TreeVariant.LEFT_BALANCED),
-}
 
 SCENARIOS = ("chain", "antichain", "equal-fronts", "worst-two-front")
 
@@ -68,9 +40,10 @@ class CheckFailedError(AssertionError):
 # workloads
 
 class Step(NamedTuple):
-    """One workload step: the :class:`Approach` method ``op`` (``insert``,
-    ``delete`` or ``lookup``) applied to the solution with ``id``.  Only an
-    insert carries its ``solution``; the others act on the live one."""
+    """One workload step: the :class:`~ndfronts.dbst.Approach` method
+    ``op`` (``insert``, ``delete`` or ``lookup``) applied to the solution
+    with ``id``.  Only an insert carries its ``solution``; the others act on
+    the live one."""
 
     op: str
     id: str
@@ -339,7 +312,8 @@ def verify_front_set(fs: FrontSet) -> tuple[bool, list[str]]:
 
 def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) -> list[dict]:
     """Run one benchmark scenario; each row compares a measured counter value
-    against its closed-form prediction."""
+    against its closed-form prediction.  ``k`` is equal-fronts' front count;
+    None picks the largest divisor of ``n`` up to ``max(2, isqrt(n))``."""
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
     pad_m = 2
@@ -360,8 +334,10 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
         fronts = [analysis.gen_antichain(n, pad_m)]
         cases = dict.fromkeys(APPROACHES, ("insert", Solution("probe", (0.5, float(n))), n))
     elif scenario == "equal-fronts":
-        if not k:
-            raise InputError("equal-fronts needs --k")
+        if k is None:
+            k = max(2, math.isqrt(n))
+            while n % k:
+                k -= 1
         if n % k:
             raise InputError(f"--k {k} does not divide --n {n}")
         q = n // k
@@ -508,12 +484,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     started = time.perf_counter()
     for scenario in scenarios:
-        k = args.k
-        if scenario == "equal-fronts" and k is None:
-            k = max(2, int(math.isqrt(args.n)))
-            while args.n % k:
-                k -= 1
-        rows.extend(bench_rows(scenario, args.n, k, approaches))
+        rows.extend(bench_rows(scenario, args.n, args.k, approaches))
     elapsed = time.perf_counter() - started
     ok = all(r["ok"] for r in rows)
     _render({"kind": "bench", "rows": rows, "ok": ok}, args.report)

@@ -228,8 +228,8 @@ class _Columns:
     check.
 
     Every edit applies to the members and the array together, so the two
-    always agree.  Only :meth:`FrontSet._columns` hands a record
-    out, and only while ``members`` equals its front.
+    always agree.  Only :meth:`FrontSet._columns` hands the array out, and
+    only while ``members`` equals its front.
     """
 
     __slots__ = ("members", "buf", "n")
@@ -282,8 +282,8 @@ class FrontSet:
     A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
     array, its record, which its probe scans and the cascade blocks that
     test it read.  One rule keeps the records right: :meth:`_columns` is
-    the only way to read one, and it hands out a record only while its
-    members equal the front, building it afresh otherwise.  So ``fronts``
+    the only way to read one, and it hands out a record's array only while
+    its members equal the front, building it afresh otherwise.  So ``fronts``
     stays a plain list anyone may edit.  Only this class edits the records:
     :meth:`remove` and :meth:`_append` edit one member, and :meth:`_move`
     moves any number of members from one front to another, columns and
@@ -321,8 +321,14 @@ class FrontSet:
     def remove(self, f_index: int, s_index: int) -> bool:
         """Remove the solution at 1-based front ``f_index``, position
         ``s_index``; a front this empties is dropped and lower ranks
-        renumber.  Returns whether the front still holds members."""
+        renumber.  Returns whether the front still holds members.  Raises
+        IndexError, with nothing removed, unless ``1 <= f_index <= K`` and
+        ``1 <= s_index <= len(front)``."""
+        if not 1 <= f_index <= len(self.fronts):
+            raise IndexError(f"front index {f_index} out of range 1..{len(self.fronts)}")
         front = self.fronts[f_index - 1]
+        if not 1 <= s_index <= len(front):
+            raise IndexError(f"solution index {s_index} out of range 1..{len(front)} of front {f_index}")
         self._ids.discard(front.pop(s_index - 1).id)
         rec = self._arrays.get(id(front))
         if rec is not None:
@@ -369,10 +375,10 @@ class FrontSet:
             drec.extend(rec.take(~stays) if rec is not None else _Columns.of(dest[start:], self.m))
         return kept
 
-    def _columns(self, front: list[Solution]) -> _Columns | None:
-        """The objective array of ``front``, a front of this set, or None
-        when ``front`` is narrower than ``_SCAN_MIN_WIDTH`` or a member's M
-        is not the set's.
+    def _columns(self, front: list[Solution]) -> np.ndarray | None:
+        """The ``(M, n)`` objective array of ``front``, a front of this set,
+        whose column ``j`` holds ``front[j]``, or None when ``front`` is
+        narrower than ``_SCAN_MIN_WIDTH`` or a member's M is not the set's.
         This is the only way to read a record: one whose members are not
         ``front`` is stale and is built afresh from the members' tuples."""
         if len(front) < _SCAN_MIN_WIDTH:
@@ -383,7 +389,7 @@ class FrontSet:
                 rec = self._arrays[id(front)] = _Columns.of(front[:], self.m)
             except ValueError:
                 return None
-        return rec
+        return rec.cols
 
     @property
     def k(self) -> int:

@@ -1,5 +1,5 @@
 """The rank search: where a probe belongs among the ordered fronts, and the
-insert, locate and delete built on it.
+approach table whose rows insert, look up and delete with it.
 
 The approaches differ only in the order in which the search probes the
 front ranks.  :attr:`TreeVariant.SEQUENTIAL` probes them best-first.  The
@@ -7,13 +7,14 @@ two bisection orders binary-search them, and their "tree" is pure index
 arithmetic over front ranks: a node is a front, its left subtree holds
 better (lower) ranks, its right subtree worse ones.  Nothing is
 materialized; a navigation leaves behind only its comparison trace, at
-most floor(log2 K) + 1 records long.
+most floor(log2 K) + 1 probes long.  :data:`APPROACHES` names each
+approach as one :class:`Approach` row of two orders.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from ndfronts.core import Counter, FrontSet, MissingSolutionError, Solution
 from ndfronts.linear import Position, _first_witness, _settle, update_delete
@@ -27,33 +28,19 @@ class TreeVariant(Enum):
     RIGHT_BALANCED = "right"  # bisection; midpoint rounds down, right children fill first
 
 
-# Every linear operation reads this member twice.  On CPython 3.11, reading
+# Every linear operation reads this member.  On CPython 3.11, reading
 # it as ``TreeVariant.SEQUENTIAL`` goes through the enum metaclass's
 # ``__getattr__`` and costs about 0.1 us; a module global costs a tenth.
 _SEQUENTIAL = TreeVariant.SEQUENTIAL
 
 
-class CmpRecord(NamedTuple):
-    """One probed front during navigation.
-
-    ``dom`` is the probe's nature against that front (1 dominating witness,
-    -1 dominated witness, 0 non-dominated); ``s_index`` is the 1-based
-    witness position.  When ``dom`` is 0, ``s_index`` is the position of the
-    member with the probe's id, or 0 when no member has it.  A named tuple
-    is cheap to build once per probed front; like any tuple, a record
-    compares equal to a plain tuple of the same three values.
-    """
-
-    dom: int
-    f_index: int
-    s_index: int
-
-
 def navigate(
     fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter, *, find_id: bool = True
-) -> list[CmpRecord]:
+) -> list[tuple[int, int, int]]:
     """Binary-search the front ranks for where ``new`` belongs, in one of
-    the two bisection orders.
+    the two bisection orders; returns one ``(nature, rank, position)``
+    triple per probed front, in probe order, as
+    :func:`~ndfronts.linear._first_witness` answered at that rank.
 
     At each probed front, solutions are scanned in order: a dominating
     witness sends the search left (better ranks), a dominated witness right
@@ -65,12 +52,12 @@ def navigate(
     :func:`~ndfronts.linear._first_witness`).
     """
     bias = 1 if variant is TreeVariant.LEFT_BALANCED else 0
-    trace: list[CmpRecord] = []
+    trace = []
     lo, hi = 1, fs.k
     while lo <= hi:
         mid = (lo + hi + bias) // 2
         nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter, find_id=find_id)
-        trace.append(CmpRecord(nat, mid, pos))
+        trace.append((nat, mid, pos))
         if nat == -1:
             lo = mid + 1
         elif nat == 1 or not pos:
@@ -88,10 +75,10 @@ def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter,
     such a member.
 
     The sequential order is a plain loop that builds no trace: the linear
-    approach probes every front above the decision, and a record per probe
+    approach probes every front above the decision, and a triple per probe
     would slow it down.  The bisection orders run :func:`navigate`, where a
-    record that is not dominated moves the search to strictly better ranks,
-    so the last such record decides.
+    probe that is not dominated moves the search to strictly better ranks,
+    so the last such probe decides.
     """
     if order is _SEQUENTIAL:
         for rank, front in enumerate(fs.fronts, 1):
@@ -99,9 +86,9 @@ def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter,
             if nat != -1:
                 return nat, rank, pos
         return 0, fs.k + 1, 0
-    for rec in reversed(navigate(fs, probe, order, counter, find_id=find_id)):
-        if rec.dom != -1:
-            return rec
+    for probed in reversed(navigate(fs, probe, order, counter, find_id=find_id)):
+        if probed[0] != -1:
+            return probed
     return 0, fs.k + 1, 0
 
 
@@ -114,27 +101,47 @@ def _insert(fs: FrontSet, new: Solution, order: TreeVariant, counter: Counter) -
     _settle(fs, rank, nat, pos, new, counter)
 
 
-def _locate(fs: FrontSet, sol: Solution, order: TreeVariant, counter: Counter) -> Position | None:
-    """The position of the stored solution with ``sol``'s id, searched in
-    ``order``, or None when it is not stored.
+@dataclass(frozen=True)
+class Approach:
+    """One update approach: the rank order its inserts search, and the one
+    its deletes and lookups search.  Each operation is called as
+    ``(fs, sol, counter)``, and a workload step names the one to call."""
 
-    ``sol``'s vector only steers.  A front with a member dominating ``sol``
-    is better than the target's.  The deciding front has none, so every
-    member ahead of the target there is non-dominated with it, and the scan
-    either reaches the id or proves it absent.
-    """
-    nat, rank, pos = _search(fs, sol, order, counter, True)
-    return Position(rank, pos) if nat == 0 and pos else None
+    insert_order: TreeVariant
+    search_order: TreeVariant
+
+    def insert(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
+        _insert(fs, sol, self.insert_order, counter)
+
+    def lookup(self, fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
+        """The position of the stored solution with ``sol``'s id, or None
+        when it is not stored.
+
+        ``sol``'s vector only steers.  A front with a member dominating
+        ``sol`` is better than the target's.  The deciding front has none,
+        so every member ahead of the target there is non-dominated with it,
+        and the scan either reaches the id or proves it absent.
+        """
+        nat, rank, pos = _search(fs, sol, self.search_order, counter, True)
+        return Position(rank, pos) if nat == 0 and pos else None
+
+    def delete(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
+        """Remove the stored solution with ``sol``'s id and restore
+        validity; see :func:`delete`."""
+        pos = self.lookup(fs, sol, counter)
+        if pos is None:
+            raise MissingSolutionError(sol.id)
+        if fs.remove(pos.f_index, pos.s_index) and pos.f_index < len(fs.fronts):
+            update_delete(fs, pos.f_index, counter)
 
 
-def _delete(fs: FrontSet, sol: Solution, order: TreeVariant, counter: Counter) -> None:
-    """Remove the stored solution with ``sol``'s id, located in ``order``,
-    and restore validity; see :func:`delete`."""
-    pos = _locate(fs, sol, order, counter)
-    if pos is None:
-        raise MissingSolutionError(sol.id)
-    if fs.remove(pos.f_index, pos.s_index) and pos.f_index < len(fs.fronts):
-        update_delete(fs, pos.f_index, counter)
+# Lookups and deletes of both tree approaches bisect with round-up midpoints;
+# the pinned counts depend on it.
+APPROACHES: dict[str, Approach] = {
+    "linear": Approach(TreeVariant.SEQUENTIAL, TreeVariant.SEQUENTIAL),
+    "ltree": Approach(TreeVariant.LEFT_BALANCED, TreeVariant.LEFT_BALANCED),
+    "rtree": Approach(TreeVariant.RIGHT_BALANCED, TreeVariant.LEFT_BALANCED),
+}
 
 
 def insert_linear(fs: FrontSet, new: Solution, counter: Counter) -> None:
@@ -159,25 +166,26 @@ def insert_tree(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Coun
 
 
 def locate_sequential(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-    """Front-by-front scan for the stored solution with ``sol``'s id."""
-    return _locate(fs, sol, _SEQUENTIAL, counter)
+    """Front-by-front scan for the stored solution with ``sol``'s id: the
+    linear row's lookup."""
+    return APPROACHES["linear"].lookup(fs, sol, counter)
 
 
 def lookup_tree(fs: FrontSet, sol: Solution, counter: Counter) -> Position | None:
-    """Binary-search the fronts for the stored solution with ``sol``'s id.
-
-    Lookups always bisect with round-up midpoints, whichever variant the
-    inserts use; the pinned counts depend on it.
+    """Binary-search the fronts for the stored solution with ``sol``'s id:
+    the ltree row's lookup, which every tree approach shares, whichever
+    variant its inserts use.
     """
-    return _locate(fs, sol, TreeVariant.LEFT_BALANCED, counter)
+    return APPROACHES["ltree"].lookup(fs, sol, counter)
 
 
 def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None:
     """Remove the stored solution with ``sol``'s id and restore validity.
 
-    ``strategy`` picks the search: ``"sequential"`` scans fronts in order,
-    ``"tree"`` binary-searches over front ranks as :func:`lookup_tree` does;
-    an id it does not find raises
+    ``strategy`` picks the :data:`APPROACHES` row that searches:
+    ``"sequential"`` the linear row, which scans fronts in order, ``"tree"``
+    the ltree row, which binary-searches over front ranks as
+    :func:`lookup_tree` does; an id it does not find raises
     :class:`~ndfronts.core.MissingSolutionError`.  The solution then leaves
     its front and the id index through
     :meth:`~ndfronts.core.FrontSet.remove`.  Deleting from the last front
@@ -185,7 +193,7 @@ def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None
     ranks renumber; otherwise the promotion cascade runs from the source
     front.
     """
-    order = {"sequential": TreeVariant.SEQUENTIAL, "tree": TreeVariant.LEFT_BALANCED}.get(strategy)
-    if order is None:
+    name = {"sequential": "linear", "tree": "ltree"}.get(strategy)
+    if name is None:
         raise ValueError(f"unknown delete strategy {strategy!r}")
-    _delete(fs, sol, order, counter)
+    APPROACHES[name].delete(fs, sol, counter)

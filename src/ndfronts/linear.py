@@ -59,29 +59,29 @@ def _first_witness(
     the sequential scan tests: the position where it stops, or the front's
     width when it finds nothing.
     """
-    rec = fs._columns(front)
-    if rec is not None and probe.m == fs.m:
-        nat, pos = _scan_columns(rec.cols, rec.members if find_id else None, probe)
+    cols = fs._columns(front)
+    if cols is not None and probe.m == fs.m:
+        nat, pos = _scan_columns(cols, front if find_id else None, probe)
     else:
         nat, pos = _scan_members(front, probe, find_id)
     counter.pair_compares += pos or len(front)
     return nat, pos
 
 
-def _scan_columns(cols: np.ndarray, members: list[Solution] | None, probe: Solution) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for a wide front given as an
-    ``(M, n)`` objective array and its members, from one numpy comparison
-    of every member, then a search of the members before the witness for
-    the probe's id; with ``members`` None no id can match.  Uncounted, so
-    only :func:`_first_witness` calls it."""
+def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solution) -> tuple[int, int]:
+    """:func:`_first_witness`'s answer for a wide front given as its
+    ``(M, n)`` objective array, from one numpy comparison of every member,
+    then a search of the front's members before the witness for the probe's
+    id; with ``front`` None no id can match.  Uncounted, so only
+    :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
     le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
     hit = ge != le  # exactly one holds: a strict dominance either way
     w = int(hit.argmax())
     found = bool(hit[w])
-    if members is not None:
-        for pos, sol in enumerate(members[: w if found else len(members)], 1):
+    if front is not None:
+        for pos, sol in enumerate(front[: w if found else len(front)], 1):
             if sol.id == probe.id:
                 return 0, pos
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
@@ -146,9 +146,13 @@ def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, coun
     ``1 x len(tail)`` :func:`~ndfronts.core._dominated` test, so each
     candidate is compared exactly once; when ``front`` has a record (see
     :meth:`~ndfronts.core.FrontSet._columns`), the tail is a slice of it.
+    Raises IndexError, with nothing counted, unless
+    ``1 <= start <= len(front) + 1``.
     """
-    rec = fs._columns(front)
-    tail_cols = None if rec is None else rec.cols[:, start - 1 :]
+    if not 1 <= start <= len(front) + 1:
+        raise IndexError(f"start {start} out of range 1..{len(front) + 1}")
+    cols = fs._columns(front)
+    tail_cols = None if cols is None else cols[:, start - 1 :]
     stays = np.ones(len(front), dtype=bool)
     stays[start - 1 :] = ~_dominated([new], front[start - 1 :], counter, None, tail_cols)[0]
     return stays
@@ -248,10 +252,10 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     cols = None
     while index < len(fs.fronts):
         upper, lower = fs.fronts[index - 1], fs.fronts[index]
-        upper_rec, lower_rec = fs._columns(upper), fs._columns(lower)
-        if upper_rec is not None:
-            cols = upper_rec.cols
-        stays, lower_cols = _dominated(upper, lower, counter, cols, None if lower_rec is None else lower_rec.cols)
+        upper_cols = fs._columns(upper)
+        if upper_cols is not None:
+            cols = upper_cols
+        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower))
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return

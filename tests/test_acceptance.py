@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 
 from ndfronts import (
+    APPROACHES,
     Counter,
     FrontSet,
     Solution,
@@ -31,7 +32,7 @@ from ndfronts import (
     worst_split,
     FrontProfile,
 )
-from ndfronts.cli import APPROACHES, sort_online
+from ndfronts.cli import sort_online
 
 
 @contextmanager

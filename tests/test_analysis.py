@@ -22,6 +22,7 @@ from ndfronts import (
     max_comp_right_tree,
     probe_path_cost,
     same_partition,
+    Solution,
     validate,
     worst_split,
     TreeVariant,
@@ -152,6 +153,22 @@ def test_two_front_instances_realize_the_formulas_pointwise(n1, n2, m):
     assert measured_insert_cost(pop, probe, n1) == max_comp_linear(profile)
     assert measured_insert_cost(pop, probe, n1, TreeVariant.LEFT_BALANCED) == max_comp_left_tree(profile)
     assert measured_insert_cost(pop, probe, n1, TreeVariant.RIGHT_BALANCED) == max_comp_right_tree(profile)
+
+
+def test_formulas_bound_only_inserts_that_settle_at_rank_1():
+    # profile (1, 5): the probe is dominated by front 1 and dominates all of
+    # front 2, so it settles at rank 2 and displaces the whole of front 2
+    pop = [Solution("x", (0.0, 0.0))] + [Solution(f"y{i}", (2.0 + i, 7.0 - i)) for i in range(1, 6)]
+    probe = Solution("probe", (1.0, 1.0))
+    profile = FrontProfile((1, 5))
+    measured = (
+        measured_insert_cost(pop, probe, 1),
+        measured_insert_cost(pop, probe, 1, TreeVariant.LEFT_BALANCED),
+        measured_insert_cost(pop, probe, 1, TreeVariant.RIGHT_BALANCED),
+    )
+    formulas = (max_comp_linear(profile), max_comp_left_tree(profile), max_comp_right_tree(profile))
+    assert measured == (6, 6, 6)
+    assert formulas == (1, 6, 1)
 
 
 def test_worst_two_front_hits_the_optimum_counts():

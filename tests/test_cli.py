@@ -11,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from ndfronts import Counter, FrontSet, Solution, core, full_sort, same_partition
+from ndfronts import APPROACHES, Counter, FrontSet, Solution, core, full_sort, same_partition
 from ndfronts.cli import (
-    APPROACHES,
     InputError,
     bench_rows,
     check_workload,
@@ -469,6 +468,12 @@ def test_bench_rows_all_pass():
             assert row["ok"], row
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (30, 5), (97, 1), (100, 10)])
+def test_bench_rows_picks_the_equal_fronts_default_k(n, k):
+    # the largest divisor of n up to max(2, isqrt(n)), as `bench` without --k runs it
+    assert bench_rows("equal-fronts", n, None, list(APPROACHES)) == bench_rows("equal-fronts", n, k, list(APPROACHES))
+
+
 # --- the executable ------------------------------------------------------------
 
 def test_cli_sort_and_verify_roundtrip(tmp_path, twelve_in_five_levels, capsys):
@@ -518,7 +523,7 @@ def test_cli_delete_and_lookup_act_on_the_requested_twin(tmp_path, capsys, appro
 
 @pytest.mark.parametrize("command", ["run", "sort"])
 def test_cli_check_fails_on_an_invalid_partition(tmp_path, capsys, monkeypatch, command):
-    from ndfronts.cli import Approach
+    from ndfronts import Approach
 
     class SwapsFronts(Approach):
         """An approach whose inserts swap fronts 1 and 2 afterwards."""

@@ -251,7 +251,7 @@ def test_front_set_copy_is_independent(twelve_in_five_levels):
 
 
 def test_front_set_copy_edits_leave_the_original_scans_alone():
-    from ndfronts.cli import APPROACHES
+    from ndfronts import APPROACHES
 
     wide = core._SCAN_MIN_WIDTH + 10
     top = [s(f"t{i}", i, wide - i) for i in range(wide)]
@@ -301,6 +301,16 @@ def test_front_set_contains_and_len(twelve_in_five_levels):
 def test_front_set_construction_rejects_bad_members(fronts, error):
     with pytest.raises(error):
         FrontSet(2, fronts)
+
+
+@pytest.mark.parametrize("f_index, s_index", [(1, 0), (0, 1), (-1, 1), (3, 1), (2, -1), (2, 3)])
+def test_front_set_remove_out_of_range_raises_and_removes_nothing(f_index, s_index):
+    # 0 and negative indices must not wrap to the end of a list
+    fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 3), s("c", 3, 2)]])
+    with pytest.raises(IndexError):
+        fs.remove(f_index, s_index)
+    assert fs.level_ids() == [{"a"}, {"b", "c"}]
+    assert all(sol_id in fs for sol_id in "abc")
 
 
 def test_front_set_rejects_single_objective():

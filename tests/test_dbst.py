@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndfronts import (
-    CmpRecord,
+    APPROACHES,
     Counter,
     FrontSet,
     Position,
     Solution,
     TreeVariant,
+    core,
+    delete,
     full_sort,
     gen_chain,
     gen_equal_fronts,
@@ -82,7 +84,7 @@ def test_navigate_on_no_fronts_and_tree_searches_on_one_front():
 def test_navigate_left_visits_descending_right_spine():
     fs = chain_front_set(15)
     trace = navigate(fs, s("n", 16, 16), LEFT, Counter())
-    assert [(r.dom, r.f_index) for r in trace] == [(-1, 8), (-1, 12), (-1, 14), (-1, 15)]
+    assert [(nat, rank) for nat, rank, _ in trace] == [(-1, 8), (-1, 12), (-1, 14), (-1, 15)]
 
 
 def test_navigate_right_single_comparison_best_case():
@@ -90,7 +92,7 @@ def test_navigate_right_single_comparison_best_case():
     fs = FrontSet(2, [[s("x", 5, 5)], [s(f"y{i}", 5 + i, 16 - i) for i in range(1, 10)]])
     c = Counter()
     trace = navigate(fs, s("n", 1, 1), RIGHT, c)
-    assert trace == [CmpRecord(1, 1, 1)]
+    assert trace == [(1, 1, 1)]
     assert c.pair_compares == 1
 
 
@@ -100,14 +102,14 @@ def test_navigate_left_two_comparison_best_case():
     fs = FrontSet(2, [[s("x1", 5, 5)], [s("x2", 6, 6)], f3])
     c = Counter()
     trace = navigate(fs, s("n", 1, 1), LEFT, c)
-    assert [(r.dom, r.f_index, r.s_index) for r in trace] == [(1, 2, 1), (1, 1, 1)]
+    assert trace == [(1, 2, 1), (1, 1, 1)]
     assert c.pair_compares == 2
 
 
 def test_navigate_non_dominated_front_records_zero_witness():
     fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 6), s("c", 6, 2)]])
     trace = navigate(fs, s("n", 3, 3), LEFT, Counter())
-    assert (trace[0].dom, trace[0].f_index, trace[0].s_index) == (0, 2, 0)
+    assert trace[0] == (0, 2, 0)
 
 
 def test_navigate_is_read_only_and_deterministic():
@@ -138,7 +140,7 @@ def test_navigate_trace_bound(seed, k, width):
     for variant in (LEFT, RIGHT):
         trace = navigate(fs, probe, variant, Counter())
         assert len(trace) <= math.floor(math.log2(k)) + 1
-        settling = [rec.f_index for rec in trace if rec.dom != -1]
+        settling = [rank for nat, rank, _ in trace if nat != -1]
         assert all(a > b for a, b in zip(settling, settling[1:]))
         assert (settling[-1] if settling else k + 1) == target
 
@@ -200,7 +202,7 @@ def test_insert_tree_mixed_trace_resolves_at_deepest_non_dominated_record():
     probe = s("n", 2.5, 3.5)  # dominated by fronts 1-2, non-dominated with front 3
     c = Counter()
     trace = navigate(FrontSet(2, [[sol] for sol in chain]), probe, LEFT, Counter())
-    assert [r.dom for r in trace] == [0, -1]
+    assert [nat for nat, _, _ in trace] == [0, -1]
     insert_tree(fs, probe, LEFT, c)
     assert fs.level_ids()[2] == {"c3", "n"}
     assert same_partition(fs, full_sort(chain + [probe]))
@@ -325,3 +327,43 @@ def test_lookup_finds_every_stored_solution_on_random_instances(seed):
     pos = lookup_tree(fs, target, Counter())
     assert pos is not None
     assert fs.fronts[pos.f_index - 1][pos.s_index - 1].objectives == target.objectives
+
+
+# --- the approach table and the public wrappers ------------------------------
+
+WRAPPERS = {
+    "linear": (insert_linear, lambda fs, sol, c: delete(fs, sol, "sequential", c), locate_sequential),
+    "ltree": (lambda fs, sol, c: insert_tree(fs, sol, LEFT, c), lambda fs, sol, c: delete(fs, sol, "tree", c), lookup_tree),
+    "rtree": (lambda fs, sol, c: insert_tree(fs, sol, RIGHT, c), lambda fs, sol, c: delete(fs, sol, "tree", c), lookup_tree),
+}
+
+
+def test_cli_runs_the_package_table():
+    import ndfronts
+    import ndfronts.cli
+
+    assert ndfronts.cli.APPROACHES is ndfronts.APPROACHES
+    assert set(WRAPPERS) == set(APPROACHES)
+
+
+@pytest.mark.parametrize("approach", list(WRAPPERS))
+@pytest.mark.parametrize("seed, m, steps, max_live", [(0, 2, 150, 40), (1, 3, 150, 40), (2, 5, 800, 400)])
+def test_public_wrappers_and_approach_rows_agree_step_by_step(approach, seed, m, steps, max_live):
+    # the benchmark calls the wrappers and the CLI calls the rows; every step
+    # must give the same count, lookup result and partition
+    from ndfronts.cli import random_workload
+
+    ops = dict(zip(("insert", "delete", "lookup"), WRAPPERS[approach]))
+    row = APPROACHES[approach]
+    via_wrappers, via_row = FrontSet(m), FrontSet(m)
+    live, widest = {}, 0
+    for num, step in enumerate(random_workload(seed, m, steps, max_live).steps, 1):
+        sol = step.solution if step.op == "insert" else live[step.id]
+        live[step.id] = sol
+        got = []
+        for fs, op in ((via_wrappers, ops[step.op]), (via_row, getattr(row, step.op))):
+            c = Counter()
+            got.append((op(fs, sol, c), c.pair_compares, [[p.id for p in front] for front in fs.fronts]))
+        assert got[0] == got[1], (num, step.op)
+        widest = max([widest] + [len(front) for front in via_row.fronts])
+    assert widest >= core._SCAN_MIN_WIDTH or m < 5  # the M = 5 run scans records

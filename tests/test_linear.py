@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import ndfronts
 from ndfronts import (
+    APPROACHES,
     ContractViolationError,
     Counter,
     DimensionMismatchError,
@@ -33,7 +34,6 @@ from ndfronts import (
     validate,
     worst_split,
 )
-from ndfronts.cli import APPROACHES
 from tests.conftest import NINE_LEVELS, assert_columns_consistent, dominates, random_population, s
 
 
@@ -145,6 +145,18 @@ def test_dom_set_respects_start_and_counts_each_candidate_once():
         stays = dom_set(fs, front, new, start, c)
         assert stays.tolist() == [i < start - 1 or not dominates(new, p) for i, p in enumerate(front)]
         assert c.pair_compares == len(front) - start + 1
+
+
+@pytest.mark.parametrize("start", [0, -1, 5])
+def test_dom_set_start_out_of_range_raises_and_counts_nothing(start):
+    # 0 and negative starts must not wrap to the end of the front
+    fs = fs_of([s("a", 1, 4), s("b", 3, 3), s("c", 4, 1)])
+    c = Counter()
+    with pytest.raises(IndexError):
+        dom_set(fs, fs.fronts[0], s("n", 2, 2), start, c)
+    assert c.pair_compares == 0
+    assert dom_set(fs, fs.fronts[0], s("n", 2, 2), 4, c).tolist() == [True] * 3  # an empty tail
+    assert c.pair_compares == 0
 
 
 @settings(max_examples=60, deadline=None)

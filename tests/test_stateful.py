@@ -24,8 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from ndfronts import Counter, FrontSet, Solution, core, dom_nature, full_sort, linear
-from ndfronts.cli import APPROACHES
+from ndfronts import APPROACHES, Counter, FrontSet, Solution, core, dom_nature, full_sort, linear
 from tests.conftest import assert_columns_consistent
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
