@@ -314,6 +314,8 @@ def bench_rows(scenario: str, n: int, k: int | None, approaches: Sequence[str]) 
     """Run one benchmark scenario; each row compares a measured counter value
     against its closed-form prediction.  ``k`` is equal-fronts' front count;
     None picks the largest divisor of ``n`` up to ``max(2, isqrt(n))``."""
+    if k is not None and k < 1:
+        raise InputError(f"--k must be at least 1, got {k}")
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
     pad_m = 2
@@ -479,8 +481,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     approaches = [args.approach] if args.approach else list(APPROACHES)
     scenarios = [args.scenario] if args.scenario else list(SCENARIOS)
-    if args.k is not None and args.k < 1:
-        raise InputError(f"--k must be at least 1, got {args.k}")
     rows = []
     started = time.perf_counter()
     for scenario in scenarios:

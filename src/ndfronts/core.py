@@ -72,8 +72,8 @@ class Counter:
     objectives the pair carries, and a :func:`_dominated` block adds one for
     every pair in it.  The only other place that counts is the front scan
     (:func:`ndfronts.linear._first_witness`): it tests a wide front in
-    numpy and a narrow one member by member (unrolled when M is 2), both
-    uncounted, and then adds in one place the pairs the sequential scan
+    numpy and a narrow one member by member (unrolled when M is 2 or 3),
+    both uncounted, and then adds in one place the pairs the sequential scan
     tests.  Reset it between operations to read per-operation costs.
     """
 
@@ -100,7 +100,7 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     path tests whole blocks of pairs with the same rule, and the front scans of
     :func:`ndfronts.linear._first_witness` apply it to one probe and a
     front's members without a call per pair, in numpy or member by member,
-    unrolled when M is 2.
+    unrolled when M is 2 or 3.
     """
     if len(a.objectives) != len(b.objectives):
         raise DimensionMismatchError(

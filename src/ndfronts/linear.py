@@ -90,31 +90,43 @@ def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solutio
 def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tuple[int, int]:
     """:func:`_first_witness`'s answer for a front given as its members,
     tested one at a time with :func:`~ndfronts.core.dom_nature`'s rule
-    inline, so a pair costs no call, and unrolled when the probe has M = 2;
-    with ``find_id`` False no id can match, and none is compared.  A member
-    reached whose M is not the probe's raises
+    inline, so a pair costs no call, and unrolled when the probe has M = 2
+    or 3; with ``find_id`` False no id can match, and none is compared.  A
+    member reached whose M is not the probe's raises
     :class:`~ndfronts.core.DimensionMismatchError`.  Uncounted, so only
     :func:`_first_witness` calls it."""
     objs, pid = probe.objectives, probe.id
     m = len(objs)
-    if m == 2:
-        p0, p1 = objs
-        try:
+    # unrolled: the probe weakly dominating the member is a dominance unless
+    # the vectors are equal, and the member weakly dominating the probe is
+    # one, since the first test has excluded equal vectors
+    try:
+        if m == 2:
+            p0, p1 = objs
             for pos, sol in enumerate(front, 1):
                 q0, q1 = sol.objectives  # ValueError unless the member has M = 2 too
-                if p0 < q0:
-                    if p1 <= q1:
+                if p0 <= q0 and p1 <= q1:
+                    if p0 < q0 or p1 < q1:
                         return 1, pos
-                elif q0 < p0:
-                    if q1 <= p1:
-                        return -1, pos
-                elif p1 != q1:  # a tie on the first objective: the second decides
-                    return (1 if p1 < q1 else -1), pos
+                elif q0 <= p0 and q1 <= p1:
+                    return -1, pos
                 if find_id and sol.id == pid:
                     return 0, pos
-        except ValueError:
-            raise DimensionMismatchError(f"cannot compare {pid!r} (M=2) with {sol.id!r} (M={sol.m})") from None
-        return 0, 0
+            return 0, 0
+        if m == 3:
+            p0, p1, p2 = objs
+            for pos, sol in enumerate(front, 1):
+                q0, q1, q2 = sol.objectives  # ValueError unless the member has M = 3 too
+                if p0 <= q0 and p1 <= q1 and p2 <= q2:
+                    if p0 < q0 or p1 < q1 or p2 < q2:
+                        return 1, pos
+                elif q0 <= p0 and q1 <= p1 and q2 <= p2:
+                    return -1, pos
+                if find_id and sol.id == pid:
+                    return 0, pos
+            return 0, 0
+    except ValueError:
+        raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})") from None
     for pos, sol in enumerate(front, 1):
         other = sol.objectives
         if len(other) != m:

@@ -474,6 +474,14 @@ def test_bench_rows_picks_the_equal_fronts_default_k(n, k):
     assert bench_rows("equal-fronts", n, None, list(APPROACHES)) == bench_rows("equal-fronts", n, k, list(APPROACHES))
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_bench_rows_rejects_a_k_below_one(k):
+    # a library caller reaches the equal-fronts branch with no CLI check in front
+    with pytest.raises(InputError) as exc:
+        bench_rows("equal-fronts", 12, k, ["linear"])
+    assert str(exc.value) == f"--k must be at least 1, got {k}"
+
+
 # --- the executable ------------------------------------------------------------
 
 def test_cli_sort_and_verify_roundtrip(tmp_path, twelve_in_five_levels, capsys):

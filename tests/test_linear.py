@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -708,14 +709,21 @@ def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
 
 
 @pytest.mark.parametrize("find_id", [True, False])
-def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(find_id):
+@pytest.mark.parametrize(
+    "probe, odd",
+    [((4.5, 1.5), (3.0, 3.0, 3.0)), ((4.5, 1.5, 0.0), (3.0, 3.0)), ((4.5, 1.5, 0.0), (3.0, 3.0, 0.0, 0.0))],
+    ids=["m2-meets-m3", "m3-meets-m2", "m3-meets-m4"],
+)
+def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, odd, find_id):
     # the probe is non-dominated with the first two members, so the scan
     # reaches the hand-edited third
-    fs = fs_of([s("a", 1, 5), s("b", 2, 4), s("c", 3, 3), s("d", 4, 2)])
-    fs.fronts[0][2] = Solution("odd", (3.0, 3.0, 3.0))
+    m = len(probe)
+    pad = (0.0,) * (m - 2)
+    fs = FrontSet(m, [[Solution(f"s{i}", (float(i), 6.0 - i, *pad)) for i in range(1, 5)]])
+    fs.fronts[0][2] = Solution("odd", odd)
     c = Counter()
-    with pytest.raises(DimensionMismatchError):
-        ndfronts.linear._first_witness(fs, fs.fronts[0], s("p", 4.5, 1.5), c, find_id=find_id)
+    with pytest.raises(DimensionMismatchError, match=rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"):
+        ndfronts.linear._first_witness(fs, fs.fronts[0], Solution("p", probe), c, find_id=find_id)
     assert c.pair_compares == 0
 
 
@@ -726,6 +734,28 @@ def _loop_scan(front, probe, counter, find_id):
         if nat != 0 or (find_id and sol.id == probe.id):
             return nat, pos
     return 0, 0
+
+
+@pytest.mark.parametrize("find_id", [True, False])
+@pytest.mark.parametrize("m", [2, 3])
+def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(m, find_id):
+    # every vector over {-0.0, 0.0, 1.0}^M is a member; each rotation of the
+    # front puts another one first, so every probe meets every member at
+    # position 1, and the probe's id, when stored, sits at a moving position
+    grid = [Solution(f"s{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0], repeat=m))]
+    n = len(grid)
+    for r in range(n):
+        front = grid[r:] + grid[:r]
+        fs = FrontSet(m, [front])
+        assert fs._columns(front) is None  # narrow: the member-by-member scan
+        for i, member in enumerate(grid):
+            for pid in ("absent", grid[(r + i) % n].id):
+                probe = Solution(pid, member.objectives)
+                want_counter, got_counter = Counter(), Counter()
+                want = _loop_scan(front, probe, want_counter, find_id)
+                got = ndfronts.linear._first_witness(fs, front, probe, got_counter, find_id=find_id)
+                assert got == want, (probe, r)
+                assert got_counter.pair_compares == want_counter.pair_compares
 
 
 @settings(max_examples=80, deadline=None)
