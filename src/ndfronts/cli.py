@@ -184,17 +184,19 @@ def front_set_to_doc(fs: FrontSet) -> dict:
 
 
 def _doc_solution(entry: dict) -> Solution:
-    obj = entry["obj"]
+    sol_id, obj = entry["id"], entry["obj"]
+    if not isinstance(sol_id, str) or not sol_id:
+        raise InputError(f"solution id must be a non-empty string, got {sol_id!r}")
     # JSON true and false load as bool, which is an int
     if not isinstance(obj, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        raise InputError(f"solution {entry['id']!r}: obj must be an array of numbers, got {obj!r}")
-    return Solution(str(entry["id"]), tuple(obj))
+        raise InputError(f"solution {sol_id!r}: obj must be an array of numbers, got {obj!r}")
+    return Solution(sol_id, tuple(obj))
 
 
 def front_set_from_doc(doc: dict) -> FrontSet:
     """The front set of a :func:`front_set_to_doc` document.  Unless ``m``
-    is an integer of at least 2 and every ``obj`` an array of numbers (a
-    bool is not one), it raises InputError; a repeated id or a solution of
+    is an integer of at least 2, every ``id`` a non-empty string and every
+    ``obj`` an array of numbers (a bool is not one), it raises InputError; a repeated id or a solution of
     the wrong M raises the :class:`FrontSet` constructor's error."""
     try:
         m = doc["m"]

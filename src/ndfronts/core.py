@@ -70,7 +70,9 @@ class Counter:
 
     A :func:`dom_nature` call adds exactly one, no matter how many
     objectives the pair carries, and a :func:`_dominated` block adds one for
-    every pair in it.  The only other place that counts is the front scan
+    every pair in it, whichever way it tests them: with :func:`dom_nature`
+    calls, unrolled at M = 2, or in numpy.  The only other place that counts
+    is the front scan
     (:func:`ndfronts.linear._first_witness`): it tests a wide front in
     numpy and a narrow one member by member (unrolled when M is 2 or 3),
     both uncounted, and then adds in one place the pairs the sequential scan
@@ -89,23 +91,26 @@ class Counter:
         return f"Counter(pair_compares={self.pair_compares})"
 
 
+def _mismatch(a: Solution, b: Solution) -> DimensionMismatchError:
+    return DimensionMismatchError(f"cannot compare {a.id!r} (M={a.m}) with {b.id!r} (M={b.m})")
+
+
 def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     """Three-way dominance test: 1 if ``a`` dominates ``b``, -1 if ``b``
     dominates ``a``, 0 otherwise.
 
     Identical vectors cannot dominate each other and yield 0.  This is the
-    library's reference pair kernel, for any M: small :func:`_dominated`
-    blocks, :func:`validate` and :func:`check_dom` call it.  It stops as
-    soon as each side has won a coordinate.  :func:`_dominated`'s numpy
-    path tests whole blocks of pairs with the same rule, and the front scans of
+    library's reference pair kernel, for any M: the smallest
+    :func:`_dominated` blocks, :func:`validate` and :func:`check_dom` call
+    it.  It stops as soon as each side has won a coordinate.
+    :func:`_dominated`'s larger blocks test their pairs with the same rule,
+    unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and the front scans of
     :func:`ndfronts.linear._first_witness` apply it to one probe and a
     front's members without a call per pair, in numpy or member by member,
     unrolled when M is 2 or 3.
     """
     if len(a.objectives) != len(b.objectives):
-        raise DimensionMismatchError(
-            f"cannot compare {a.id!r} (M={a.m}) with {b.id!r} (M={b.m})"
-        )
+        raise _mismatch(a, b)
     counter.pair_compares += 1
     a_better = b_better = False
     for x, y in zip(a.objectives, b.objectives):
@@ -120,14 +125,22 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     return 1 if a_better else -1 if b_better else 0
 
 
-# Below this many pairs the interpreted loop beats numpy's fixed cost per
-# block (measured with perfbench; see CHANGES.md).
+# Below this many pairs a block runs the dom_nature loop.  The unrolled M = 2
+# path would beat it too, but the loop is kept because perfbench's tracer
+# divides by the dom_nature calls it counts, and a two-objective run needs
+# some (see ROADMAP.md, item 1).
 _BLOCK_MIN_PAIRS = 32
+# Up to this many pairs an M = 2 block is tested unrolled in Python, which
+# beats numpy's fixed cost per block; larger blocks, blocks whose members come
+# as a record's columns, and every block of another M go to numpy (measured
+# with perfbench and timeit; see CHANGES.md).
+_BLOCK_MAX_PAIRS_M2 = 256
 
 
 def _cols(sols: list[Solution], m: int) -> np.ndarray:
     """Objectives of ``sols`` as an ``(M, n)`` float64 array whose column
-    ``j`` holds ``sols[j]``, read from their tuples in one flat pass.
+    ``j`` holds ``sols[j]``, read from their tuples in one flat pass, or
+    with one ``np.array`` call for a side of one to four members.
 
     Every array of a group of members, record or block side, is built
     here, so this is where a member whose M is not ``m`` is caught: it
@@ -139,6 +152,8 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
     if not {m}.issuperset(map(len, objs)):
         odd = next(sol for sol in sols if sol.m != m)
         raise DimensionMismatchError(f"solution {odd.id!r} has M={odd.m}, expected M={m}")
+    if 0 < len(objs) < 5:  # np.array's fixed cost is the smaller here
+        return np.array(objs).T
     return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
 
 
@@ -156,6 +171,16 @@ def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (weak & strict).any(axis=0)
 
 
+def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
+    """Whether some peer dominates each member, for M = 2 objective pairs:
+    one pass over the members per peer, with every pair tested before the
+    running flag is read.  Uncounted, so only :func:`_dominated` calls it."""
+    hit = [False] * len(member_objs)
+    for p0, p1 in peer_objs:
+        hit = [(p0 <= q0 and p1 <= q1 and (p0 < q0 or p1 < q1)) or h for (q0, q1), h in zip(member_objs, hit)]
+    return hit
+
+
 def _dominated(
     peers: list[Solution],
     members: list[Solution],
@@ -166,14 +191,17 @@ def _dominated(
     """Whether some peer dominates each member: a bool array ``mask`` with
     ``mask[j]`` True when a member of ``peers`` dominates ``members[j]``, and
     the member columns its numpy path read, given or built; None when the
-    block ran the :func:`dom_nature` loop.  A cascade step carries a slice
-    of them to its next step.
+    block ran the :func:`dom_nature` loop or the unrolled M = 2 path.  A
+    cascade step carries a slice of them to its next step.
 
     Every pair is tested, with no early exit, and the block adds exactly
     ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
-    raise :class:`DimensionMismatchError` before anything is counted.  Small
-    blocks run the :func:`dom_nature` loop, larger ones
-    :func:`_dominated_cols`, one numpy comparison per objective.
+    raise :class:`DimensionMismatchError` before anything is counted.
+    Blocks of fewer than ``_BLOCK_MIN_PAIRS`` pairs run the
+    :func:`dom_nature` loop; M = 2 blocks of up to ``_BLOCK_MAX_PAIRS_M2``
+    pairs run :func:`_dominated_m2` on the members' tuples unless
+    ``member_cols`` is given; the rest run :func:`_dominated_cols`, one
+    numpy comparison per objective.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
@@ -186,23 +214,27 @@ def _dominated(
     if not peers or not members:
         return np.zeros(len(members), dtype=bool), None
     m = len(peers[0].objectives)
-    if len(peers) * len(members) < _BLOCK_MIN_PAIRS:
+    pairs = len(peers) * len(members)
+    if pairs < _BLOCK_MIN_PAIRS:
         for sol in chain(peers, members):
             if len(sol.objectives) != m:
-                raise DimensionMismatchError(
-                    f"cannot compare {peers[0].id!r} (M={m}) with {sol.id!r} (M={sol.m})"
-                )
+                raise _mismatch(peers[0], sol)
         return np.array([1 in [dom_nature(p, q, counter) for p in peers] for q in members]), None
+    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
+        try:  # unpacking every tuple checks its M before the block is counted
+            hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
+        except ValueError:
+            raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
+        counter.pair_compares += pairs
+        return np.array(hit), None
     sides = []
     for side, cols in ((peers, peer_cols), (members, member_cols)):
         if cols is None:
             cols = _cols(side, m)
         elif len(cols) != m:
-            raise DimensionMismatchError(
-                f"cannot compare {peers[0].id!r} (M={m}) with {side[0].id!r} (M={side[0].m})"
-            )
+            raise _mismatch(peers[0], side[0])
         sides.append(cols)
-    counter.pair_compares += len(peers) * len(members)
+    counter.pair_compares += pairs
     return _dominated_cols(*sides), sides[1]
 
 

@@ -212,6 +212,18 @@ def test_cli_verify_rejects_a_malformed_dump_with_its_path(tmp_path, capsys, m, 
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("sol_id", [None, 5, "", {"id": "a"}], ids=["null", "number", "empty", "object"])
+def test_cli_verify_rejects_a_dump_id_that_is_not_a_non_empty_string(tmp_path, capsys, sol_id):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"m": 2, "fronts": [[{"id": sol_id, "obj": [1, 2]}, {"id": "None", "obj": [2, 1]}]]}))
+    assert main(["verify", "--fs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.splitlines() == [
+        f"error: {path}: malformed front-set document: solution id must be a non-empty string, got {sol_id!r}"
+    ]
+
+
 def test_cli_sort_names_the_line_of_a_repeated_id(tmp_path, capsys):
     path = tmp_path / "dup.csv"
     write_population_csv(path, ["a,1,2", "b,2,1", "", "a,3,3"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
@@ -122,12 +123,22 @@ def test_counter_exactness(t):
 grid_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 
 
+def _block_path(m: int, pairs: int) -> str:
+    """The path a non-empty ``core._dominated`` block of ``pairs`` pairs takes
+    when its members come as tuples."""
+    if pairs < core._BLOCK_MIN_PAIRS:
+        return "dom_nature"
+    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 else "numpy"
+
+
 @st.composite
 def grid_blocks(draw):
-    """Two lists of grid solutions with one M in {2, 3, 5}; up to 12 x 12, so
-    blocks fall on both sides of the numpy crossover, empty ones included."""
+    """Two lists of grid solutions with one M in {2, 3, 5}; up to 12 x 12, and
+    up to 20 x 20 at M = 2, so blocks fall on every side of each crossover,
+    empty ones included."""
     m = draw(st.sampled_from([2, 3, 5]))
-    side = st.lists(st.tuples(*[grid_values] * m), max_size=12)
+    width = math.isqrt(core._BLOCK_MAX_PAIRS_M2) + 4 if m == 2 else 12
+    side = st.lists(st.tuples(*[grid_values] * m), max_size=width)
     peers = [Solution(f"p{i}", vec) for i, vec in enumerate(draw(side))]
     members = [Solution(f"q{j}", vec) for j, vec in enumerate(draw(side))]
     return peers, members
@@ -137,24 +148,56 @@ def grid_blocks(draw):
 def test_dominated_equals_dom_nature_pair_by_pair(block):
     peers, members = block
     c = Counter()
-    with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
+    spies = {
+        "dom_nature": mock.patch.object(core, "dom_nature", wraps=core.dom_nature),
+        "unrolled": mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2),
+        "numpy": mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols),
+    }
+    with spies["dom_nature"] as loop, spies["unrolled"] as unrolled, spies["numpy"] as numpy_path:
         mask = core._dominated(peers, members, c, None, None)[0]
     pairs = len(peers) * len(members)
     assert c.pair_compares == pairs
-    assert numpy_path.called == (pairs >= core._BLOCK_MIN_PAIRS)
+    m = (peers + members)[0].m if pairs else None
+    taken = {"dom_nature": loop.called, "unrolled": unrolled.called, "numpy": numpy_path.called}
+    assert taken == {path: bool(pairs) and path == _block_path(m, pairs) for path in taken}
     assert mask.dtype == bool and mask.shape == (len(members),)
     scratch = Counter()
     assert mask.tolist() == [any(dom_nature(p, q, scratch) == 1 for p in peers) for q in members]
 
 
-@pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS])
-def test_dominated_dimension_mismatch_counts_nothing(width):
-    members = [s(f"q{j}", j, -j) for j in range(width)] + [Solution("odd", (1, 2, 3))]
+# -0.0 and 0.0 tie, so each vector here has an identical twin
+TIE_GRID = [Solution(f"v{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0], repeat=2))]
+
+
+def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
     c = Counter()
-    with pytest.raises(DimensionMismatchError):
-        core._dominated([s("p", 0, 0)], members, c, None, None)
-    with pytest.raises(DimensionMismatchError):
-        core._dominated([Solution("odd", (1, 2, 3)), s("p", 0, 0)], members[:-1], c, None, None)
+    with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled:
+        mask, cols = core._dominated(TIE_GRID, TIE_GRID, c, None, None)
+    assert unrolled.called and cols is None
+    assert c.pair_compares == 81
+    scratch = Counter()
+    assert mask.tolist() == [any(dom_nature(p, q, scratch) == 1 for p in TIE_GRID) for q in TIE_GRID]
+    # each peer on its own, so every pair's verdict shows
+    objs = [sol.objectives for sol in TIE_GRID]
+    for p in TIE_GRID:
+        want = [dom_nature(p, q, scratch) == 1 for q in TIE_GRID]
+        assert core._dominated_m2([p.objectives], objs) == want, p
+
+
+# one width per M = 2 path: blocks of 1 x (width + 1) and 2 x width pairs
+# both take the dom_nature loop, the unrolled path and numpy in turn
+@pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, core._BLOCK_MAX_PAIRS_M2])
+def test_dominated_dimension_mismatch_counts_nothing(width):
+    path = _block_path(2, width + 1)
+    assert path == _block_path(2, 2 * width)
+    p, odd = s("p", 0, 0), Solution("odd", (1, 2, 3))
+    members = [s(f"q{j}", j, -j) for j in range(width)]
+    c = Counter()
+    for peers, block in (([p], members + [odd]), ([p, odd], members), ([odd, p], members)):
+        with pytest.raises(DimensionMismatchError) as err:
+            core._dominated(peers, block, c, None, None)
+        if peers[0] is p and path != "numpy":
+            assert str(err.value) == "cannot compare 'p' (M=2) with 'odd' (M=3)"
     assert c.pair_compares == 0
 
 
@@ -176,14 +219,20 @@ def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
     with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
         got = core._dominated(peers, members, got_counter, peer_cols, member_cols)[0]
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    assert got_counter.pair_compares == want_counter.pair_compares == len(peers) * len(members)
+    pairs = len(peers) * len(members)
+    assert got_counter.pair_compares == want_counter.pair_compares == pairs
+    # a block whose members come as columns reads them in numpy at any M
+    assert numpy_path.called == (
+        pairs >= core._BLOCK_MIN_PAIRS and (given_side != "peers" or _block_path(m, pairs) == "numpy")
+    )
     if numpy_path.called:  # a side given as columns is read, not rebuilt
         for arg, rec in zip(numpy_path.call_args.args, recs):
             assert rec is None or np.shares_memory(arg, rec.buf)
 
 
 def test_dominated_checks_a_columns_side_by_its_shape():
-    members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MIN_PAIRS)]
+    # wide enough for the numpy path, the only one that reads columns
+    members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MAX_PAIRS_M2 + 1)]
     cols = _record_of(members, 2).cols
     odd = [Solution("odd", (1, 2, 3))]
     c = Counter()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 
@@ -427,9 +428,10 @@ def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel tests, in each ``ndfronts``
     namespace that binds the kernel, and record the width of the front
     every cascade (``linear._cascade``) starts from.  A ``dom_nature`` call is
-    one pair; a block on ``core._dominated``'s numpy path
-    (``core._dominated_cols``) is the product of its two column arrays'
-    widths; a front scan, numpy
+    one pair; a block on ``core._dominated``'s unrolled M = 2 path
+    (``core._dominated_m2``) is the product of its two tuple lists' lengths,
+    and on its numpy path (``core._dominated_cols``) the product of its two
+    column arrays' widths; a front scan, numpy
     (``linear._scan_columns``) or member by member
     (``linear._scan_members``), is the pairs the sequential scan would test:
     up to the member where it stops, or the whole front when it finds
@@ -460,7 +462,15 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
+    def counted_unrolled(fn):
+        def wrapper(peer_objs, member_objs):
+            calls[0] += len(peer_objs) * len(member_objs)
+            return fn(peer_objs, member_objs)
+
+        return wrapper
+
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", counted_block(ndfronts.core._dominated_cols))
+    monkeypatch.setattr(ndfronts.core, "_dominated_m2", counted_unrolled(ndfronts.core._dominated_m2))
     scans = {"_scan_columns": lambda cols: cols.shape[1], "_scan_members": len}
     for name, width in scans.items():
         monkeypatch.setattr(ndfronts.linear, name, counted_scan(getattr(ndfronts.linear, name), width))
@@ -598,10 +608,12 @@ def test_only_a_delete_cascade_goes_through_update_delete(monkeypatch, approach,
 @pytest.mark.parametrize("approach", APPROACHES)
 @pytest.mark.parametrize("op", ["insert", "delete"])
 def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach, op):
-    # six x chains and one y: every cascade block is 6 x 7, on the numpy path
-    # but far below the record width
+    # x chains and one y: every cascade block is columns x (columns + 1), past
+    # the unrolled M = 2 path onto the numpy one, but far below the record width
     k = 50
-    fronts = _column_ladder(k, columns=6)
+    columns = math.isqrt(ndfronts.core._BLOCK_MAX_PAIRS_M2)
+    assert columns * (columns + 1) > ndfronts.core._BLOCK_MAX_PAIRS_M2
+    fronts = _column_ladder(k, columns)
     fs = FrontSet(2, [list(front) for front in fronts])
     pop = [sol for front in fronts for sol in front]
     builds = []  # the ids of every array core._cols builds from tuples
@@ -617,15 +629,15 @@ def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach
     if op == "insert":
         probe = s("probe", -2, 10_000.5)  # displaces every x of rank 1
         APPROACHES[approach].insert(fs, probe, c)
-        assert fs.k == k + 1 and fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(6)}
+        assert fs.k == k + 1 and fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(columns)}
         pop.append(probe)
     else:
         APPROACHES[approach].delete(fs, fronts[0][-1], c)
-        assert fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(6)}
+        assert fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(columns)}
         pop.remove(fronts[0][-1])
     # a step's survivors are the next step's group: their columns are carried
     built = [sol_id for ids in builds for sol_id in ids]
-    assert len(built) == len(set(built))
+    assert built and len(built) == len(set(built))
     assert len(builds) <= k
     assert calls[0] == c.pair_compares
     assert same_partition(fs, full_sort(pop))

@@ -1,9 +1,10 @@
 """Id-exact stateful check: the same insert, delete and lookup steps on
 tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
-anti-diagonal batches below the grid take the cascades onto the numpy block
-path, and one batch wide enough to keep an objective array takes the moves
-onto its columns, whose consistency is an invariant too.  Every
+anti-diagonal batches below the grid take the inserts onto the larger block
+paths: the narrow ones onto the unrolled M = 2 path, or numpy at M = 3, and
+one batch wide enough to keep an objective array onto numpy at any M, and
+the moves onto its columns, whose consistency is an invariant too.  Every
 dominance block the update rules run is checked as well: the rules ask
 only which members some peer dominates, which is enough while no member
 dominates a peer."""
@@ -29,7 +30,8 @@ from tests.conftest import assert_columns_consistent
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
 WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fills one block
-WIDE = core._SCAN_MIN_WIDTH + 1  # the batch front keeps an objective array
+# the batch front keeps an objective array, and its block is past the unrolled path
+WIDE = max(core._SCAN_MIN_WIDTH, core._BLOCK_MAX_PAIRS_M2 + 1) + 1
 
 
 def _dominated_where_no_member_dominates_a_peer(peers, members, *args):
@@ -78,7 +80,8 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         that dominates all of them.  Slot ``slot`` lies below the grid and
         every lower-numbered slot, and above every higher-numbered one, so
         the front is new and the apex displaces it in one
-        ``1 x (width - 1)`` block on the numpy path."""
+        ``1 x (width - 1)`` block, unrolled at M = 2 up to
+        ``core._BLOCK_MAX_PAIRS_M2`` pairs and in numpy otherwise."""
         base = 10 + (WIDTH + 2) * slot
         pad = (base + 1,) * (self.m - 2)
         batch = [
@@ -86,11 +89,13 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
             for i in range(width)
         ]
         batch.append(Solution(f"{tag}.apex", (base,) * self.m))
+        unrolled = self.m == 2 and width - 1 <= core._BLOCK_MAX_PAIRS_M2
+        path = "_dominated_m2" if unrolled else "_dominated_cols"
         for approach, fs in self.sets.items():
-            with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
+            with mock.patch.object(core, path, wraps=getattr(core, path)) as block:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
-            assert numpy_path.called, approach
+            assert block.called, (approach, path)
         self.live.update((sol.id, sol) for sol in batch)
         return batch
 
