@@ -445,9 +445,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     }
     if args.report == "json":
         doc["front_set"] = front_set_to_doc(fs)
-    _render(doc, args.report)
-    if args.out:
+    if args.out:  # before the report, so a reader that closes stdout early cannot cost the dump
         write_dump(fs, args.out)
+    _render(doc, args.report)
     return 0
 
 
@@ -474,9 +474,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = {"kind": "run", **report}
     if args.report == "json":
         report["front_set"] = front_set_to_doc(fs)
-    _render(report, args.report)
-    if args.out:
+    if args.out:  # before the report, so a reader that closes stdout early cannot cost the dump
         write_dump(fs, args.out)
+    _render(report, args.report)
     return 0
 
 

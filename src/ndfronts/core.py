@@ -72,11 +72,11 @@ class Counter:
     objectives the pair carries, and a :func:`_dominated` block adds one for
     every pair in it, whichever way it tests them: with :func:`dom_nature`
     calls, unrolled at M = 2, or in numpy.  The only other place that counts
-    is the front scan
-    (:func:`ndfronts.linear._first_witness`): it tests a wide front in
-    numpy and a narrow one member by member (unrolled when M is 2 or 3),
-    both uncounted, and then adds in one place the pairs the sequential scan
-    tests.  Reset it between operations to read per-operation costs.
+    is the front scan (:func:`ndfronts.linear._first_witness`), one call per
+    run of ranks: it tests each wide front in numpy and each narrow one
+    member by member (unrolled when M is 2 or 3), both uncounted, and adds
+    as it passes each front the pairs the sequential scan tests there.
+    Reset it between operations to read per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -104,10 +104,11 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     :func:`_dominated` blocks, :func:`validate` and :func:`check_dom` call
     it.  It stops as soon as each side has won a coordinate.
     :func:`_dominated`'s larger blocks test their pairs with the same rule,
-    unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and the front scans of
-    :func:`ndfronts.linear._first_witness` apply it to one probe and a
-    front's members without a call per pair, in numpy or member by member,
-    unrolled when M is 2 or 3.
+    unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and
+    :func:`ndfronts.linear._first_witness` applies it to one probe and the
+    members of a run of fronts in one call, with no call per pair or per
+    narrow front: in numpy for a front with a record, member by member
+    otherwise, unrolled when M is 2 or 3.
     """
     if len(a.objectives) != len(b.objectives):
         raise _mismatch(a, b)

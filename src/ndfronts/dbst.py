@@ -2,12 +2,13 @@
 approach table whose rows insert, look up and delete with it.
 
 The approaches differ only in the order in which the search probes the
-front ranks.  :attr:`TreeVariant.SEQUENTIAL` probes them best-first.  The
-two bisection orders binary-search them, and their "tree" is pure index
-arithmetic over front ranks: a node is a front, its left subtree holds
-better (lower) ranks, its right subtree worse ones.  Nothing is
-materialized; a navigation leaves behind only its comparison trace, at
-most floor(log2 K) + 1 probes long.  :data:`APPROACHES` names each
+front ranks.  :attr:`TreeVariant.SEQUENTIAL` probes them best-first, as one
+:func:`~ndfronts.linear._first_witness` call over ranks 1..K.  The two
+bisection orders binary-search them, one such call per probed rank, and
+their "tree" is pure index arithmetic over front ranks: a node is a front,
+its left subtree holds better (lower) ranks, its right subtree worse ones.
+Nothing is materialized; a navigation leaves behind only its comparison
+trace, at most floor(log2 K) + 1 probes long.  :data:`APPROACHES` names each
 approach as one :class:`Approach` row of two orders.
 """
 
@@ -40,7 +41,8 @@ def navigate(
     """Binary-search the front ranks for where ``new`` belongs, in one of
     the two bisection orders; returns one ``(nature, rank, position)``
     triple per probed front, in probe order, as
-    :func:`~ndfronts.linear._first_witness` answered at that rank.
+    :func:`~ndfronts.linear._first_witness` answered for a run of that one
+    rank.
 
     At each probed front, solutions are scanned in order: a dominating
     witness sends the search left (better ranks), a dominated witness right
@@ -56,8 +58,8 @@ def navigate(
     lo, hi = 1, fs.k
     while lo <= hi:
         mid = (lo + hi + bias) // 2
-        nat, pos = _first_witness(fs, fs.fronts[mid - 1], new, counter, find_id=find_id)
-        trace.append((nat, mid, pos))
+        nat, _, pos = probed = _first_witness(fs, new, mid, mid, counter, find_id)
+        trace.append(probed)
         if nat == -1:
             lo = mid + 1
         elif nat == 1 or not pos:
@@ -74,18 +76,17 @@ def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter,
     member dominates ``probe``, or ``(0, K + 1, 0)`` when every front has
     such a member.
 
-    The sequential order is a plain loop that builds no trace: the linear
-    approach probes every front above the decision, and a triple per probe
-    would slow it down.  The bisection orders run :func:`navigate`, where a
-    probe that is not dominated moves the search to strictly better ranks,
-    so the last such probe decides.
+    The sequential order is one :func:`~ndfronts.linear._first_witness`
+    call over ranks 1..K, which builds no trace: the linear approach probes
+    every front above the decision, and a call or a triple per probe would
+    slow it down.  A run dominated at every rank maps to ``(0, K + 1, 0)``,
+    and so does the empty run of K = 0.  The bisection orders run
+    :func:`navigate`, where a probe that is not dominated moves the search
+    to strictly better ranks, so the last such probe decides.
     """
     if order is _SEQUENTIAL:
-        for rank, front in enumerate(fs.fronts, 1):
-            nat, pos = _first_witness(fs, front, probe, counter, find_id=find_id)
-            if nat != -1:
-                return nat, rank, pos
-        return 0, fs.k + 1, 0
+        probed = _first_witness(fs, probe, 1, fs.k, counter, find_id)
+        return probed if probed[0] != -1 else (0, fs.k + 1, 0)
     for probed in reversed(navigate(fs, probe, order, counter, find_id=find_id)):
         if probed[0] != -1:
             return probed

@@ -1,7 +1,8 @@
 """The front scan and the update rules that every approach shares.
 
-:func:`_first_witness` probes one front for a solution's place;
-:mod:`ndfronts.dbst` decides which fronts it probes.  :func:`_settle`
+:func:`_first_witness` scans a run of front ranks, best first, for a
+solution's place, in one call; :mod:`ndfronts.dbst` decides which ranks it
+scans: all of them for the linear order, one per probe for bisection.  :func:`_settle`
 stores a new solution where the search put it, and one cascade,
 :func:`_cascade`, restores the partition below it after an insert and
 after a delete.  No solution is ever held in two places at once:
@@ -23,6 +24,7 @@ from ndfronts.core import (
     DimensionMismatchError,
     FrontSet,
     Solution,
+    _SCAN_MIN_WIDTH,
     _dominated,
     dom_nature,
 )
@@ -37,35 +39,91 @@ class Position:
 
 
 def _first_witness(
-    fs: FrontSet, front: list[Solution], probe: Solution, counter: Counter, *, find_id: bool = True
-) -> tuple[int, int]:
-    """Scan ``front``, a front of ``fs``, in order for its first member that
-    ``probe`` dominates (1), is dominated by (-1) or shares its id with (0);
-    returns that nature and the member's 1-based position, or ``(0, 0)``
+    fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Counter, find_id: bool
+) -> tuple[int, int, int]:
+    """Scan the fronts of ``fs`` at ranks ``lo..hi``, best first, until one
+    is not decided by a member dominating ``probe``; returns that front's
+    nature, rank and position, or the last front's ``(-1, hi, pos)`` when a
+    member dominates ``probe`` at every rank (``(-1, lo - 1, 0)`` when the
+    run is empty).
+
+    Each front is scanned in order for its first member that ``probe``
+    dominates (1), is dominated by (-1) or shares its id with (0); its
+    answer is that nature and the member's 1-based position, or ``(0, 0)``
     when ``probe`` is non-dominated with the whole front and its id is not
-    there.
+    there.  One witness decides the front: as an antichain it cannot hold
+    both a member dominating ``probe`` and one that ``probe`` dominates.
+    An insert probe's id is never stored
+    (:meth:`~ndfronts.core.FrontSet.admit` guarantees it), so only lookups
+    stop at an id match, and inserts pass ``find_id=False`` to spare the
+    scan the id search.
 
-    One witness decides the front: as an antichain it cannot hold both a
-    member dominating ``probe`` and one that ``probe`` dominates.  An insert
-    probe's id is never stored (:meth:`~ndfronts.core.FrontSet.admit`
-    guarantees it), so only lookups stop at an id match, and inserts pass
-    ``find_id=False`` to spare the scan the id search.
-
-    A front with a record (see :meth:`~ndfronts.core.FrontSet._columns`)
-    is tested whole by :func:`_scan_columns`.  Any other front, and any
-    probe of another M, goes to :func:`_scan_members`, which tests one
-    member at a time and rejects such a probe at the first member.  Both
-    scans are uncounted; the counter gets, here and only here, the pairs
-    the sequential scan tests: the position where it stops, or the front's
-    width when it finds nothing.
+    The whole run of ranks is one call, so the linear order pays Python's
+    call overhead once per search rather than per front.  A front with a
+    record (see :meth:`~ndfronts.core.FrontSet._columns`) is tested whole
+    by :func:`_scan_columns`.  Any other front is tested one member at a
+    time with :func:`~ndfronts.core.dom_nature`'s rule inline, unrolled
+    here when the probe has M = 2 or 3 and by :func:`_scan_members` for
+    any other M; a member reached whose M is not the probe's raises
+    :class:`~ndfronts.core.DimensionMismatchError`.  The scans are
+    uncounted; the counter gets, here and only here, the pairs the
+    sequential scan tests: for each front passed, the position where it
+    stops, or the front's width when it finds nothing.  A front that
+    raises is not charged, and the fronts before it stay charged.
     """
-    cols = fs._columns(front)
-    if cols is not None and probe.m == fs.m:
-        nat, pos = _scan_columns(cols, front if find_id else None, probe)
-    else:
-        nat, pos = _scan_members(front, probe, find_id)
-    counter.pair_compares += pos or len(front)
-    return nat, pos
+    fronts = fs.fronts
+    objs, pid = probe.objectives, probe.id
+    m = len(objs)
+    if m == 2:
+        p0, p1 = objs
+    elif m == 3:
+        p0, p1, p2 = objs
+    nat, rank, pos = -1, lo - 1, 0
+    while nat == -1 and rank < hi:
+        front = fronts[rank]
+        rank += 1
+        # _columns is None below the width anyway; testing it here spares a call per narrow front
+        cols = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
+        if cols is not None and m == fs.m:
+            nat, pos = _scan_columns(cols, front if find_id else None, probe)
+        elif m > 3:
+            nat, pos = _scan_members(front, probe, find_id)
+        else:
+            # unrolled: the probe weakly dominating the member is a dominance
+            # unless the vectors are equal, and the member weakly dominating
+            # the probe is one, since the first test has excluded equal vectors
+            nat = pos = 0
+            try:
+                if m == 2:
+                    for i, sol in enumerate(front, 1):
+                        q0, q1 = sol.objectives  # ValueError unless the member has M = 2 too
+                        if p0 <= q0 and p1 <= q1:
+                            if p0 < q0 or p1 < q1:
+                                nat, pos = 1, i
+                                break
+                        elif q0 <= p0 and q1 <= p1:
+                            nat, pos = -1, i
+                            break
+                        if find_id and sol.id == pid:
+                            pos = i
+                            break
+                else:
+                    for i, sol in enumerate(front, 1):
+                        q0, q1, q2 = sol.objectives  # ValueError unless the member has M = 3 too
+                        if p0 <= q0 and p1 <= q1 and p2 <= q2:
+                            if p0 < q0 or p1 < q1 or p2 < q2:
+                                nat, pos = 1, i
+                                break
+                        elif q0 <= p0 and q1 <= p1 and q2 <= p2:
+                            nat, pos = -1, i
+                            break
+                        if find_id and sol.id == pid:
+                            pos = i
+                            break
+            except ValueError:
+                raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})") from None
+        counter.pair_compares += pos or len(front)
+    return nat, rank, pos
 
 
 def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solution) -> tuple[int, int]:
@@ -88,45 +146,16 @@ def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solutio
 
 
 def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for a front given as its members,
-    tested one at a time with :func:`~ndfronts.core.dom_nature`'s rule
-    inline, so a pair costs no call, and unrolled when the probe has M = 2
-    or 3; with ``find_id`` False no id can match, and none is compared.  A
+    """:func:`_first_witness`'s answer for one front without a record, or
+    with one of another M, when the probe has M other than 2 or 3: its
+    members tested one at a time with
+    :func:`~ndfronts.core.dom_nature`'s rule inline, so a pair costs no
+    call; with ``find_id`` False no id can match, and none is compared.  A
     member reached whose M is not the probe's raises
     :class:`~ndfronts.core.DimensionMismatchError`.  Uncounted, so only
     :func:`_first_witness` calls it."""
     objs, pid = probe.objectives, probe.id
     m = len(objs)
-    # unrolled: the probe weakly dominating the member is a dominance unless
-    # the vectors are equal, and the member weakly dominating the probe is
-    # one, since the first test has excluded equal vectors
-    try:
-        if m == 2:
-            p0, p1 = objs
-            for pos, sol in enumerate(front, 1):
-                q0, q1 = sol.objectives  # ValueError unless the member has M = 2 too
-                if p0 <= q0 and p1 <= q1:
-                    if p0 < q0 or p1 < q1:
-                        return 1, pos
-                elif q0 <= p0 and q1 <= p1:
-                    return -1, pos
-                if find_id and sol.id == pid:
-                    return 0, pos
-            return 0, 0
-        if m == 3:
-            p0, p1, p2 = objs
-            for pos, sol in enumerate(front, 1):
-                q0, q1, q2 = sol.objectives  # ValueError unless the member has M = 3 too
-                if p0 <= q0 and p1 <= q1 and p2 <= q2:
-                    if p0 < q0 or p1 < q1 or p2 < q2:
-                        return 1, pos
-                elif q0 <= p0 and q1 <= p1 and q2 <= p2:
-                    return -1, pos
-                if find_id and sol.id == pid:
-                    return 0, pos
-            return 0, 0
-    except ValueError:
-        raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})") from None
     for pos, sol in enumerate(front, 1):
         other = sol.objectives
         if len(other) != m:

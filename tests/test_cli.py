@@ -506,6 +506,35 @@ def test_cli_sort_and_verify_roundtrip(tmp_path, twelve_in_five_levels, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["sort", "run"])
+def test_cli_writes_the_dump_before_a_closed_stdout_cuts_the_report(tmp_path, capsys, command):
+    # each report is longer than a pipe holds, so the command is still
+    # writing it when the reader closes stdout after one line
+    if command == "sort":
+        pop_csv = tmp_path / "chain.csv"
+        write_population_csv(pop_csv, [f"p{i},{-i},{-i}" for i in range(4000)])  # 4000 fronts of one
+        argv = ["sort", "--input", str(pop_csv)]
+    else:
+        argv = ["run", "--seed", "42", "--steps", "1500"]
+    dump = tmp_path / "out.json"
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ndfronts", *argv, "--out", str(dump)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 2), err
+    assert "Traceback" not in err
+    assert main(["verify", "--fs", str(dump)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_cli_verify_fails_on_tampered_dump(tmp_path, twelve_in_five_levels, capsys):
     fs = full_sort(twelve_in_five_levels)
     fs.fronts.reverse()

@@ -23,6 +23,7 @@ from ndfronts import (
     Position,
     Solution,
     delete,
+    dom_nature,
     dom_set,
     full_sort,
     gen_chain,
@@ -431,12 +432,11 @@ def _audit_kernel(monkeypatch):
     one pair; a block on ``core._dominated``'s unrolled M = 2 path
     (``core._dominated_m2``) is the product of its two tuple lists' lengths,
     and on its numpy path (``core._dominated_cols``) the product of its two
-    column arrays' widths; a front scan, numpy
-    (``linear._scan_columns``) or member by member
-    (``linear._scan_members``), is the pairs the sequential scan would test:
-    up to the member where it stops, or the whole front when it finds
-    nothing.  Returns ``(calls, widths)``; ``calls[0]`` is the running
-    tally."""
+    column arrays' widths; a front scan (``linear._first_witness``, bound
+    in ``linear`` and ``dbst``) is the pairs :func:`_loop_scan` tests at
+    each rank from ``lo`` to the rank the scan returns: up to the member
+    where it stops, or the whole front when it finds nothing.  Returns
+    ``(calls, widths)``; ``calls[0]`` is the running tally."""
     calls = [0]
     widths: list[int] = []
 
@@ -454,11 +454,14 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
-    def counted_scan(fn, width):
-        def wrapper(front, *args):
-            nat, pos = fn(front, *args)
-            calls[0] += pos or width(front)
-            return nat, pos
+    def counted_witness(fn):
+        def wrapper(fs, probe, lo, hi, counter, find_id):
+            probed = fn(fs, probe, lo, hi, counter, find_id)
+            reference = Counter()
+            for front in fs.fronts[lo - 1 : probed[1]]:
+                _loop_scan(front, probe, reference, find_id)
+            calls[0] += reference.pair_compares
+            return probed
 
         return wrapper
 
@@ -471,9 +474,9 @@ def _audit_kernel(monkeypatch):
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", counted_block(ndfronts.core._dominated_cols))
     monkeypatch.setattr(ndfronts.core, "_dominated_m2", counted_unrolled(ndfronts.core._dominated_m2))
-    scans = {"_scan_columns": lambda cols: cols.shape[1], "_scan_members": len}
-    for name, width in scans.items():
-        monkeypatch.setattr(ndfronts.linear, name, counted_scan(getattr(ndfronts.linear, name), width))
+    witness = counted_witness(ndfronts.linear._first_witness)
+    for module in (ndfronts.linear, ndfronts.dbst):
+        monkeypatch.setattr(module, "_first_witness", witness)
 
     def recorded(fs, index, counter):
         widths.append(len(fs.fronts[index - 1]))
@@ -723,26 +726,38 @@ def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
 @pytest.mark.parametrize("find_id", [True, False])
 @pytest.mark.parametrize(
     "probe, odd",
-    [((4.5, 1.5), (3.0, 3.0, 3.0)), ((4.5, 1.5, 0.0), (3.0, 3.0)), ((4.5, 1.5, 0.0), (3.0, 3.0, 0.0, 0.0))],
-    ids=["m2-meets-m3", "m3-meets-m2", "m3-meets-m4"],
+    [
+        ((4.5, 1.5), (3.0, 3.0, 3.0)),
+        ((4.5, 1.5, 0.0), (3.0, 3.0)),
+        ((4.5, 1.5, 0.0), (3.0, 3.0, 0.0, 0.0)),
+        ((4.5, 1.5, 0.0, 0.0), (3.0, 3.0, 0.0)),
+        ((4.5, 1.5, 0.0, 0.0, 0.0), (3.0, 3.0)),
+    ],
+    ids=["m2-meets-m3", "m3-meets-m2", "m3-meets-m4", "m4-meets-m3", "m5-meets-m2"],
 )
 def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, odd, find_id):
-    # the probe is non-dominated with the first two members, so the scan
-    # reaches the hand-edited third
+    # the probe is non-dominated with the first two members of rank 3, so the
+    # scan reaches the hand-edited third; ranks 1 and 2 each hold a member
+    # non-dominated with the probe, then one dominating it
     m = len(probe)
     pad = (0.0,) * (m - 2)
-    fs = FrontSet(m, [[Solution(f"s{i}", (float(i), 6.0 - i, *pad)) for i in range(1, 5)]])
-    fs.fronts[0][2] = Solution("odd", odd)
-    c = Counter()
-    with pytest.raises(DimensionMismatchError, match=rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"):
-        ndfronts.linear._first_witness(fs, fs.fronts[0], Solution("p", probe), c, find_id=find_id)
-    assert c.pair_compares == 0
+    above = [[Solution(f"u{r}", (r / 4 - 1, r / 4 + 10, *pad)), Solution(f"d{r}", (r / 4, r / 4, *pad))] for r in range(2)]
+    fs = FrontSet(m, above + [[Solution(f"s{i}", (float(i), 6.0 - i, *pad)) for i in range(1, 5)]])
+    fs.fronts[2][2] = Solution("odd", odd)
+    message = rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"
+    for lo in (1, 2, 3):
+        c = Counter()
+        with pytest.raises(DimensionMismatchError, match=message):
+            ndfronts.linear._first_witness(fs, Solution("p", probe), lo, 3, c, find_id)
+        assert c.pair_compares == 2 * (3 - lo)  # two pairs for each rank lo..2, none for rank 3
 
 
 def _loop_scan(front, probe, counter, find_id):
-    """The sequential front scan, the reference for both scans."""
+    """The sequential front scan, the reference for every scan of one front.
+    It calls this module's binding of ``dom_nature``, which
+    :func:`_audit_kernel` leaves unwrapped."""
     for pos, sol in enumerate(front, 1):
-        nat = ndfronts.dom_nature(probe, sol, counter)
+        nat = dom_nature(probe, sol, counter)
         if nat != 0 or (find_id and sol.id == probe.id):
             return nat, pos
     return 0, 0
@@ -765,9 +780,50 @@ def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(m, find_id):
                 probe = Solution(pid, member.objectives)
                 want_counter, got_counter = Counter(), Counter()
                 want = _loop_scan(front, probe, want_counter, find_id)
-                got = ndfronts.linear._first_witness(fs, front, probe, got_counter, find_id=find_id)
-                assert got == want, (probe, r)
+                got = ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter, find_id)
+                assert got == (want[0], 1, want[1]), (probe, r)
                 assert got_counter.pair_compares == want_counter.pair_compares
+
+
+@pytest.mark.parametrize("find_id", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find_id):
+    # a stack of subsets of the tie grid over {-0.0, 0.0, 1.0}^M, with a front
+    # of the whole grid repeated past the record width at rank 3, so a run of
+    # ranks reads a record mid-run; the scan only reads the fronts, so they
+    # need not be a valid partition
+    rng = random.Random(m)
+    grid = list(itertools.product([-0.0, 0.0, 1.0], repeat=m))
+    narrow = [rng.sample(grid, rng.randrange(3, len(grid))) for _ in range(4)]
+    wide = grid * -(-CROSSOVER // len(grid))
+    stack = [[Solution(f"r{r}-{i}", vec) for i, vec in enumerate(front)] for r, front in enumerate(narrow[:2] + [wide] + narrow[2:], 1)]
+    fs = FrontSet(m, stack)
+    assert [fs._columns(front) is not None for front in fs.fronts] == [False, False, True, False, False]
+    wide_scans = []
+    scan = ndfronts.linear._scan_columns
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda *args: wide_scans.append(args[0].shape[1]) or scan(*args))
+    k = fs.k
+    vectors = grid[:: max(1, len(grid) // 27)] + [(2.0,) * m]  # the last is dominated by every front
+    reached = set()  # (lo, the rank the run stopped at) for each run the record decided or passed
+    for vec in vectors:
+        for pid in ("absent", "r3-5", "r4-1"):
+            probe = Solution(pid, vec)
+            for lo in range(1, k + 1):
+                for hi in range(lo, k + 1):
+                    want_counter, got_counter = Counter(), Counter()
+                    nat, pos = -1, 0
+                    for rank in range(lo, hi + 1):
+                        nat, pos = _loop_scan(fs.fronts[rank - 1], probe, want_counter, find_id)
+                        if nat != -1:
+                            break
+                    del wide_scans[:]
+                    got = ndfronts.linear._first_witness(fs, probe, lo, hi, got_counter, find_id)
+                    assert got == (nat, rank, pos), (probe, lo, hi)
+                    assert got_counter.pair_compares == want_counter.pair_compares, (probe, lo, hi)
+                    assert len(wide_scans) == (lo <= 3 <= rank)
+                    if wide_scans:
+                        reached.add((lo, rank))
+    assert {(1, 3), (1, 4), (1, 5)} <= reached  # the record decided a run, and runs passed it
 
 
 @settings(max_examples=80, deadline=None)
@@ -798,8 +854,8 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
         probe = Solution(f"s{target}" if probe_kind == "present" else "absent", probe_vec)
     fs = FrontSet(m, [front])
     want_counter, got_counter = Counter(), Counter()
-    want = _loop_scan(front, probe, want_counter, find_id)
-    assert ndfronts.linear._first_witness(fs, fs.fronts[0], probe, got_counter, find_id=find_id) == want
+    nat, pos = _loop_scan(front, probe, want_counter, find_id)
+    assert ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter, find_id) == (nat, 1, pos)
     assert got_counter.pair_compares == want_counter.pair_compares
 
 
