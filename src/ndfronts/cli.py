@@ -5,7 +5,9 @@ Input format: CSV with a required header ``id,obj_1,...,obj_M`` (one solution
 per row, all rows the same M).  Front-set dumps are JSON documents
 ``{"m": M, "fronts": [[{"id": ..., "obj": [...]}, ...], ...]}`` with fronts
 ordered by rank; floats round-trip bit-exactly.  Exit codes: 0 on success /
-PASS, 1 on any FAIL, 2 on usage or input errors.
+PASS, 1 on any FAIL, 2 on usage or input errors, and 141 (128 + SIGPIPE, as
+the shell reports a process killed by it) with nothing on stderr when the
+reader closes stdout before the report is written, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -574,7 +577,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # a reader that stops early is not bad input; stdout now goes to
+        # devnull, so the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CheckFailedError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1

@@ -255,52 +255,45 @@ _SCAN_MIN_WIDTH = 96
 
 class _Columns:
     """Objective array of one wide front: column ``j`` of :attr:`cols`
-    holds ``members[j]``'s objectives.  Probe scans and the cascade's
-    :func:`_dominated` tests read :attr:`cols` (or a slice of it) directly;
-    every member has the array's M, so its shape alone answers a dimension
-    check.
+    holds the objectives of the front's ``j``-th member.  Probe scans and
+    the cascade's :func:`_dominated` tests read :attr:`cols` (or a slice of
+    it) directly; every member has the array's M, so its shape alone
+    answers a dimension check.
 
-    Every edit applies to the members and the array together, so the two
-    always agree.  Only :meth:`FrontSet._columns` hands the array out, and
-    only while ``members`` equals its front.
+    The front itself is the member list.  Only :class:`FrontSet`'s
+    mutators edit a front and its record, and always together, so the two
+    agree.  Only :meth:`FrontSet._columns` hands the array out.
     """
 
-    __slots__ = ("members", "buf", "n")
+    __slots__ = ("buf", "n")
 
-    def __init__(self, members: list[Solution], cols: np.ndarray) -> None:
-        self.members = members
+    def __init__(self, cols: np.ndarray) -> None:
         self.buf = cols  # (M, capacity); the first n columns are live
-        self.n = len(members)
+        self.n = cols.shape[1]
 
     @classmethod
     def of(cls, members: list[Solution], m: int) -> "_Columns":
         """Build from the members' tuples with :func:`_cols`; raises
         ValueError unless each has M ``m``."""
-        return cls(members, np.ascontiguousarray(_cols(members, m)))
+        return cls(np.ascontiguousarray(_cols(members, m)))
 
     @property
     def cols(self) -> np.ndarray:
         return self.buf[:, : self.n]
 
-    def extend(self, part: "_Columns") -> None:
-        """Append ``part``'s members and columns."""
-        n, end = self.n, self.n + part.n
+    def extend(self, cols: np.ndarray) -> None:
+        """Append the columns of ``cols``, an ``(M, k)`` array."""
+        n, end = self.n, self.n + cols.shape[1]
         if end > self.buf.shape[1]:
             grown = np.empty((len(self.buf), end + end // 4), dtype=np.float64)
             grown[:, :n] = self.buf[:, :n]
             self.buf = grown
-        self.buf[:, n:end] = part.cols
+        self.buf[:, n:end] = cols
         self.n = end
-        self.members += part.members
-
-    def take(self, mask: np.ndarray) -> "_Columns":
-        """A record of the members flagged in ``mask``."""
-        return _Columns(list(compress(self.members, mask.tolist())), self.cols[:, mask])
 
     def pop(self, i: int) -> None:
         self.buf[:, i : self.n - 1] = self.buf[:, i + 1 : self.n]
         self.n -= 1
-        del self.members[i]
 
 
 class FrontSet:
@@ -314,13 +307,18 @@ class FrontSet:
 
     A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
     array, its record, which its probe scans and the cascade blocks that
-    test it read.  One rule keeps the records right: :meth:`_columns` is
-    the only way to read one, and it hands out a record's array only while
-    its members equal the front, building it afresh otherwise.  So ``fronts``
-    stays a plain list anyone may edit.  Only this class edits the records:
-    :meth:`remove` and :meth:`_append` edit one member, and :meth:`_move`
-    moves any number of members from one front to another, columns and
-    all, in one step, dropping the record of the front it splits.
+    test it read.  Records are keyed by the front list's ``id()`` and built
+    on first read by :meth:`_columns`, the only way to read one.  The
+    contract that keeps them right: a front list is edited only through
+    this class, and every edit applies to the members and the record
+    together.  :meth:`remove` and :meth:`_append` edit one member, and
+    :meth:`_move` moves any number of members from one front to another,
+    columns and all, in one step, retiring the record of the front it
+    splits.  Other code, :mod:`ndfronts.linear` included, only reorders the
+    outer ``fronts`` list: it inserts, drops and replaces whole fronts, and
+    drops only a front whose record a mutator has already retired.  A front
+    edited any other way leaves its record out of step; :func:`validate`
+    reports that, and the scans do not check it.
     At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
     """
@@ -365,7 +363,7 @@ class FrontSet:
         self._ids.discard(front.pop(s_index - 1).id)
         rec = self._arrays.get(id(front))
         if rec is not None:
-            if len(front) < _SCAN_MIN_WIDTH or rec.n != len(front) + 1:
+            if len(front) < _SCAN_MIN_WIDTH:
                 del self._arrays[id(front)]
             else:
                 rec.pop(s_index - 1)
@@ -378,16 +376,17 @@ class FrontSet:
         front.append(sol)
         rec = self._arrays.get(id(front))
         if rec is not None:
-            rec.extend(_Columns([sol], np.array(sol.objectives)[:, None]))
+            rec.extend(np.array(sol.objectives)[:, None])
 
     def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
         """Append the members of ``src`` flagged False in ``stays`` to
         ``dest``, in order; return the others in order, as ``src`` itself
-        when all stay and as a new list otherwise.  Each part is one
-        :func:`~itertools.compress` of ``src``.  Columns move with their
-        members: each part's record is taken from the record's own member
-        list, so the parts of a stale record stay stale.  A narrow part
-        keeps no array; a cascade carries the columns it needs itself."""
+        when all stay and as a new list otherwise, which the caller puts in
+        ``src``'s place.  Each part is one :func:`~itertools.compress` of
+        ``src``.  Columns move with their members: ``src``'s record is
+        retired, and each part's columns are the mask's slice of it.  A
+        narrow part keeps no array; a cascade carries the columns it needs
+        itself."""
         keep = stays.tolist()
         if all(keep):
             return src
@@ -397,31 +396,26 @@ class FrontSet:
         if not self._arrays:
             return kept
         rec = self._arrays.pop(id(src), None)
-        if rec is not None and rec.n != len(src):
-            rec = None  # stale by length: no mask can pick its columns
         if rec is not None and len(kept) >= _SCAN_MIN_WIDTH:
-            self._arrays[id(kept)] = rec.take(stays)
+            self._arrays[id(kept)] = _Columns(rec.cols[:, stays])
         drec = self._arrays.get(id(dest))
         if drec is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
             drec = self._arrays[id(dest)] = _Columns.of(dest[:start], self.m)
         if drec is not None:
-            drec.extend(rec.take(~stays) if rec is not None else _Columns.of(dest[start:], self.m))
+            drec.extend(rec.cols[:, ~stays] if rec is not None else _cols(dest[start:], self.m))
         return kept
 
     def _columns(self, front: list[Solution]) -> np.ndarray | None:
         """The ``(M, n)`` objective array of ``front``, a front of this set,
         whose column ``j`` holds ``front[j]``, or None when ``front`` is
-        narrower than ``_SCAN_MIN_WIDTH`` or a member's M is not the set's.
-        This is the only way to read a record: one whose members are not
-        ``front`` is stale and is built afresh from the members' tuples."""
+        narrower than ``_SCAN_MIN_WIDTH``.  This is the only way to read a
+        record; a front without one gets one, built from its members'
+        tuples."""
         if len(front) < _SCAN_MIN_WIDTH:
             return None
         rec = self._arrays.get(id(front))
-        if rec is None or rec.members != front:
-            try:
-                rec = self._arrays[id(front)] = _Columns.of(front[:], self.m)
-            except ValueError:
-                return None
+        if rec is None:
+            rec = self._arrays[id(front)] = _Columns.of(front, self.m)
         return rec.cols
 
     @property
@@ -446,8 +440,9 @@ class FrontSet:
 
     def copy(self) -> "FrontSet":
         """Independent structural copy (solutions themselves are immutable
-        and shared): the fronts, the id index and the arrays are copied as
-        they are, with no check, since this set already passed them."""
+        and shared): the fronts, the id index and the records' live columns
+        are copied as they are, with no check, since this set already passed
+        them."""
         clone = FrontSet.__new__(FrontSet)
         clone.m = self.m
         clone.fronts = [front[:] for front in self.fronts]
@@ -456,7 +451,7 @@ class FrontSet:
         for front, twin in zip(self.fronts, clone.fronts):
             rec = self._arrays.get(id(front))
             if rec is not None:
-                clone._arrays[id(twin)] = _Columns(rec.members[:], rec.cols.copy())
+                clone._arrays[id(twin)] = _Columns(rec.cols.copy())
         return clone
 
     def __repr__(self) -> str:
@@ -468,8 +463,10 @@ def validate(fs: FrontSet) -> list[str]:
     """Check every structural invariant of ``fs``.
 
     Returns a list of human-readable violations; an empty list means the
-    partition is a valid set of non-domination levels.  Diagnostic only: it
-    never raises on bad structure and does not touch any caller's counter.
+    partition is a valid set of non-domination levels and every record
+    (see :class:`FrontSet`) belongs to a front and holds its objectives.
+    Diagnostic only: it never raises on bad structure and does not touch
+    any caller's counter.
     """
     problems: list[str] = []
     scratch = Counter()
@@ -492,6 +489,13 @@ def validate(fs: FrontSet) -> list[str]:
                 seen[sol.id] = f_index
     if not dims_ok:
         return problems
+
+    ranks = {id(front): f_index for f_index, front in enumerate(fs.fronts, 1)}
+    for key, rec in fs._arrays.items():
+        if key not in ranks:
+            problems.append(f"a record of {rec.n} columns belongs to no front")
+        elif not np.array_equal(rec.cols, _cols(fs.fronts[ranks[key] - 1], fs.m)):
+            problems.append(f"front {ranks[key]}: its record differs from its members' objectives")
 
     for f_index, front in enumerate(fs.fronts, 1):
         for i in range(len(front)):

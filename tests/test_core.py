@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -320,15 +321,71 @@ def test_front_set_copy_edits_leave_the_original_scans_alone():
     clone = fs.copy()
     assert id(clone.fronts[0]) in clone._arrays and id(clone.fronts[1]) in clone._arrays
     assert_columns_consistent(clone)
-    APPROACHES["linear"].delete(clone, top[1], Counter())  # shifts the clone's columns in place
-    APPROACHES["linear"].insert(clone, s("n", 19.75, wide - 20.25), Counter())  # splits the clone's front 1
-    clone.fronts[0][5] = s("edit", 5.25, wide - 5.25)
-    clone.fronts[1].pop()
+    ops = APPROACHES["linear"]
+    ops.delete(clone, top[1], Counter())  # shifts the clone's columns in place
+    ops.insert(clone, s("n", 19.75, wide - 20.25), Counter())  # splits the clone's front 1
+    ops.delete(clone, below[-1], Counter())  # shifts the columns the split moved
     assert answers(fs) == before
     assert [[sol.id for sol in front] for front in fs.fronts] == levels
     assert validate(fs) == []
+    assert validate(clone) == []
     assert_columns_consistent(fs)
     assert_columns_consistent(clone)
+
+
+@pytest.mark.parametrize("edit", ["replaced-member", "popped-member", "dropped-front"])
+def test_validate_flags_a_direct_edit_of_a_wide_front_with_a_record(edit):
+    # fronts are edited only through FrontSet; the scans trust the records,
+    # so the checker is where an edit made behind their back shows up
+    wide = core._SCAN_MIN_WIDTH + 10
+    fs = FrontSet(2, [[s(f"{name}{i}", i + x, wide - i + x) for i in range(wide)] for name, x in (("t", 0), ("b", 0.5))])
+    for front in fs.fronts:
+        fs._columns(front)
+    assert len(fs._arrays) == 2 and validate(fs) == []
+    # each edit leaves a valid partition, so the record is all there is to flag
+    if edit == "replaced-member":
+        fs.fronts[0][5] = s("edit", 5.25, wide - 5.25)
+        want = "front 1: its record differs from its members' objectives"
+    elif edit == "popped-member":
+        fs.fronts[1].pop()
+        want = "front 2: its record differs from its members' objectives"
+    else:
+        fs.fronts.pop(0)
+        want = f"a record of {wide} columns belongs to no front"
+    assert validate(fs) == [want]
+
+
+@pytest.mark.parametrize("approach", ["linear", "ltree", "rtree"])
+def test_records_hold_columns_only_within_their_growth_rule(approach):
+    """Auxiliary space beyond ``fronts``: only fronts of ``_SCAN_MIN_WIDTH``
+    members keep a record, and a record is one float array with no Python
+    list, no larger than ``_Columns.extend``'s growth rule allows."""
+    from ndfronts import APPROACHES
+
+    ops = APPROACHES[approach]
+    rng = random.Random(2203)
+    fs = FrontSet(5)
+    for i in range(2000):  # seeded M = 5 online sort: few wide fronts, inserts only
+        ops.insert(fs, Solution(f"p{i}", tuple(rng.random() for _ in range(5))), Counter())
+    assert fs._arrays, "the sort should leave a front wide enough for a record"
+    assert_columns_consistent(fs)
+    for rec in fs._arrays.values():
+        assert not hasattr(rec, "__dict__")
+        assert not any(isinstance(getattr(rec, name), list) for name in type(rec).__slots__)
+        # an exact build, or the last growth to end + end // 4; inserts only ever extend
+        assert len(rec.buf) == 5 and rec.buf.shape[1] <= rec.n + rec.n // 4
+    assert sum(rec.buf.nbytes for rec in fs._arrays.values()) <= 8 * 5 * (len(fs) + len(fs) // 4)
+
+    narrow = FrontSet(2)
+    for i in range(500):
+        ops.insert(narrow, Solution(f"q{i}", (rng.random(), rng.random())), Counter())
+    assert max(map(len, narrow.fronts)) < core._SCAN_MIN_WIDTH
+    assert narrow._arrays == {}
+    antichain = FrontSet(2, [[s(f"a{i}", i, -i) for i in range(core._SCAN_MIN_WIDTH)]])
+    assert ops.lookup(antichain, antichain.fronts[0][-1], Counter()) is not None  # builds the record
+    assert len(antichain._arrays) == 1
+    ops.delete(antichain, antichain.fronts[0][0], Counter())  # one member below the width
+    assert antichain._arrays == {}
 
 
 def test_front_set_contains_and_len(twelve_in_five_levels):

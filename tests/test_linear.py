@@ -860,16 +860,17 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_direct_edits_of_a_wide_front_are_seen_by_its_scans(approach):
+def test_library_edits_of_a_wide_front_are_seen_by_its_scans(approach):
     fronts = _three_wide_fronts()
     fs = FrontSet(2, [list(front) for front in fronts])
-    assert locate_sequential(fs, fronts[0][5], Counter()) == Position(1, 6)  # builds the array
-    assert id(fs.fronts[0]) in fs._arrays
-    fs.fronts[0][3] = s("r", 3.5, WIDE - 3.5)  # a replaced member
-    fs.fronts[0].pop(7)  # and a removed one
-    fresh = FrontSet(2, [list(front) for front in fs.fronts])
     ops = APPROACHES[approach]
-    for sol in (fs.fronts[0][3], fronts[0][3], fronts[0][7], fronts[0][WIDE - 1], fronts[1][40]):
+    assert ops.lookup(fs, fronts[0][5], Counter()) == Position(1, 6)  # builds the array
+    assert id(fs.fronts[0]) in fs._arrays
+    ops.delete(fs, fronts[0][7], Counter())  # a removed member: b7 and c7 move up
+    ops.insert(fs, s("r", 3.5, WIDE - 3.5), Counter())  # a new one, above b3 and b4
+    assert id(fs.fronts[0]) in fs._arrays and validate(fs) == []
+    fresh = FrontSet(2, [list(front) for front in fs.fronts])
+    for sol in (fs.fronts[0][-1], fronts[0][3], fronts[0][7], fronts[1][7], fronts[0][WIDE - 1], fronts[1][40]):
         got, want = Counter(), Counter()
         assert ops.lookup(fs, sol, got) == ops.lookup(fresh, sol, want)
         assert got.pair_compares == want.pair_compares
@@ -883,19 +884,24 @@ def test_direct_edits_of_a_wide_front_are_seen_by_its_scans(approach):
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_a_stale_record_moved_by_a_cascade_before_any_scan_stays_stale(approach):
+def test_a_record_moved_by_a_cascade_after_library_edits_matches_its_fronts(approach):
     fronts = _three_wide_fronts()
     fs = FrontSet(2, [list(front) for front in fronts])
     ops = APPROACHES[approach]
     for f_index, front in enumerate(fronts, 1):
         assert ops.lookup(fs, front[0], Counter()) == Position(f_index, 1)  # builds the arrays
     assert all(id(front) in fs._arrays for front in fs.fronts)
-    # still dominated by t100 and still dominating c100, so the partition holds
-    fs.fronts[1][100] = s("e", 100.5, WIDE - 99.6)
-    # displaces t60 alone: the cascade moves the edited member into a new
-    # wide rank 2 before any scan of its old front
+    # b100 leaves and e takes its place in rank 2: below t100, above c100
+    ops.delete(fs, fronts[1][100], Counter())
+    edit = s("e", 100.5, WIDE - 99.6)
+    ops.insert(fs, edit, Counter())
+    assert ops.lookup(fs, edit, Counter()).f_index == 2
+    assert_columns_consistent(fs)
+    # displaces t60 alone: the cascade splits every record on its way down
     ops.insert(fs, s("n", 59.9, WIDE - 60.1), Counter())
     assert_columns_consistent(fs)
+    assert validate(fs) == []
+    assert same_partition(fs, full_sort(list(fs.solutions())))
     fresh = FrontSet(2, [list(front) for front in fs.fronts])
     for sol in list(fs.solutions()):
         got, want = Counter(), Counter()
@@ -947,22 +953,28 @@ def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
     "f_index, member",
     [
         (0, s("e", 99.9, WIDE - 100.1)),  # non-dominated with t and above b100 alone
-        (1, s("e", 100.5, WIDE - 99.6)),  # still below t100 and above c100
+        (1, s("e", 100.5, WIDE - 99.6)),  # below t100 and above b100 and c100
     ],
     ids=["first-front", "second-front"],
 )
-def test_a_cascade_after_a_direct_edit_of_a_wide_front_ends_sorted(approach, op, f_index, member):
+def test_a_cascade_after_a_library_edit_of_a_wide_front_ends_sorted(approach, op, f_index, member):
     fs, run, apply = _wide_cascade(approach, op)
-    fs.fronts[f_index][100] = member
+    ops = APPROACHES[approach]
+    # member 100 of the front leaves and ``member`` joins it, both through the library
+    ops.delete(fs, fs.fronts[f_index][100], Counter())
+    ops.insert(fs, member, Counter())
+    assert any(sol is member for sol in fs.fronts[f_index])
+    assert id(fs.fronts[f_index]) in fs._arrays
     want = full_sort(apply(list(fs.solutions())))
     run()
     assert same_partition(fs, want)
     assert_columns_consistent(fs)
 
 
-def test_a_delete_cascade_reads_no_stale_record_of_its_upper_front():
+def test_a_delete_cascade_reads_the_record_remove_left_of_its_upper_front():
     fs, _, _ = _wide_cascade("linear", "delete")  # every record built
-    fs.fronts[0][5] = s("x", 5.0, WIDE - 4.4)  # same length, and b5 is no longer dominated
+    assert fs.remove(1, 6)  # t5 leaves its front's record too, so b5 is no longer dominated
+    assert id(fs.fronts[0]) in fs._arrays
     want = full_sort(list(fs.solutions()))
     update_delete(fs, 1, Counter())
     assert same_partition(fs, want)
