@@ -109,9 +109,14 @@ def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int 
 def _read_rows(path: str, lead: tuple[str, ...], negate: Sequence[int]) -> tuple[int, list[tuple[str, list[str]]]]:
     """Read a CSV whose header is ``lead`` (ending in ``id``) followed by
     ``obj_1,...,obj_M``; returns M and, for each non-blank row after the
-    header, ``path:line`` and its cells.  Every returned row has an id."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    header, ``path:line`` and its cells.  Every returned row has an id.
+    The file is read as UTF-8, with or without a leading byte-order mark;
+    bytes that are not UTF-8 are an InputError naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     header = [cell.strip().lower() for cell in rows[0]] if rows else []
     if len(header) < len(lead) + 2 or tuple(header[: len(lead)]) != lead:
         raise InputError(f"{path}: header must be {','.join(lead)},obj_1,...,obj_M with M >= 2")

@@ -102,7 +102,9 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     Identical vectors cannot dominate each other and yield 0.  This is the
     library's reference pair kernel, for any M: the smallest
     :func:`_dominated` blocks, :func:`validate` and :func:`check_dom` call
-    it.  It stops as soon as each side has won a coordinate.
+    it.  At M = 2 the pair is unrolled: two weak tests each way, and a
+    strict one only when ``a`` is no worse in both.  At any other M it
+    walks the coordinates and stops as soon as each side has won one.
     :func:`_dominated`'s larger blocks test their pairs with the same rule,
     unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
@@ -110,11 +112,19 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     narrow front: in numpy for a front with a record, member by member
     otherwise, unrolled when M is 2 or 3.
     """
-    if len(a.objectives) != len(b.objectives):
+    ao, bo = a.objectives, b.objectives
+    m = len(ao)
+    if m != len(bo):
         raise _mismatch(a, b)
     counter.pair_compares += 1
+    if m == 2:
+        a0, a1 = ao
+        b0, b1 = bo
+        if a0 <= b0 and a1 <= b1:
+            return 1 if a0 < b0 or a1 < b1 else 0
+        return -1 if b0 <= a0 and b1 <= a1 else 0
     a_better = b_better = False
-    for x, y in zip(a.objectives, b.objectives):
+    for x, y in zip(ao, bo):
         if x < y:
             if b_better:
                 return 0
@@ -126,10 +136,11 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     return 1 if a_better else -1 if b_better else 0
 
 
-# Below this many pairs a block runs the dom_nature loop.  The unrolled M = 2
-# path would beat it too, but the loop is kept because perfbench's tracer
-# divides by the dom_nature calls it counts, and a two-objective run needs
-# some (see ROADMAP.md, item 1).
+# Below this many pairs a block runs the dom_nature loop, whose M = 2 pair is
+# unrolled too.  The unrolled M = 2 block would still beat it (it saves the
+# call per pair), but the loop is kept because perfbench's tracer divides by
+# the dom_nature calls it counts, and a two-objective run needs some (see
+# ROADMAP.md, item 1).
 _BLOCK_MIN_PAIRS = 32
 # Up to this many pairs an M = 2 block is tested unrolled in Python, which
 # beats numpy's fixed cost per block; larger blocks, blocks whose members come

@@ -74,6 +74,32 @@ def test_load_population_rejects_ragged_rows(tmp_path):
         load_population(str(path))
 
 
+# a population and a workload CSV, and the command that reads each
+CSV_KINDS = {
+    "population": (b"id,obj_1,obj_2\na,1,3\nb,3,1\n", ["sort", "--input"]),
+    "workload": (b"op,id,obj_1,obj_2\ninsert,a,1,3\nlookup,a,,\n", ["run", "--workload"]),
+}
+
+
+@pytest.mark.parametrize("kind", CSV_KINDS)
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, capsys, kind):
+    # spreadsheet exports of "CSV UTF-8" start with one
+    text, argv = CSV_KINDS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(argv + [str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind", CSV_KINDS)
+def test_a_csv_that_is_not_utf8_is_a_usage_error_naming_its_path(tmp_path, capsys, kind):
+    text, argv = CSV_KINDS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.replace(b"a,1,3", b"\xff,1,3"))
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+
+
 def test_dump_roundtrip_is_bit_exact(twelve_in_five_levels, tmp_path):
     fs = full_sort(twelve_in_five_levels)
     fs.fronts[0][0] = Solution("p1", (0.1 + 0.2, 1e-17))  # awkward floats on purpose

@@ -69,10 +69,33 @@ def test_check_dom_non_dominated():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionMismatchError):
-        dom_nature(s("a", 1, 2), Solution("b", (1, 2, 3)), Counter())
-    with pytest.raises(DimensionMismatchError):
-        check_dom(s("a", 1, 2), Solution("b", (1, 2, 3)), Counter())
+    m2, m3 = s("a", 1, 2), Solution("b", (1, 2, 3))
+    c = Counter()
+    for a, b in ((m2, m3), (m3, m2)):
+        with pytest.raises(DimensionMismatchError):
+            dom_nature(a, b, c)
+        with pytest.raises(DimensionMismatchError):
+            check_dom(a, b, c)
+    assert c.pair_compares == 0
+
+
+def _textbook_dominates(x: tuple[float, ...], y: tuple[float, ...]) -> bool:
+    """x dominates y: no worse in every objective and better in some."""
+    return all(p <= q for p, q in zip(x, y)) and any(p < q for p, q in zip(x, y))
+
+
+# every ordered pair of a tie grid, at the unrolled M = 2 and the generic M;
+# -0.0 and 0.0 tie, so a vector with a zero has an identical twin besides itself
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_dom_nature_follows_the_definition_on_a_tie_grid(m):
+    grid = [Solution(f"v{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0, 2.0], repeat=m))]
+    c = Counter()
+    for a in grid:
+        for b in grid:
+            want = _textbook_dominates(a.objectives, b.objectives) - _textbook_dominates(b.objectives, a.objectives)
+            charged = c.pair_compares
+            assert dom_nature(a, b, c) == want, (a, b)
+            assert c.pair_compares == charged + 1
 
 
 def test_solution_rejects_bad_vectors():
