@@ -111,12 +111,17 @@ def _read_rows(path: str, lead: tuple[str, ...], negate: Sequence[int]) -> tuple
     ``obj_1,...,obj_M``; returns M and, for each non-blank row after the
     header, ``path:line`` and its cells.  Every returned row has an id.
     The file is read as UTF-8, with or without a leading byte-order mark;
-    bytes that are not UTF-8 are an InputError naming ``path``."""
+    bytes that are not UTF-8 are an InputError naming ``path``, and a field
+    the csv module refuses, such as one longer than its field size limit,
+    one naming ``path:line``."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     header = [cell.strip().lower() for cell in rows[0]] if rows else []
     if len(header) < len(lead) + 2 or tuple(header[: len(lead)]) != lead:
         raise InputError(f"{path}: header must be {','.join(lead)},obj_1,...,obj_M with M >= 2")
@@ -224,12 +229,15 @@ def write_dump(fs: FrontSet, path: str) -> None:
 
 
 def read_dump(path: str) -> FrontSet:
-    """Load a dump; a malformed document raises InputError, and a repeated
-    id or a solution of the wrong M the :class:`FrontSet` constructor's
-    error, each prefixed with ``path``."""
+    """Load a dump, read as UTF-8 with or without a leading byte-order
+    mark; a malformed document or bytes that are not UTF-8 raise
+    InputError, and a repeated id or a solution of the wrong M the
+    :class:`FrontSet` constructor's error, each naming ``path``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read front-set dump {path}: {exc}") from None
     try:

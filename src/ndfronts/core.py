@@ -264,47 +264,32 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
 _SCAN_MIN_WIDTH = 96
 
 
-class _Columns:
-    """Objective array of one wide front: column ``j`` of :attr:`cols`
-    holds the objectives of the front's ``j``-th member.  Probe scans and
-    the cascade's :func:`_dominated` tests read :attr:`cols` (or a slice of
-    it) directly; every member has the array's M, so its shape alone
-    answers a dimension check.
+class Front(list):
+    """The members of one front, in order, and its record: :attr:`buf` is
+    None or an ``(M, capacity)`` float64 array whose first ``len(front)``
+    columns hold the members' objectives, column ``j`` those of the
+    ``j``-th member.  Probe scans and the cascade's :func:`_dominated`
+    tests read that slice directly; every member has the array's M, so its
+    shape alone answers a dimension check.
 
-    The front itself is the member list.  Only :class:`FrontSet`'s
-    mutators edit a front and its record, and always together, so the two
-    agree.  Only :meth:`FrontSet._columns` hands the array out.
+    Only :class:`FrontSet`'s mutators edit a front and its record, and
+    always together, so the two agree.  Only :meth:`FrontSet._columns`
+    hands the record out.
     """
 
-    __slots__ = ("buf", "n")
+    # a class-level default, not __slots__: building a front stays cheap
+    buf: np.ndarray | None = None
 
-    def __init__(self, cols: np.ndarray) -> None:
-        self.buf = cols  # (M, capacity); the first n columns are live
-        self.n = cols.shape[1]
 
-    @classmethod
-    def of(cls, members: list[Solution], m: int) -> "_Columns":
-        """Build from the members' tuples with :func:`_cols`; raises
-        ValueError unless each has M ``m``."""
-        return cls(np.ascontiguousarray(_cols(members, m)))
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.buf[:, : self.n]
-
-    def extend(self, cols: np.ndarray) -> None:
-        """Append the columns of ``cols``, an ``(M, k)`` array."""
-        n, end = self.n, self.n + cols.shape[1]
-        if end > self.buf.shape[1]:
-            grown = np.empty((len(self.buf), end + end // 4), dtype=np.float64)
-            grown[:, :n] = self.buf[:, :n]
-            self.buf = grown
-        self.buf[:, n:end] = cols
-        self.n = end
-
-    def pop(self, i: int) -> None:
-        self.buf[:, i : self.n - 1] = self.buf[:, i + 1 : self.n]
-        self.n -= 1
+def _extend(front: Front, n: int, cols: np.ndarray) -> None:
+    """Write ``cols``, an ``(M, k)`` array, into ``front``'s record from
+    column ``n`` on, growing it by a quarter when it is full."""
+    buf, end = front.buf, n + cols.shape[1]
+    if end > buf.shape[1]:
+        grown = np.empty((len(buf), end + end // 4), dtype=np.float64)
+        grown[:, :n] = buf[:, :n]
+        front.buf = buf = grown
+    buf[:, n:end] = cols
 
 
 class FrontSet:
@@ -316,33 +301,32 @@ class FrontSet:
     :class:`DuplicateIdError` otherwise.  Only :meth:`admit` and
     :meth:`remove` change the id index.
 
-    A front of at least ``_SCAN_MIN_WIDTH`` members also keeps an objective
-    array, its record, which its probe scans and the cascade blocks that
-    test it read.  Records are keyed by the front list's ``id()`` and built
-    on first read by :meth:`_columns`, the only way to read one.  The
-    contract that keeps them right: a front list is edited only through
-    this class, and every edit applies to the members and the record
-    together.  :meth:`remove` and :meth:`_append` edit one member, and
-    :meth:`_move` moves any number of members from one front to another,
-    columns and all, in one step, retiring the record of the front it
-    splits.  Other code, :mod:`ndfronts.linear` included, only reorders the
-    outer ``fronts`` list: it inserts, drops and replaces whole fronts, and
-    drops only a front whose record a mutator has already retired.  A front
-    edited any other way leaves its record out of step; :func:`validate`
-    reports that, and the scans do not check it.
+    Each front is a :class:`Front`.  One of at least ``_SCAN_MIN_WIDTH``
+    members also keeps an objective array, its record, which its probe
+    scans and the cascade blocks that test it read.  The front holds its
+    record itself, which :meth:`_columns`, the only way to read one, builds
+    on first read.  The contract that keeps it right: a front's members are
+    edited only through this class, whose every edit applies to the members
+    and the record together.  :meth:`remove` and :meth:`_append` edit one
+    member, and :meth:`_move` moves any number of members from one front to
+    another, columns and all, in one step.  Whole fronts in ``fronts`` may
+    be inserted, dropped or replaced freely, as :mod:`ndfronts.linear`
+    does, but an inserted front must be a :class:`Front`; a dropped front
+    takes its record with it.  A front whose members are edited any other
+    way leaves its record out of step; :func:`validate` reports that, and
+    the scans do not check it.
     At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
     """
 
-    __slots__ = ("m", "fronts", "_ids", "_arrays")
+    __slots__ = ("m", "fronts", "_ids")
 
     def __init__(self, m: int, fronts: Iterable[Iterable[Solution]] = ()) -> None:
         if m < 2:
             raise ValueError(f"need at least 2 objectives, got {m}")
         self.m = int(m)
-        self.fronts: list[list[Solution]] = [list(front) for front in fronts]
+        self.fronts: list[Front] = [Front(front) for front in fronts]
         self._ids: set[str] = set()
-        self._arrays: dict[int, _Columns] = {}  # id() of a front -> its record
         self.admit(*self.solutions())
 
     def admit(self, *sols: Solution) -> None:
@@ -372,51 +356,49 @@ class FrontSet:
         if not 1 <= s_index <= len(front):
             raise IndexError(f"solution index {s_index} out of range 1..{len(front)} of front {f_index}")
         self._ids.discard(front.pop(s_index - 1).id)
-        rec = self._arrays.get(id(front))
-        if rec is not None:
-            if len(front) < _SCAN_MIN_WIDTH:
-                del self._arrays[id(front)]
+        buf, n = front.buf, len(front)
+        if buf is not None:
+            if n < _SCAN_MIN_WIDTH:
+                front.buf = None
             else:
-                rec.pop(s_index - 1)
+                buf[:, s_index - 1 : n] = buf[:, s_index : n + 1]
         if not front:
             del self.fronts[f_index - 1]
         return bool(front)
 
-    def _append(self, front: list[Solution], sol: Solution) -> None:
+    def _append(self, front: Front, sol: Solution) -> None:
         """Append ``sol`` to ``front``, a front of this set."""
         front.append(sol)
-        rec = self._arrays.get(id(front))
-        if rec is not None:
-            rec.extend(np.array(sol.objectives)[:, None])
+        if front.buf is not None:
+            _extend(front, len(front) - 1, np.array(sol.objectives)[:, None])
 
-    def _move(self, src: list[Solution], stays: np.ndarray, dest: list[Solution]) -> list[Solution]:
+    def _move(self, src: Front, stays: np.ndarray, dest: Front) -> Front:
         """Append the members of ``src`` flagged False in ``stays`` to
         ``dest``, in order; return the others in order, as ``src`` itself
-        when all stay and as a new list otherwise, which the caller puts in
+        when all stay and as a new front otherwise, which the caller puts in
         ``src``'s place.  Each part is one :func:`~itertools.compress` of
-        ``src``.  Columns move with their members: ``src``'s record is
-        retired, and each part's columns are the mask's slice of it.  A
+        ``src``.  Columns move with their members: each part's columns are
+        the mask's slice of ``src``'s record, which leaves with ``src``.  A
         narrow part keeps no array; a cascade carries the columns it needs
         itself."""
         keep = stays.tolist()
         if all(keep):
             return src
         start = len(dest)
-        kept = list(compress(src, keep))
+        kept = Front(compress(src, keep))
         dest.extend(compress(src, map(not_, keep)))
-        if not self._arrays:
-            return kept
-        rec = self._arrays.pop(id(src), None)
-        if rec is not None and len(kept) >= _SCAN_MIN_WIDTH:
-            self._arrays[id(kept)] = _Columns(rec.cols[:, stays])
-        drec = self._arrays.get(id(dest))
-        if drec is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
-            drec = self._arrays[id(dest)] = _Columns.of(dest[:start], self.m)
-        if drec is not None:
-            drec.extend(rec.cols[:, ~stays] if rec is not None else _cols(dest[start:], self.m))
+        rec = src.buf
+        if rec is not None:
+            rec = rec[:, : len(src)]
+            if len(kept) >= _SCAN_MIN_WIDTH:
+                kept.buf = rec[:, stays]
+        if dest.buf is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
+            dest.buf = np.ascontiguousarray(_cols(dest[:start], self.m))
+        if dest.buf is not None:
+            _extend(dest, start, rec[:, ~stays] if rec is not None else _cols(dest[start:], self.m))
         return kept
 
-    def _columns(self, front: list[Solution]) -> np.ndarray | None:
+    def _columns(self, front: Front) -> np.ndarray | None:
         """The ``(M, n)`` objective array of ``front``, a front of this set,
         whose column ``j`` holds ``front[j]``, or None when ``front`` is
         narrower than ``_SCAN_MIN_WIDTH``.  This is the only way to read a
@@ -424,10 +406,9 @@ class FrontSet:
         tuples."""
         if len(front) < _SCAN_MIN_WIDTH:
             return None
-        rec = self._arrays.get(id(front))
-        if rec is None:
-            rec = self._arrays[id(front)] = _Columns.of(front, self.m)
-        return rec.cols
+        if front.buf is None:
+            front.buf = np.ascontiguousarray(_cols(front, self.m))
+        return front.buf[:, : len(front)]
 
     @property
     def k(self) -> int:
@@ -456,13 +437,12 @@ class FrontSet:
         them."""
         clone = FrontSet.__new__(FrontSet)
         clone.m = self.m
-        clone.fronts = [front[:] for front in self.fronts]
-        clone._ids = set(self._ids)
-        clone._arrays = {}
+        clone.fronts = [Front(front) for front in self.fronts]
         for front, twin in zip(self.fronts, clone.fronts):
-            rec = self._arrays.get(id(front))
-            if rec is not None:
-                clone._arrays[id(twin)] = _Columns(rec.cols.copy())
+            buf = getattr(front, "buf", None)  # a front put in by hand may be a plain list
+            if buf is not None:
+                twin.buf = buf[:, : len(front)].copy()
+        clone._ids = set(self._ids)
         return clone
 
     def __repr__(self) -> str:
@@ -475,7 +455,7 @@ def validate(fs: FrontSet) -> list[str]:
 
     Returns a list of human-readable violations; an empty list means the
     partition is a valid set of non-domination levels and every record
-    (see :class:`FrontSet`) belongs to a front and holds its objectives.
+    (see :class:`Front`) holds its front's objectives.
     Diagnostic only: it never raises on bad structure and does not touch
     any caller's counter.
     """
@@ -501,12 +481,12 @@ def validate(fs: FrontSet) -> list[str]:
     if not dims_ok:
         return problems
 
-    ranks = {id(front): f_index for f_index, front in enumerate(fs.fronts, 1)}
-    for key, rec in fs._arrays.items():
-        if key not in ranks:
-            problems.append(f"a record of {rec.n} columns belongs to no front")
-        elif not np.array_equal(rec.cols, _cols(fs.fronts[ranks[key] - 1], fs.m)):
-            problems.append(f"front {ranks[key]}: its record differs from its members' objectives")
+    for f_index, front in enumerate(fs.fronts, 1):
+        buf = getattr(front, "buf", None)  # as in copy(), a plain list has none
+        if buf is not None and buf.shape[1] < len(front):
+            problems.append(f"front {f_index}: its record of {buf.shape[1]} columns is narrower than its {len(front)} members")
+        elif buf is not None and not np.array_equal(buf[:, : len(front)], _cols(front, fs.m)):
+            problems.append(f"front {f_index}: its record differs from its members' objectives")
 
     for f_index, front in enumerate(fs.fronts, 1):
         for i in range(len(front)):

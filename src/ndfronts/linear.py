@@ -22,6 +22,7 @@ from ndfronts.core import (
     ContractViolationError,
     Counter,
     DimensionMismatchError,
+    Front,
     FrontSet,
     Solution,
     _SCAN_MIN_WIDTH,
@@ -178,7 +179,7 @@ def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tupl
     return 0, 0
 
 
-def dom_set(fs: FrontSet, front: list[Solution], new: Solution, start: int, counter: Counter) -> np.ndarray:
+def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Counter) -> np.ndarray:
     """Classify ``front``, a front of ``fs``, against ``new``, moving
     nothing: one bool per member, False for each member at or after position
     ``start`` (1-based) that ``new`` dominates and True for the rest, as
@@ -227,7 +228,7 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         p = next(p for p in displaced if dom_nature(p, q, Counter()) == 1)
         raise ContractViolationError(f"displaced set is internally dominated: {p.id!r} vs {q.id!r}")
     fs.admit(*displaced)
-    fs.fronts.insert(index - 1, displaced)
+    fs.fronts.insert(index - 1, Front(displaced))
     _cascade(fs, index, counter)
 
 
@@ -245,7 +246,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     :func:`_cascade` settles the displaced set.
     """
     if index > len(fs.fronts):
-        fs.fronts.append([new])
+        fs.fronts.append(Front((new,)))
         return
     front = fs.fronts[index - 1]
     if nat == 0:
@@ -253,7 +254,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
         return
     stays = dom_set(fs, front, new, pos + 1, counter)
     stays[pos - 1] = False
-    displaced: list[Solution] = []
+    displaced = Front()
     front = fs.fronts[index - 1] = fs._move(front, stays, displaced)
     fs._append(front, new)
     fs.fronts.insert(index, displaced)

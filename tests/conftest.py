@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from ndfronts import Counter, FrontSet, Solution
+from ndfronts import Counter, FrontSet, Solution, core
 
 
 def s(sid: str, *objs: float) -> Solution:
@@ -93,15 +93,15 @@ def build_front_set(m: int, levels: list[list[Solution]]) -> FrontSet:
 
 
 def assert_columns_consistent(fs: FrontSet) -> None:
-    """Every objective array of ``fs`` belongs to a live front of ``fs``
-    and holds, in column ``j``, the objectives of that front's ``j``-th
-    member."""
-    live = {id(front): front for front in fs.fronts}
-    for key, rec in fs._arrays.items():
-        assert key in live
-        front = live[key]
+    """Every record of ``fs`` belongs to a front of at least
+    ``_SCAN_MIN_WIDTH`` members and holds, in column ``j``, the objectives
+    of that front's ``j``-th member."""
+    for front in fs.fronts:
+        if front.buf is None:
+            continue
+        assert len(front) >= core._SCAN_MIN_WIDTH and front.buf.shape[1] >= len(front)
         want = np.array([sol.objectives for sol in front], dtype=np.float64).reshape(len(front), fs.m)
-        assert np.array_equal(rec.cols, want.T)
+        assert np.array_equal(front.buf[:, : len(front)], want.T)
 
 
 def random_population(rng: random.Random, n: int, m: int, grid: int | None = None) -> list[Solution]:

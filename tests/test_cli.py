@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -97,6 +98,34 @@ def test_a_csv_that_is_not_utf8_is_a_usage_error_naming_its_path(tmp_path, capsy
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(text.replace(b"a,1,3", b"\xff,1,3"))
     assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+
+
+@pytest.mark.parametrize("kind", CSV_KINDS)
+def test_a_csv_field_over_the_csv_limit_is_a_usage_error_naming_its_line(tmp_path, capsys, kind):
+    text, argv = CSV_KINDS[kind]
+    path = tmp_path / f"{kind}.csv"
+    limit = csv.field_size_limit()
+    path.write_bytes(text.replace(b"a,1,3", b"a,1," + b"3" * (limit + 1)))
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:2: field larger than field limit ({limit})"]
+
+
+DUMP = b'{"m": 2, "fronts": [[{"id": "a", "obj": [1, 3]}, {"id": "b", "obj": [3, 1]}]]}\n'
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["run", "--seed", "1", "--steps", "5", "--m", "2"]], ids=["verify", "run"])
+def test_a_byte_order_mark_before_a_dump_is_skipped(tmp_path, capsys, argv):
+    path = tmp_path / "fs.json"
+    path.write_bytes(b"\xef\xbb\xbf" + DUMP)
+    assert main(argv + ["--fs", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_dump_that_is_not_utf8_is_a_usage_error_naming_its_path(tmp_path, capsys):
+    path = tmp_path / "fs.json"
+    path.write_bytes(DUMP.replace(b'"a"', b'"\xff"'))
+    assert main(["verify", "--fs", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: not UTF-8 text (invalid start byte)"]
 
 

@@ -22,6 +22,7 @@ from ndfronts import (
     core,
     dom_nature,
     full_sort,
+    same_partition,
     validate,
 )
 from tests.conftest import TWELVE_LEVELS, assert_columns_consistent, s
@@ -225,8 +226,9 @@ def test_dominated_dimension_mismatch_counts_nothing(width):
     assert c.pair_compares == 0
 
 
-def _record_of(side: list[Solution], m: int):
-    return core._Columns.of(side, m)
+def _record_of(side: list[Solution], m: int) -> np.ndarray:
+    """The record :meth:`FrontSet._columns` would build for ``side``."""
+    return np.ascontiguousarray(core._cols(side, m))
 
 
 @given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
@@ -237,7 +239,7 @@ def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
         _record_of(peers, m) if given_side != "members" else None,
         _record_of(members, m) if given_side != "peers" else None,
     ]
-    peer_cols, member_cols = (None if rec is None else rec.cols for rec in recs)
+    peer_cols, member_cols = recs
     want_counter, got_counter = Counter(), Counter()
     want = core._dominated(peers, members, want_counter, None, None)[0]
     with mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols) as numpy_path:
@@ -251,13 +253,13 @@ def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
     )
     if numpy_path.called:  # a side given as columns is read, not rebuilt
         for arg, rec in zip(numpy_path.call_args.args, recs):
-            assert rec is None or np.shares_memory(arg, rec.buf)
+            assert rec is None or np.shares_memory(arg, rec)
 
 
 def test_dominated_checks_a_columns_side_by_its_shape():
     # wide enough for the numpy path, the only one that reads columns
     members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MAX_PAIRS_M2 + 1)]
-    cols = _record_of(members, 2).cols
+    cols = _record_of(members, 2)
     odd = [Solution("odd", (1, 2, 3))]
     c = Counter()
     with pytest.raises(DimensionMismatchError):
@@ -265,7 +267,7 @@ def test_dominated_checks_a_columns_side_by_its_shape():
     with pytest.raises(DimensionMismatchError):
         core._dominated(members, odd, c, cols, None)
     with pytest.raises(DimensionMismatchError):
-        core._dominated(odd, members, c, _record_of(odd, 3).cols, cols)
+        core._dominated(odd, members, c, _record_of(odd, 3), cols)
     assert c.pair_compares == 0
 
 
@@ -342,7 +344,7 @@ def test_front_set_copy_edits_leave_the_original_scans_alone():
     before = answers(fs)  # also builds the arrays of both fronts
     levels = [[sol.id for sol in front] for front in fs.fronts]
     clone = fs.copy()
-    assert id(clone.fronts[0]) in clone._arrays and id(clone.fronts[1]) in clone._arrays
+    assert clone.fronts[0].buf is not None and clone.fronts[1].buf is not None
     assert_columns_consistent(clone)
     ops = APPROACHES["linear"]
     ops.delete(clone, top[1], Counter())  # shifts the clone's columns in place
@@ -356,33 +358,69 @@ def test_front_set_copy_edits_leave_the_original_scans_alone():
     assert_columns_consistent(clone)
 
 
-@pytest.mark.parametrize("edit", ["replaced-member", "popped-member", "dropped-front"])
+@pytest.mark.parametrize("edit", ["replaced-member", "popped-member", "appended-member"])
 def test_validate_flags_a_direct_edit_of_a_wide_front_with_a_record(edit):
-    # fronts are edited only through FrontSet; the scans trust the records,
+    # members are edited only through FrontSet; the scans trust the records,
     # so the checker is where an edit made behind their back shows up
     wide = core._SCAN_MIN_WIDTH + 10
     fs = FrontSet(2, [[s(f"{name}{i}", i + x, wide - i + x) for i in range(wide)] for name, x in (("t", 0), ("b", 0.5))])
     for front in fs.fronts:
         fs._columns(front)
-    assert len(fs._arrays) == 2 and validate(fs) == []
+    assert all(front.buf is not None for front in fs.fronts) and validate(fs) == []
     # each edit leaves a valid partition, so the record is all there is to flag
     if edit == "replaced-member":
         fs.fronts[0][5] = s("edit", 5.25, wide - 5.25)
         want = "front 1: its record differs from its members' objectives"
-    elif edit == "popped-member":
-        fs.fronts[1].pop()
+    elif edit == "popped-member":  # a middle one: the record's live width follows the front's
+        fs.fronts[1].pop(50)
         want = "front 2: its record differs from its members' objectives"
-    else:
-        fs.fronts.pop(0)
-        want = f"a record of {wide} columns belongs to no front"
+    else:  # between b5 and b6, below t5
+        fs.fronts[1].append(s("edit", 5.75, wide - 4.75))
+        want = f"front 2: its record of {wide} columns is narrower than its {wide + 1} members"
     assert validate(fs) == [want]
+
+
+def test_a_front_dropped_with_its_record_leaves_nothing_to_the_front_put_in_its_place():
+    # the record leaves with its front, so a new front of the same width
+    # starts without one, wherever the allocator puts it
+    from ndfronts import APPROACHES
+
+    wide = 100
+    fs = FrontSet(2, [[s(f"t{i}", i, wide - i) for i in range(wide)]])
+    ops = APPROACHES["linear"]
+    assert ops.lookup(fs, fs.fronts[0][-1], Counter()) is not None  # builds the record
+    assert fs.fronts[0].buf is not None
+    fresh = [s(f"n{i}", i + 0.5, wide - i + 0.5) for i in range(wide)]
+    fs.admit(*fresh)
+    fs.fronts.pop(0)
+    fs.fronts.insert(0, core.Front(fresh))
+    assert fs.fronts[0].buf is None and validate(fs) == []
+    ops.insert(fs, s("x", 50.25, 50.25), Counter())  # dominates n50, under no t
+    assert validate(fs) == []
+    assert_columns_consistent(fs)
+    assert fs.level_ids() == full_sort(list(fs.solutions())).level_ids()
+
+
+def test_a_plain_list_put_in_by_hand_is_copied_and_checked():
+    wide = core._SCAN_MIN_WIDTH + 10
+    fs = FrontSet(2, [[s(f"t{i}", i, wide - i) for i in range(wide)]])
+    fs._columns(fs.fronts[0])
+    fs.fronts.append([s(f"b{i}", i + 0.5, wide - i + 0.5) for i in range(wide)])
+    fs.fronts.append([s("z", wide, wide)])
+    clone = fs.copy()
+    assert clone.fronts[0].buf is not None and clone.fronts[1].buf is None
+    assert_columns_consistent(clone)
+    assert validate(fs) == [] and validate(clone) == []
+    assert same_partition(fs, clone) and same_partition(fs, full_sort(list(fs.solutions())))
+    fs.fronts[1][5] = s("edit", 5.25, wide - 5.25)  # a hand edit of a plain list has no record to flag
+    assert validate(fs) == ["front 2: 'edit' is not dominated by any solution in front 1"]
 
 
 @pytest.mark.parametrize("approach", ["linear", "ltree", "rtree"])
 def test_records_hold_columns_only_within_their_growth_rule(approach):
     """Auxiliary space beyond ``fronts``: only fronts of ``_SCAN_MIN_WIDTH``
-    members keep a record, and a record is one float array with no Python
-    list, no larger than ``_Columns.extend``'s growth rule allows."""
+    members keep a record, and a front holds nothing but its record, one
+    float array no larger than :func:`core._extend`'s growth rule allows."""
     from ndfronts import APPROACHES
 
     ops = APPROACHES[approach]
@@ -390,25 +428,27 @@ def test_records_hold_columns_only_within_their_growth_rule(approach):
     fs = FrontSet(5)
     for i in range(2000):  # seeded M = 5 online sort: few wide fronts, inserts only
         ops.insert(fs, Solution(f"p{i}", tuple(rng.random() for _ in range(5))), Counter())
-    assert fs._arrays, "the sort should leave a front wide enough for a record"
+    recs = [front.buf for front in fs.fronts if front.buf is not None]
+    assert recs, "the sort should leave a front wide enough for a record"
     assert_columns_consistent(fs)
-    for rec in fs._arrays.values():
-        assert not hasattr(rec, "__dict__")
-        assert not any(isinstance(getattr(rec, name), list) for name in type(rec).__slots__)
-        # an exact build, or the last growth to end + end // 4; inserts only ever extend
-        assert len(rec.buf) == 5 and rec.buf.shape[1] <= rec.n + rec.n // 4
-    assert sum(rec.buf.nbytes for rec in fs._arrays.values()) <= 8 * 5 * (len(fs) + len(fs) // 4)
+    for front in fs.fronts:
+        assert type(front) is core.Front and vars(front).keys() <= {"buf"}
+        if front.buf is not None:
+            # an exact build, or the last growth to end + end // 4; inserts only ever extend
+            n = len(front)
+            assert front.buf.dtype == np.float64 and len(front.buf) == 5 and front.buf.shape[1] <= n + n // 4
+    assert sum(buf.nbytes for buf in recs) <= 8 * 5 * (len(fs) + len(fs) // 4)
 
     narrow = FrontSet(2)
     for i in range(500):
         ops.insert(narrow, Solution(f"q{i}", (rng.random(), rng.random())), Counter())
     assert max(map(len, narrow.fronts)) < core._SCAN_MIN_WIDTH
-    assert narrow._arrays == {}
+    assert all(front.buf is None for front in narrow.fronts)
     antichain = FrontSet(2, [[s(f"a{i}", i, -i) for i in range(core._SCAN_MIN_WIDTH)]])
     assert ops.lookup(antichain, antichain.fronts[0][-1], Counter()) is not None  # builds the record
-    assert len(antichain._arrays) == 1
+    assert antichain.fronts[0].buf is not None
     ops.delete(antichain, antichain.fronts[0][0], Counter())  # one member below the width
-    assert antichain._arrays == {}
+    assert antichain.fronts[0].buf is None
 
 
 def test_front_set_contains_and_len(twelve_in_five_levels):

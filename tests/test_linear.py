@@ -865,10 +865,10 @@ def test_library_edits_of_a_wide_front_are_seen_by_its_scans(approach):
     fs = FrontSet(2, [list(front) for front in fronts])
     ops = APPROACHES[approach]
     assert ops.lookup(fs, fronts[0][5], Counter()) == Position(1, 6)  # builds the array
-    assert id(fs.fronts[0]) in fs._arrays
+    assert fs.fronts[0].buf is not None
     ops.delete(fs, fronts[0][7], Counter())  # a removed member: b7 and c7 move up
     ops.insert(fs, s("r", 3.5, WIDE - 3.5), Counter())  # a new one, above b3 and b4
-    assert id(fs.fronts[0]) in fs._arrays and validate(fs) == []
+    assert fs.fronts[0].buf is not None and validate(fs) == []
     fresh = FrontSet(2, [list(front) for front in fs.fronts])
     for sol in (fs.fronts[0][-1], fronts[0][3], fronts[0][7], fronts[1][7], fronts[0][WIDE - 1], fronts[1][40]):
         got, want = Counter(), Counter()
@@ -890,7 +890,7 @@ def test_a_record_moved_by_a_cascade_after_library_edits_matches_its_fronts(appr
     ops = APPROACHES[approach]
     for f_index, front in enumerate(fronts, 1):
         assert ops.lookup(fs, front[0], Counter()) == Position(f_index, 1)  # builds the arrays
-    assert all(id(front) in fs._arrays for front in fs.fronts)
+    assert all(front.buf is not None for front in fs.fronts)
     # b100 leaves and e takes its place in rank 2: below t100, above c100
     ops.delete(fs, fronts[1][100], Counter())
     edit = s("e", 100.5, WIDE - 99.6)
@@ -935,7 +935,7 @@ def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
 
     def numpy_path(a, b):
         # a record's slice shares its buffer; an array built from tuples is new
-        read = [any(np.shares_memory(side, rec.buf) for rec in fs._arrays.values()) for side in (a, b)]
+        read = [any(np.shares_memory(side, front.buf) for front in fs.fronts if front.buf is not None) for side in (a, b)]
         blocks.append((a.shape[1], b.shape[1], *read))
         return audited(a, b)
 
@@ -964,7 +964,7 @@ def test_a_cascade_after_a_library_edit_of_a_wide_front_ends_sorted(approach, op
     ops.delete(fs, fs.fronts[f_index][100], Counter())
     ops.insert(fs, member, Counter())
     assert any(sol is member for sol in fs.fronts[f_index])
-    assert id(fs.fronts[f_index]) in fs._arrays
+    assert fs.fronts[f_index].buf is not None
     want = full_sort(apply(list(fs.solutions())))
     run()
     assert same_partition(fs, want)
@@ -974,7 +974,7 @@ def test_a_cascade_after_a_library_edit_of_a_wide_front_ends_sorted(approach, op
 def test_a_delete_cascade_reads_the_record_remove_left_of_its_upper_front():
     fs, _, _ = _wide_cascade("linear", "delete")  # every record built
     assert fs.remove(1, 6)  # t5 leaves its front's record too, so b5 is no longer dominated
-    assert id(fs.fronts[0]) in fs._arrays
+    assert fs.fronts[0].buf is not None
     want = full_sort(list(fs.solutions()))
     update_delete(fs, 1, Counter())
     assert same_partition(fs, want)

@@ -114,7 +114,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         self.wide = True
         batch = self.insert_batch("w", 2, WIDE)
         for approach, fs in self.sets.items():
-            assert any(front[0] is batch[0] and id(front) in fs._arrays for front in fs.fronts), approach
+            assert any(front[0] is batch[0] and front.buf is not None for front in fs.fronts), approach
         return multiple(*batch)
 
     @rule(sol=consumes(solutions))
