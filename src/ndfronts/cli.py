@@ -64,21 +64,25 @@ class Workload:
     where: list[str] | None = None
 
 
-def check_workload(workload: Workload, initial_ids: Iterable[str] = ()) -> None:
-    """Raise InputError unless every delete/lookup references a live id and
+def check_workload(workload: Workload, stored: Iterable[Solution] = ()) -> list[Solution]:
+    """Return the solution each step acts on: an insert's own, and for a
+    delete or lookup the live solution with that id.  ``stored`` holds the
+    solutions already in the set; each insert and delete then changes what
+    is live.  Raise InputError unless every delete/lookup references a live id and
     no insert repeats one; the error names the step's ``path:line``, or
     ``step N`` when the workload has no file."""
-    live = set(initial_ids)
+    live = {sol.id: sol for sol in stored}
+    acts_on = []
     for num, step in enumerate(workload.steps, 1):
         at = workload.where[num - 1] if workload.where else f"step {num}"
         if step.op == "insert":
             if step.id in live:
                 raise InputError(f"{at}: insert of already-live id {step.id!r}")
-            live.add(step.id)
+            live[step.id] = step.solution
         elif step.id not in live:
             raise InputError(f"{at}: {step.op} of unknown id {step.id!r}")
-        elif step.op == "delete":
-            live.discard(step.id)
+        acts_on.append(live.pop(step.id) if step.op == "delete" else live[step.id])
+    return acts_on
 
 
 def random_workload(seed: int, m: int = 3, total_steps: int = 60, max_live: int = 40) -> Workload:
@@ -110,6 +114,8 @@ def _read_rows(path: str, lead: tuple[str, ...], negate: Sequence[int]) -> tuple
     """Read a CSV whose header is ``lead`` (ending in ``id``) followed by
     ``obj_1,...,obj_M``; returns M and, for each non-blank row after the
     header, ``path:line`` and its cells.  Every returned row has an id.
+    Each ``negate`` column must lie in 1..M and appear once, or it is an
+    InputError; this is the only check of ``--negate``.
     The file is read as UTF-8, with or without a leading byte-order mark;
     bytes that are not UTF-8 are an InputError naming ``path``, and a field
     the csv module refuses, such as one longer than its field size limit,
@@ -281,17 +287,13 @@ def run_workload(
     check: bool = False,
 ) -> dict:
     """Execute a workload against ``fs`` in place; returns the report."""
-    check_workload(workload, initial_ids=(sol.id for sol in fs.solutions()))
+    sols = check_workload(workload, fs.solutions())
     ops = APPROACHES[approach]
-    by_id = {sol.id: sol for sol in fs.solutions()}
     counter = Counter()
     step_reports = []
     total = 0
-    for num, step in enumerate(workload.steps, 1):
+    for num, (step, sol) in enumerate(zip(workload.steps, sols), 1):
         counter.reset()
-        if step.op == "insert":
-            by_id[step.id] = step.solution
-        sol = by_id.pop(step.id) if step.op == "delete" else by_id[step.id]
         pos = getattr(ops, step.op)(fs, sol, counter)
         _check(fs, check, f"step {num}")
         total += counter.pair_compares
@@ -447,6 +449,18 @@ def _render(doc: dict, fmt: str) -> None:
         )
 
 
+def _report(doc: dict, fs: FrontSet, args: argparse.Namespace) -> int:
+    """The tail of ``sort`` and ``run``: add ``fs``, the set they left, to
+    a JSON report ``doc`` as ``front_set``, write the ``--out`` dump, then
+    render ``doc``."""
+    if args.report == "json":
+        doc["front_set"] = front_set_to_doc(fs)
+    if args.out:  # before the report, so a reader that closes stdout early cannot cost the dump
+        write_dump(fs, args.out)
+    _render(doc, args.report)
+    return 0
+
+
 def _cmd_sort(args: argparse.Namespace) -> int:
     population, m = load_population(args.input, args.negate)
     counter = Counter()
@@ -459,25 +473,22 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         "front_sizes": [len(front) for front in fs.fronts],
         "total_compares": counter.pair_compares,
     }
-    if args.report == "json":
-        doc["front_set"] = front_set_to_doc(fs)
-    if args.out:  # before the report, so a reader that closes stdout early cannot cost the dump
-        write_dump(fs, args.out)
-    _render(doc, args.report)
-    return 0
+    return _report(doc, fs, args)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workload:
         workload = load_workload(args.workload, args.negate)
-    elif args.seed is not None:
+    elif args.seed is None:
+        raise InputError("run needs --workload FILE or --seed N")
+    elif args.negate:
+        raise InputError("--negate applies to --workload files, not to --seed workloads")
+    else:
         if args.steps < 0:
             raise InputError(f"--steps must be at least 0, got {args.steps}")
         if args.m < 2:
             raise InputError(f"--m must be at least 2, got {args.m}")
         workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
-    else:
-        raise InputError("run needs --workload FILE or --seed N")
     fs = FrontSet(workload.m)
     if args.fs:
         fs = read_dump(args.fs)
@@ -486,14 +497,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         problems = validate(fs)
         if problems:
             raise InputError(f"{args.fs}: {problems[0]}")
-    report = run_workload(fs, workload, args.approach, check=args.check)
-    report = {"kind": "run", **report}
-    if args.report == "json":
-        report["front_set"] = front_set_to_doc(fs)
-    if args.out:  # before the report, so a reader that closes stdout early cannot cost the dump
-        write_dump(fs, args.out)
-    _render(report, args.report)
-    return 0
+    return _report({"kind": "run", **run_workload(fs, workload, args.approach, check=args.check)}, fs, args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -538,7 +542,7 @@ def _parser() -> argparse.ArgumentParser:
             type=_parse_cols,
             default=(),
             metavar="COLS",
-            help="comma-separated 1-based objective columns to negate at ingestion",
+            help="comma-separated 1-based objective columns of the input file to negate at ingestion",
         )
 
     p_sort = sub.add_parser("sort", help="online-sort a CSV population in arrival order")
@@ -573,17 +577,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_cols(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
+    """The integers of a comma-separated list; the loaders check them
+    against the file's columns (see :func:`_read_rows`)."""
     try:
-        cols = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad column list {text!r}") from None
-    if any(c < 1 for c in cols):
-        raise argparse.ArgumentTypeError("columns are 1-based")
-    if len(set(cols)) != len(cols):
-        raise argparse.ArgumentTypeError(f"repeated column in {text!r}")
-    return cols
 
 
 def main(argv: Sequence[str] | None = None) -> int:

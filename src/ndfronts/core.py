@@ -310,11 +310,13 @@ class FrontSet:
     and the record together.  :meth:`remove` and :meth:`_append` edit one
     member, and :meth:`_move` moves any number of members from one front to
     another, columns and all, in one step.  Whole fronts in ``fronts`` may
-    be inserted, dropped or replaced freely, as :mod:`ndfronts.linear`
-    does, but an inserted front must be a :class:`Front`; a dropped front
-    takes its record with it.  A front whose members are edited any other
-    way leaves its record out of step; :func:`validate` reports that, and
-    the scans do not check it.
+    be inserted, dropped or replaced, as :mod:`ndfronts.linear` does, but
+    an inserted front must be a :class:`Front`, and the members must stay
+    the solutions the id index holds: a dropped front takes its record with
+    it but leaves its ids indexed, so they still read as stored and cannot
+    be inserted again.  A front whose members are edited any other way
+    leaves its record out of step.  :func:`validate` reports both, and the
+    scans check neither.
     At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
     """
@@ -454,8 +456,9 @@ def validate(fs: FrontSet) -> list[str]:
     """Check every structural invariant of ``fs``.
 
     Returns a list of human-readable violations; an empty list means the
-    partition is a valid set of non-domination levels and every record
-    (see :class:`Front`) holds its front's objectives.
+    partition is a valid set of non-domination levels, the id index holds
+    exactly the stored ids, and every record (see :class:`Front`) holds its
+    front's objectives.
     Diagnostic only: it never raises on bad structure and does not touch
     any caller's counter.
     """
@@ -480,6 +483,12 @@ def validate(fs: FrontSet) -> list[str]:
                 seen[sol.id] = f_index
     if not dims_ok:
         return problems
+    if fs._ids != seen.keys():
+        stale, unindexed = sorted(fs._ids - seen.keys()), sorted(seen.keys() - fs._ids)
+        problems.append(
+            f"id index differs from the stored ids: {len(stale)} indexed but not stored {stale[:3]}, "
+            f"{len(unindexed)} stored but not indexed {unindexed[:3]}"
+        )
 
     for f_index, front in enumerate(fs.fronts, 1):
         buf = getattr(front, "buf", None)  # as in copy(), a plain list has none

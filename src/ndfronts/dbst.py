@@ -34,6 +34,9 @@ class TreeVariant(Enum):
 # ``__getattr__`` and costs about 0.1 us; a module global costs a tenth.
 _SEQUENTIAL = TreeVariant.SEQUENTIAL
 
+# Whether each bisection order's midpoint rounds up; navigate knows no other.
+_ROUNDS_UP = {TreeVariant.LEFT_BALANCED: 1, TreeVariant.RIGHT_BALANCED: 0}
+
 
 def navigate(
     fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter, *, find_id: bool = True
@@ -51,9 +54,13 @@ def navigate(
     ``fs`` has no fronts.  A member with ``new``'s id ends the search
     (lookups); an insert, whose probe's id is never stored, passes
     ``find_id=False`` to skip that search (see
-    :func:`~ndfronts.linear._first_witness`).
+    :func:`~ndfronts.linear._first_witness`).  Any variant other than the
+    two bisection orders, :attr:`TreeVariant.SEQUENTIAL` included, raises
+    ValueError before anything is probed.
     """
-    bias = 1 if variant is TreeVariant.LEFT_BALANCED else 0
+    bias = _ROUNDS_UP.get(variant)
+    if bias is None:
+        raise ValueError(f"navigate bisects; {variant} is not a bisection order")
     trace = []
     lo, hi = 1, fs.k
     while lo <= hi:

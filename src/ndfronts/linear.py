@@ -21,12 +21,12 @@ import numpy as np
 from ndfronts.core import (
     ContractViolationError,
     Counter,
-    DimensionMismatchError,
     Front,
     FrontSet,
     Solution,
     _SCAN_MIN_WIDTH,
     _dominated,
+    _mismatch,
     dom_nature,
 )
 
@@ -122,7 +122,7 @@ def _first_witness(
                             pos = i
                             break
             except ValueError:
-                raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})") from None
+                raise _mismatch(probe, sol) from None
         counter.pair_compares += pos or len(front)
     return nat, rank, pos
 
@@ -160,7 +160,7 @@ def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tupl
     for pos, sol in enumerate(front, 1):
         other = sol.objectives
         if len(other) != m:
-            raise DimensionMismatchError(f"cannot compare {pid!r} (M={m}) with {sol.id!r} (M={sol.m})")
+            raise _mismatch(probe, sol)
         probe_better = sol_better = False
         for x, y in zip(objs, other):
             if x < y:

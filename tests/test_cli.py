@@ -155,6 +155,26 @@ def test_load_workload_and_liveness(tmp_path):
     check_workload(workload)
 
 
+def test_check_workload_returns_the_solution_each_step_acts_on():
+    from ndfronts.cli import Step, Workload
+
+    pre, a, a2 = s("p", 5, 5), s("a", 1, 2), s("a", 3, 1)
+    steps = [
+        Step("lookup", "p"),
+        Step("insert", "a", a),
+        Step("lookup", "a"),
+        Step("delete", "a"),
+        Step("insert", "a", a2),  # the id again, with another vector
+        Step("lookup", "a"),
+        Step("delete", "p"),
+        Step("delete", "a"),
+    ]
+    assert check_workload(Workload(2, steps), [pre]) == [pre, a, a, a, a2, a2, pre, a2]
+    assert check_workload(Workload(2, steps[1:6])) == [a, a, a, a2, a2]
+    with pytest.raises(InputError, match="^step 1: lookup of unknown id 'p'$"):
+        check_workload(Workload(2, steps))  # p is not stored
+
+
 def test_load_workload_rejects_dead_reference(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\ndelete,b,,\n")
@@ -817,10 +837,23 @@ def test_cli_negate_handles_maximization(tmp_path, capsys):
 def test_cli_negate_rejects_a_repeated_column(tmp_path, capsys):
     path = tmp_path / "pop.csv"
     write_population_csv(path, ["a,1,1", "b,2,2"])
-    with pytest.raises(SystemExit) as exc:
-        main(["sort", "--input", str(path), "--negate", "1,1"])  # would negate column 1 twice
-    assert exc.value.code == 2
-    assert "argument --negate: repeated column in '1,1'" in capsys.readouterr().err
+    assert main(["sort", "--input", str(path), "--negate", "1,1"]) == 2  # would negate column 1 twice
+    assert capsys.readouterr().err.splitlines() == ["error: --negate column 1 repeated"]
+
+
+def test_cli_negate_rejects_a_column_below_one_in_one_line(tmp_path, capsys):
+    path = tmp_path / "pop.csv"
+    write_population_csv(path, ["a,1,1", "b,2,2"])
+    assert main(["sort", "--input", str(path), "--negate", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --negate column 0 out of range 1..2"]
+
+
+def test_cli_run_rejects_negate_without_a_workload_file(capsys):
+    # a seeded workload has no file columns to negate, so the flag is an error, not ignored
+    assert main(["run", "--seed", "1", "--negate", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --negate applies to --workload files, not to --seed workloads"]
 
 
 def test_online_ratio_script_runs_its_checks():

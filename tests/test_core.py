@@ -367,15 +367,19 @@ def test_validate_flags_a_direct_edit_of_a_wide_front_with_a_record(edit):
     for front in fs.fronts:
         fs._columns(front)
     assert all(front.buf is not None for front in fs.fronts) and validate(fs) == []
-    # each edit leaves a valid partition, so the record is all there is to flag
+    # each edit leaves a valid partition and keeps the id index in step, so
+    # the record is all there is to flag
     if edit == "replaced-member":
-        fs.fronts[0][5] = s("edit", 5.25, wide - 5.25)
+        fs._ids.remove(fs.fronts[0][5].id)
+        fs.admit(new := s("edit", 5.25, wide - 5.25))
+        fs.fronts[0][5] = new
         want = "front 1: its record differs from its members' objectives"
     elif edit == "popped-member":  # a middle one: the record's live width follows the front's
-        fs.fronts[1].pop(50)
+        fs._ids.remove(fs.fronts[1].pop(50).id)
         want = "front 2: its record differs from its members' objectives"
     else:  # between b5 and b6, below t5
-        fs.fronts[1].append(s("edit", 5.75, wide - 4.75))
+        fs.admit(new := s("edit", 5.75, wide - 4.75))
+        fs.fronts[1].append(new)
         want = f"front 2: its record of {wide} columns is narrower than its {wide + 1} members"
     assert validate(fs) == [want]
 
@@ -392,7 +396,7 @@ def test_a_front_dropped_with_its_record_leaves_nothing_to_the_front_put_in_its_
     assert fs.fronts[0].buf is not None
     fresh = [s(f"n{i}", i + 0.5, wide - i + 0.5) for i in range(wide)]
     fs.admit(*fresh)
-    fs.fronts.pop(0)
+    fs._ids -= {sol.id for sol in fs.fronts.pop(0)}  # a front dropped by hand leaves its ids indexed
     fs.fronts.insert(0, core.Front(fresh))
     assert fs.fronts[0].buf is None and validate(fs) == []
     ops.insert(fs, s("x", 50.25, 50.25), Counter())  # dominates n50, under no t
@@ -405,15 +409,34 @@ def test_a_plain_list_put_in_by_hand_is_copied_and_checked():
     wide = core._SCAN_MIN_WIDTH + 10
     fs = FrontSet(2, [[s(f"t{i}", i, wide - i) for i in range(wide)]])
     fs._columns(fs.fronts[0])
-    fs.fronts.append([s(f"b{i}", i + 0.5, wide - i + 0.5) for i in range(wide)])
-    fs.fronts.append([s("z", wide, wide)])
+    for front in ([s(f"b{i}", i + 0.5, wide - i + 0.5) for i in range(wide)], [s("z", wide, wide)]):
+        fs.admit(*front)
+        fs.fronts.append(front)
     clone = fs.copy()
     assert clone.fronts[0].buf is not None and clone.fronts[1].buf is None
     assert_columns_consistent(clone)
     assert validate(fs) == [] and validate(clone) == []
     assert same_partition(fs, clone) and same_partition(fs, full_sort(list(fs.solutions())))
-    fs.fronts[1][5] = s("edit", 5.25, wide - 5.25)  # a hand edit of a plain list has no record to flag
+    fs._ids.remove(fs.fronts[1][5].id)
+    fs.admit(new := s("edit", 5.25, wide - 5.25))
+    fs.fronts[1][5] = new  # a hand edit of a plain list has no record to flag
     assert validate(fs) == ["front 2: 'edit' is not dominated by any solution in front 1"]
+
+
+def test_validate_flags_an_id_index_out_of_step_with_the_stored_ids():
+    from ndfronts import APPROACHES
+
+    fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 2)]])
+    fs.fronts.pop()  # a front dropped by hand leaves its ids indexed
+    assert "b" in fs
+    with pytest.raises(DuplicateIdError):
+        APPROACHES["linear"].insert(fs, s("b", 3, 3), Counter())
+    assert validate(fs) == ["id index differs from the stored ids: 1 indexed but not stored ['b'], 0 stored but not indexed []"]
+    # and the other way: members put in by hand without admit; three ids each way at most
+    fs.fronts.append([s(f"c{i}", 2 + i, 10 - i) for i in range(5)])
+    assert validate(fs) == [
+        "id index differs from the stored ids: 1 indexed but not stored ['b'], 5 stored but not indexed ['c0', 'c1', 'c2']"
+    ]
 
 
 @pytest.mark.parametrize("approach", ["linear", "ltree", "rtree"])

@@ -112,6 +112,19 @@ def test_navigate_non_dominated_front_records_zero_witness():
     assert trace[0] == (0, 2, 0)
 
 
+def test_navigate_rejects_an_order_that_is_not_a_bisection():
+    # SEQUENTIAL is no bisection, so navigate has no midpoint rounding to give it
+    fs = chain_front_set(6)
+    c = Counter()
+    with pytest.raises(ValueError, match="TreeVariant.SEQUENTIAL is not a bisection order"):
+        navigate(fs, s("n", 8, 8), TreeVariant.SEQUENTIAL, c)
+    with pytest.raises(ValueError, match="not a bisection order"):
+        navigate(fs, s("n", 8, 8), "left", c)
+    assert c.pair_compares == 0
+    assert [rank for _, rank, _ in navigate(fs, s("n", 8, 8), LEFT, c)] == [4, 6]
+    assert [rank for _, rank, _ in navigate(fs, s("n", 8, 8), RIGHT, c)] == [3, 5, 6]
+
+
 def test_navigate_is_read_only_and_deterministic():
     fs = chain_front_set(31)
     probe = s("n", 7.5, 7.5)
