@@ -21,7 +21,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from ndfronts import analysis, core, oracle
 from ndfronts.core import Counter, FrontSet, Solution, validate
@@ -526,8 +526,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if doc["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end as every other input error
+    does: ``error: <message>`` alone on stderr, and exit 2.  Its subparsers
+    are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ndfronts",
         description="Maintain non-domination levels under online insertion and deletion.",
     )

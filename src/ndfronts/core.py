@@ -35,7 +35,7 @@ class ContractViolationError(ValueError):
     """An operation was handed input that breaks its preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     """A point with a stable opaque id and M >= 2 finite objective values."""
 
@@ -43,12 +43,11 @@ class Solution:
     objectives: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        objs = tuple(float(v) for v in self.objectives)
+        objs = tuple(map(float, self.objectives))
         if len(objs) < 2:
             raise ValueError(f"solution {self.id!r}: need at least 2 objectives, got {len(objs)}")
-        for v in objs:
-            if not math.isfinite(v):
-                raise ValueError(f"solution {self.id!r}: objectives must be finite")
+        if not all(map(math.isfinite, objs)):
+            raise ValueError(f"solution {self.id!r}: objectives must be finite")
         object.__setattr__(self, "objectives", objs)
 
     @property
@@ -71,7 +70,9 @@ class Counter:
     A :func:`dom_nature` call adds exactly one, no matter how many
     objectives the pair carries, and a :func:`_dominated` block adds one for
     every pair in it, whichever way it tests them: with :func:`dom_nature`
-    calls, unrolled at M = 2, or in numpy.  The only other place that counts
+    calls, unrolled at M = 2, or in numpy, and whether it tests strict or
+    only weak dominance, as every cascade step does (see
+    :func:`_dominated`).  The only other place that counts
     is the front scan (:func:`ndfronts.linear._first_witness`), one call per
     run of ranks: it tests each wide front in numpy and each narrow one
     member by member (unrolled when M is 2 or 3), both uncounted, and adds
@@ -106,6 +107,7 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     strict one only when ``a`` is no worse in both.  At any other M it
     walks the coordinates and stops as soon as each side has won one.
     :func:`_dominated`'s larger blocks test their pairs with the same rule,
+    or with its weak half alone where no pair can be equal vectors,
     unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
     members of a run of fronts in one call, with no call per pair or per
@@ -169,27 +171,34 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
 
 
-def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dominated_cols(a: np.ndarray, b: np.ndarray, strict: bool) -> np.ndarray:
     """Whether some peer column of ``a`` ``(M, g)`` dominates each member
     column of ``b`` ``(M, n)``, as ``n`` bools; one 2-D comparison per
-    objective and relation.  Uncounted, so only :func:`_dominated` calls it."""
+    objective and relation, and with ``strict`` False only the weak one
+    (see :func:`_dominated`).  Uncounted, so only :func:`_dominated` calls
+    it."""
     weak = a[0, :, None] <= b[0]
-    strict = a[0, :, None] < b[0]
     for k in range(1, len(b)):
-        col, row = a[k, :, None], b[k]
-        weak &= col <= row
-        strict |= col < row
-    # a peer no worse in every objective and better in one dominates
-    return (weak & strict).any(axis=0)
+        weak &= a[k, :, None] <= b[k]
+    if strict:  # a peer no worse in every objective must also be better in one
+        better = a[0, :, None] < b[0]
+        for k in range(1, len(b)):
+            better |= a[k, :, None] < b[k]
+        weak &= better
+    return weak.any(axis=0)
 
 
-def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
+def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]], strict: bool) -> list[bool]:
     """Whether some peer dominates each member, for M = 2 objective pairs:
     one pass over the members per peer, with every pair tested before the
-    running flag is read.  Uncounted, so only :func:`_dominated` calls it."""
+    running flag is read; with ``strict`` False the test is weak (see
+    :func:`_dominated`).  Uncounted, so only :func:`_dominated` calls it."""
     hit = [False] * len(member_objs)
     for p0, p1 in peer_objs:
-        hit = [(p0 <= q0 and p1 <= q1 and (p0 < q0 or p1 < q1)) or h for (q0, q1), h in zip(member_objs, hit)]
+        if strict:
+            hit = [(p0 <= q0 and p1 <= q1 and (p0 < q0 or p1 < q1)) or h for (q0, q1), h in zip(member_objs, hit)]
+        else:
+            hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
     return hit
 
 
@@ -199,6 +208,7 @@ def _dominated(
     counter: Counter,
     peer_cols: np.ndarray | None,
     member_cols: np.ndarray | None,
+    strict: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Whether some peer dominates each member: a bool array ``mask`` with
     ``mask[j]`` True when a member of ``peers`` dominates ``members[j]``, and
@@ -214,6 +224,25 @@ def _dominated(
     pairs run :func:`_dominated_m2` on the members' tuples unless
     ``member_cols`` is given; the rest run :func:`_dominated_cols`, one
     numpy comparison per objective.
+
+    With ``strict`` False the caller promises that no member's vector
+    equals a peer's, and the two larger paths test weak dominance only: a
+    peer no worse than a member in every objective.  Without equal vectors
+    that is a dominance, so the mask is the same, and the strict half of
+    the test (better in some objective) is skipped.  The :func:`dom_nature`
+    loop gives the same answers and is unchanged.  Every step of a cascade
+    (:func:`ndfronts.linear._cascade`) after an insert or a delete keeps
+    the promise: its peers are part of one front of the partition as it
+    stood before the operation, and its members are the next front.  In a
+    valid partition no member ``y`` of front ``j + 1`` equals a member
+    ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
+    would dominate ``x`` too, and front ``j`` is an antichain.  Callers
+    that cannot promise it keep the strict test:
+    :func:`ndfronts.linear.dom_set`, which is public and may be handed a
+    new solution equal to a member; :func:`ndfronts.linear.update_insert`,
+    whose displaced set comes from its caller, in its cascade; and that
+    function's antichain check of the set against itself, whose diagonal
+    pairs are equal vectors.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
@@ -234,7 +263,7 @@ def _dominated(
         return np.array([1 in [dom_nature(p, q, counter) for p in peers] for q in members]), None
     if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
         try:  # unpacking every tuple checks its M before the block is counted
-            hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
+            hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members], strict)
         except ValueError:
             raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
         counter.pair_compares += pairs
@@ -247,7 +276,7 @@ def _dominated(
             raise _mismatch(peers[0], side[0])
         sides.append(cols)
     counter.pair_compares += pairs
-    return _dominated_cols(*sides), sides[1]
+    return _dominated_cols(*sides, strict), sides[1]
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:

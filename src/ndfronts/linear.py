@@ -229,7 +229,7 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         raise ContractViolationError(f"displaced set is internally dominated: {p.id!r} vs {q.id!r}")
     fs.admit(*displaced)
     fs.fronts.insert(index - 1, Front(displaced))
-    _cascade(fs, index, counter)
+    _cascade(fs, index, counter, True)
 
 
 def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter: Counter) -> None:
@@ -259,18 +259,23 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     fs._append(front, new)
     fs.fronts.insert(index, displaced)
     if len(front) > 1:
-        _cascade(fs, index + 1, counter)
+        _cascade(fs, index + 1, counter, False)
 
 
 def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     """Restore the partition below front ``index`` after a member left it:
-    :func:`_cascade` from that rank."""
+    :func:`_cascade` from that rank, with weak-dominance blocks.
+
+    It assumes, unchecked, that ``fs`` is a valid partition apart from the
+    departed member, as a library delete leaves it and as the CLI's
+    ``run --fs``, which validates its dump, guarantees.  The weak blocks
+    rely on it (see :func:`~ndfronts.core._dominated`)."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
-    _cascade(fs, index, counter)
+    _cascade(fs, index, counter, False)
 
 
-def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
+def _cascade(fs: FrontSet, index: int, counter: Counter, strict: bool) -> None:
     """Move into front ``index`` every member of the next front that no
     member of it dominates on entry, and go on one rank down while a step
     promotes something and leaves the next front non-empty; a front emptied
@@ -290,6 +295,13 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     members a step leaves in the lower front are the next step's upper
     front, so the step carries the columns its block read for them, and a
     cascade builds each front's array from tuples at most once.
+
+    With ``strict`` False each block tests weak dominance only, which is
+    exact when the cascade starts from a valid partition: no member of a
+    front equals a member of the front above it (see
+    :func:`~ndfronts.core._dominated`).  Inserts and deletes pass False;
+    :func:`update_insert`, whose displaced set comes from its caller,
+    passes True.
     """
     cols = None
     while index < len(fs.fronts):
@@ -297,7 +309,7 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
         upper_cols = fs._columns(upper)
         if upper_cols is not None:
             cols = upper_cols
-        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower))
+        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower), strict)
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return

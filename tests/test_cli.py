@@ -824,6 +824,26 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--approach", "linear"]) == 2  # neither workload nor seed
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sort", "--negate", "1,x"], "--negate"),
+        (["bench", "--n", "abc"], "--n"),
+        (["run", "--seed", "1", "--m", "x"], "--m"),
+        (["sort", "--approach", "foo"], "--approach"),
+    ],
+)
+def test_cli_argparse_usage_errors_are_one_line(capsys, argv, flag):
+    # argparse's own errors end as the loaders' do: one line, exit 2, no usage dump
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: "), err
+
+
 def test_cli_negate_handles_maximization(tmp_path, capsys):
     path = tmp_path / "pop.csv"
     write_population_csv(path, ["a,1,1", "b,2,2", "c,3,3"])

@@ -206,7 +206,55 @@ def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
     objs = [sol.objectives for sol in TIE_GRID]
     for p in TIE_GRID:
         want = [dom_nature(p, q, scratch) == 1 for q in TIE_GRID]
-        assert core._dominated_m2([p.objectives], objs) == want, p
+        assert core._dominated_m2([p.objectives], objs, True) == want, p
+    # the weak test alone counts an equal pair as a dominance, so it needs
+    # the caller's promise that no member equals a peer
+    assert core._dominated_m2([(0.0, 0.0)], [(-0.0, 0.0)], False) == [True]
+    assert core._dominated_cols(np.zeros((2, 1)), np.zeros((2, 1)), False).tolist() == [True]
+
+
+def _doubled_grid(m: int, values: list[float]) -> list[Solution]:
+    """Every vector of the grid twice, under two ids, the twin with -0.0 for
+    each 0.0: a population whose fronts are full of equal vectors."""
+    grid = list(itertools.product(values, repeat=m))
+    twins = [tuple(-0.0 if v == 0 else v for v in vec) for vec in grid]
+    return [Solution(f"a{i}", vec) for i, vec in enumerate(grid)] + [Solution(f"b{i}", vec) for i, vec in enumerate(twins)]
+
+
+@pytest.mark.parametrize("m, values", [(2, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), (3, [0.0, 1.0, 2.0, 3.0]), (5, [0.0, 1.0])])
+def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, values):
+    fs = full_sort(_doubled_grid(m, values), m)
+    assert validate(fs) == []
+    scratch = Counter()
+    paths = set()
+    for upper, lower in zip(fs.fronts, fs.fronts[1:]):
+        # the fact a weak block relies on: adjacent fronts share no vector
+        assert not {p.objectives for p in upper} & {q.objectives for q in lower}
+        # pair by pair, each kernel's weak verdict is its strict one
+        objs, cols = [q.objectives for q in lower], core._cols(lower, m)
+        for p in upper:
+            want = [dom_nature(p, q, scratch) == 1 for q in lower]
+            for strict in (True, False):
+                assert core._dominated_cols(core._cols([p], m), cols, strict).tolist() == want, (p, strict)
+                if m == 2:
+                    assert core._dominated_m2([p.objectives], objs, strict) == want, (p, strict)
+        # whole blocks, with members as tuples and as a record: the same mask and charge
+        for member_cols in (None, cols):
+            got = []
+            for strict in (True, False):
+                c = Counter()
+                with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+                    core, "_dominated_cols", wraps=core._dominated_cols
+                ) as numpy_path:
+                    got.append(core._dominated(upper, lower, c, None, member_cols, strict)[0].tolist())
+                assert c.pair_compares == len(upper) * len(lower)
+                for name, spy in (("unrolled", unrolled), ("numpy", numpy_path)):
+                    if spy.called:
+                        assert spy.call_args.args[-1] is strict
+                        paths.add((name, strict))
+            assert got[0] == got[1] == [any(dom_nature(p, q, scratch) == 1 for p in upper) for q in lower]
+    # the weak paths were reached: unrolled at M = 2, and numpy at every M
+    assert {("numpy", False)} | ({("unrolled", False)} if m == 2 else set()) <= paths
 
 
 # one width per M = 2 path: blocks of 1 x (width + 1) and 2 x width pairs

@@ -162,6 +162,19 @@ def test_dom_set_start_out_of_range_raises_and_counts_nothing(start):
     assert c.pair_compares == 0
 
 
+@pytest.mark.parametrize("m, width", [(2, 40), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1), (3, 40), (3, 120)])
+def test_dom_set_keeps_a_member_equal_to_the_new_solution(m, width):
+    # dom_set is public and may be handed a copy of a member: its block on the
+    # unrolled path or numpy (with a record at 120) stays strict
+    pad = (1.0,) * (m - 2)
+    fs = fs_of([s(f"x{i}", i + 1, width - i, *pad) for i in range(width)])
+    front = fs.fronts[0]
+    twin = Solution("twin", front[width // 2].objectives)
+    c = Counter()
+    assert dom_set(fs, front, twin, 1, c).tolist() == [True] * width
+    assert c.pair_compares == width
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32))
 def test_dom_set_matches_brute_force_filter(seed):
@@ -204,6 +217,35 @@ def test_update_insert_cascade_matches_full_resort():
     new = Solution("n", (1.5, 1.5))
     insert_linear(fs, new, Counter())
     assert same_partition(fs, full_sort(lv1 + lv2 + lv3 + [new]))
+    assert validate(fs) == []
+
+
+@pytest.mark.parametrize(
+    "m, width, path",
+    [(2, 40, "_dominated_m2"), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "_dominated_cols"), (3, 40, "_dominated_cols")],
+)
+def test_update_insert_of_a_vector_equal_to_a_member_below_keeps_the_strict_test(monkeypatch, m, width, path):
+    # the displaced member equals x{k} of the front it lands above, so only a
+    # strict block lifts x{k}: a weak one would count the equal vector as a dominance
+    pad = (1.0,) * (m - 2)
+    fronts = [[s("a", *(0,) * m)], [s(f"x{i}", i + 1, width - i, *pad) for i in range(width)]]
+    fs = fs_of(*fronts)
+    k = width // 2
+    twin = Solution("twin", fronts[1][k].objectives)
+    flags = []
+    kernel = getattr(ndfronts.core, path)
+
+    def recorded(a, b, strict):
+        flags.append(strict)
+        return kernel(a, b, strict)
+
+    monkeypatch.setattr(ndfronts.core, path, recorded)
+    c = Counter()
+    update_insert(fs, [twin], 2, c)
+    assert flags == [True]
+    assert c.pair_compares == width
+    assert same_partition(fs, full_sort(fronts[0] + fronts[1] + [twin]))
+    assert fs.level_ids() == [{"a"}, {"twin"} | {f"x{i}" for i in range(width)}]
     assert validate(fs) == []
 
 
@@ -448,9 +490,9 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_block(fn):
-        def wrapper(a, b):
+        def wrapper(a, b, strict):
             calls[0] += a.shape[1] * b.shape[1]
-            return fn(a, b)
+            return fn(a, b, strict)
 
         return wrapper
 
@@ -466,9 +508,9 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_unrolled(fn):
-        def wrapper(peer_objs, member_objs):
+        def wrapper(peer_objs, member_objs, strict):
             calls[0] += len(peer_objs) * len(member_objs)
-            return fn(peer_objs, member_objs)
+            return fn(peer_objs, member_objs, strict)
 
         return wrapper
 
@@ -478,9 +520,9 @@ def _audit_kernel(monkeypatch):
     for module in (ndfronts.linear, ndfronts.dbst):
         monkeypatch.setattr(module, "_first_witness", witness)
 
-    def recorded(fs, index, counter):
+    def recorded(fs, index, counter, strict):
         widths.append(len(fs.fronts[index - 1]))
-        return cascade(fs, index, counter)
+        return cascade(fs, index, counter, strict)
 
     cascade = ndfronts.linear._cascade
     monkeypatch.setattr(ndfronts.linear, "_cascade", recorded)
@@ -562,15 +604,15 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     blocks = []
     audited = ndfronts.core._dominated_cols
 
-    def numpy_path(a, b):
-        blocks.append((a.shape[1], b.shape[1]))
-        return audited(a, b)
+    def numpy_path(a, b, strict):
+        blocks.append((a.shape[1], b.shape[1], strict))
+        return audited(a, b, strict)
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     c = Counter()
     APPROACHES[approach].delete(fs, pop[n1 - 1], c)
-    # the whole lower front is one block against the survivors of the upper one
-    assert blocks == [(n1 - 1, 100 - n1)]
+    # the whole lower front is one weak block against the survivors of the upper one
+    assert blocks == [(n1 - 1, 100 - n1, False)]
     assert widths == [n1 - 1]
     assert calls[0] == c.pair_compares
     if approach == "linear":
@@ -933,17 +975,17 @@ def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
     blocks = []
     audited = ndfronts.core._dominated_cols
 
-    def numpy_path(a, b):
+    def numpy_path(a, b, strict):
         # a record's slice shares its buffer; an array built from tuples is new
         read = [any(np.shares_memory(side, front.buf) for front in fs.fronts if front.buf is not None) for side in (a, b)]
-        blocks.append((a.shape[1], b.shape[1], *read))
-        return audited(a, b)
+        blocks.append((a.shape[1], b.shape[1], *read, strict))
+        return audited(a, b, strict)
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     run()
-    cascade = [(WIDE - 1, WIDE, True, True)] * 2
-    # an insert's dom_set tail is the record's slice after the witness t1
-    assert blocks == ([(1, WIDE - 2, False, True)] + cascade if op == "insert" else cascade)
+    cascade = [(WIDE - 1, WIDE, True, True, False)] * 2  # weak: adjacent fronts share no vector
+    # an insert's dom_set tail is the record's slice after the witness t1, tested strictly
+    assert blocks == ([(1, WIDE - 2, False, True, True)] + cascade if op == "insert" else cascade)
     assert_columns_consistent(fs)
 
 

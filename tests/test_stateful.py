@@ -7,7 +7,10 @@ one batch wide enough to keep an objective array onto numpy at any M, and
 the moves onto its columns, whose consistency is an invariant too.  Every
 dominance block the update rules run is checked as well: the rules ask
 only which members some peer dominates, which is enough while no member
-dominates a peer."""
+dominates a peer, and a weak block (see ``core._dominated``) asks only
+which members some peer weakly dominates, which is enough while no member
+equals a peer; after every step no front shares a vector with the front
+above it, which is why a cascade's blocks may be weak."""
 
 from __future__ import annotations
 
@@ -34,16 +37,19 @@ WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fill
 WIDE = max(core._SCAN_MIN_WIDTH, core._BLOCK_MAX_PAIRS_M2 + 1) + 1
 
 
-def _dominated_where_no_member_dominates_a_peer(peers, members, *args):
-    """``linear._dominated``, after asserting the fact its callers rely on:
-    no member dominates any of its peers.  That makes "dominated by a peer"
-    the same as "in any relation with a peer" for each cascade step, and
-    the only relation a ``dom_set`` tail can have with its new solution."""
+def _dominated_where_no_member_dominates_a_peer(peers, members, counter, peer_cols, member_cols, strict=True):
+    """``linear._dominated``, after asserting the facts its callers rely on:
+    no member dominates any of its peers, and in a weak block no member
+    equals a peer.  The first makes "dominated by a peer" the same as "in
+    any relation with a peer" for each cascade step, and the only relation
+    a ``dom_set`` tail can have with its new solution; the second makes a
+    weak dominance a strict one."""
     scratch = Counter()
     for q in members:
         for p in peers:
             assert dom_nature(q, p, scratch) != 1, f"member {q.id!r} dominates peer {p.id!r}"
-    return core._dominated(peers, members, *args)
+            assert strict or q.objectives != p.objectives, f"member {q.id!r} equals peer {p.id!r} in a weak block"
+    return core._dominated(peers, members, counter, peer_cols, member_cols, strict)
 
 
 class FrontSetsUnderChurn(RuleBasedStateMachine):
@@ -135,6 +141,13 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         want = full_sort(list(self.live.values()), self.m).level_ids()
         for approach, fs in self.sets.items():
             assert fs.level_ids() == want, approach
+
+    @invariant()
+    def no_front_shares_a_vector_with_the_front_above(self) -> None:
+        for approach, fs in self.sets.items():
+            for f_index, (upper, lower) in enumerate(zip(fs.fronts, fs.fronts[1:]), 2):
+                shared = {p.objectives for p in upper} & {q.objectives for q in lower}
+                assert not shared, (approach, f_index, shared)
 
     @invariant()
     def columns_match_their_members(self) -> None:
