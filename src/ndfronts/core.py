@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import not_
+from operator import attrgetter, not_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -138,11 +138,12 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     return 1 if a_better else -1 if b_better else 0
 
 
-# Below this many pairs a block runs the dom_nature loop, whose M = 2 pair is
-# unrolled too.  The unrolled M = 2 block would still beat it (it saves the
-# call per pair), but the loop is kept because perfbench's tracer divides by
-# the dom_nature calls it counts, and a two-objective run needs some (see
-# ROADMAP.md, item 1).
+# Below this many pairs a block runs the dom_nature loop: one list
+# comprehension over the members per peer, one call per pair, returning its
+# list as the mask.  dom_nature's M = 2 pair is unrolled too.  The unrolled
+# M = 2 block would still beat it (it saves the call per pair), but the loop
+# is kept because perfbench's tracer divides by the dom_nature calls it
+# counts, and a two-objective run needs some (see ROADMAP.md, item 1).
 _BLOCK_MIN_PAIRS = 32
 # Up to this many pairs an M = 2 block is tested unrolled in Python, which
 # beats numpy's fixed cost per block; larger blocks, blocks whose members come
@@ -209,21 +210,25 @@ def _dominated(
     peer_cols: np.ndarray | None,
     member_cols: np.ndarray | None,
     strict: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Whether some peer dominates each member: a bool array ``mask`` with
-    ``mask[j]`` True when a member of ``peers`` dominates ``members[j]``, and
-    the member columns its numpy path read, given or built; None when the
-    block ran the :func:`dom_nature` loop or the unrolled M = 2 path.  A
-    cascade step carries a slice of them to its next step.
+) -> tuple[list[bool] | np.ndarray, np.ndarray | None]:
+    """Whether some peer dominates each member: a mask with ``mask[j]``
+    True when a member of ``peers`` dominates ``members[j]``, and the member
+    columns its numpy path read, given or built.  The numpy path returns a
+    bool array; the two Python paths, the :func:`dom_nature` loop and the
+    unrolled M = 2 path, and an empty block return the list of bools they
+    built, with None for the columns.  A cascade step carries a slice of the
+    columns to its next step and hands the mask, list or array, to
+    :meth:`FrontSet._move`.
 
     Every pair is tested, with no early exit, and the block adds exactly
     ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
     raise :class:`DimensionMismatchError` before anything is counted.
     Blocks of fewer than ``_BLOCK_MIN_PAIRS`` pairs run the
-    :func:`dom_nature` loop; M = 2 blocks of up to ``_BLOCK_MAX_PAIRS_M2``
-    pairs run :func:`_dominated_m2` on the members' tuples unless
-    ``member_cols`` is given; the rest run :func:`_dominated_cols`, one
-    numpy comparison per objective.
+    :func:`dom_nature` loop: one pass over the members per peer, with
+    exactly one :func:`dom_nature` call per pair; M = 2 blocks of up to
+    ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
+    members' tuples unless ``member_cols`` is given; the rest run
+    :func:`_dominated_cols`, one numpy comparison per objective.
 
     With ``strict`` False the caller promises that no member's vector
     equals a peer's, and the two larger paths test weak dominance only: a
@@ -253,21 +258,23 @@ def _dominated(
     built by :func:`_cols`, which admits only members of its M.
     """
     if not peers or not members:
-        return np.zeros(len(members), dtype=bool), None
+        return [False] * len(members), None
     m = len(peers[0].objectives)
     pairs = len(peers) * len(members)
     if pairs < _BLOCK_MIN_PAIRS:
-        for sol in chain(peers, members):
-            if len(sol.objectives) != m:
-                raise _mismatch(peers[0], sol)
-        return np.array([1 in [dom_nature(p, q, counter) for p in peers] for q in members]), None
+        if not {m}.issuperset(map(len, map(attrgetter("objectives"), chain(peers, members)))):
+            raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m))
+        hit = [False] * len(members)
+        for p in peers:  # dom_nature is called before the running flag is read
+            hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
+        return hit, None
     if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
         try:  # unpacking every tuple checks its M before the block is counted
             hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members], strict)
         except ValueError:
             raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
         counter.pair_compares += pairs
-        return np.array(hit), None
+        return hit, None
     sides = []
     for side, cols in ((peers, peer_cols), (members, member_cols)):
         if cols is None:
@@ -403,16 +410,18 @@ class FrontSet:
         if front.buf is not None:
             _extend(front, len(front) - 1, np.array(sol.objectives)[:, None])
 
-    def _move(self, src: Front, stays: np.ndarray, dest: Front) -> Front:
-        """Append the members of ``src`` flagged False in ``stays`` to
-        ``dest``, in order; return the others in order, as ``src`` itself
-        when all stay and as a new front otherwise, which the caller puts in
-        ``src``'s place.  Each part is one :func:`~itertools.compress` of
-        ``src``.  Columns move with their members: each part's columns are
-        the mask's slice of ``src``'s record, which leaves with ``src``.  A
-        narrow part keeps no array; a cascade carries the columns it needs
-        itself."""
-        keep = stays.tolist()
+    def _move(self, src: Front, stays: list[bool] | np.ndarray, dest: Front) -> Front:
+        """Append the members of ``src`` flagged False in ``stays``, a list
+        of bools or a bool array, to ``dest``, in order; return the others in
+        order, as ``src`` itself when all stay and as a new front otherwise,
+        which the caller puts in ``src``'s place.  Each part is one
+        :func:`~itertools.compress` of ``src`` by a list mask: a list is used
+        as it is, and an array is turned into one.  Columns move with their
+        members: each part's columns are the mask's slice of ``src``'s
+        record, which leaves with ``src``, so a bool array of the mask is
+        built only when ``src`` has a record.  A narrow part keeps no
+        array; a cascade carries the columns it needs itself."""
+        keep = stays.tolist() if isinstance(stays, np.ndarray) else stays
         if all(keep):
             return src
         start = len(dest)
@@ -421,6 +430,7 @@ class FrontSet:
         rec = src.buf
         if rec is not None:
             rec = rec[:, : len(src)]
+            stays = np.asarray(stays)
             if len(kept) >= _SCAN_MIN_WIDTH:
                 kept.buf = rec[:, stays]
         if dest.buf is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:

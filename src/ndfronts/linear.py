@@ -15,6 +15,7 @@ reproducible run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     cols = fs._columns(front)
     tail_cols = None if cols is None else cols[:, start - 1 :]
     stays = np.ones(len(front), dtype=bool)
-    stays[start - 1 :] = ~_dominated([new], front[start - 1 :], counter, None, tail_cols)[0]
+    stays[start - 1 :] = np.logical_not(_dominated([new], front[start - 1 :], counter, None, tail_cols)[0])
     return stays
 
 
@@ -222,9 +223,8 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         raise ContractViolationError("displaced set must be non-empty")
     if not 2 <= index <= len(fs.fronts) + 1:
         raise ContractViolationError(f"cascade rank {index} is outside 2..{len(fs.fronts) + 1}")
-    dominated = _dominated(displaced, displaced, Counter(), None, None)[0]
-    if dominated.any():
-        q = displaced[dominated.argmax()]
+    q = next(compress(displaced, _dominated(displaced, displaced, Counter(), None, None)[0]), None)
+    if q is not None:
         p = next(p for p in displaced if dom_nature(p, q, Counter()) == 1)
         raise ContractViolationError(f"displaced set is internally dominated: {p.id!r} vs {q.id!r}")
     fs.admit(*displaced)
