@@ -163,13 +163,16 @@ def _solution(where: str, cells: Sequence[str], m: int, negate: Sequence[int]) -
 
 def load_workload(path: str, negate: Sequence[int] = ()) -> Workload:
     """Read a workload CSV: header ``op,id,obj_1,...,obj_M``; insert rows carry
-    a full objective vector, delete/lookup rows leave the objective cells empty."""
+    a full objective vector, delete/lookup rows leave the objective cells
+    empty, or it is an InputError naming the row's ``path:line``."""
     m, rows = _read_rows(path, ("op", "id"), negate)
     steps: list[Step] = []
     for where, row in rows:
         op = row[0].strip().lower()
         if op not in ("insert", "delete", "lookup"):
             raise InputError(f"{where}: unknown op {op!r}")
+        if op != "insert" and any(cell.strip() for cell in row[2:]):
+            raise InputError(f"{where}: a {op} row leaves its objective cells empty")
         steps.append(Step(op, row[1].strip(), _solution(where, row[1:], m, negate) if op == "insert" else None))
     return Workload(m, steps, [where for where, _ in rows])
 
@@ -477,6 +480,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workload and args.seed is not None:
+        raise InputError("--workload and --seed each give the workload; pass one")
     if args.workload:
         workload = load_workload(args.workload, args.negate)
     elif args.seed is None:

@@ -106,9 +106,9 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     it.  At M = 2 the pair is unrolled: two weak tests each way, and a
     strict one only when ``a`` is no worse in both.  At any other M it
     walks the coordinates and stops as soon as each side has won one.
-    :func:`_dominated`'s larger blocks test their pairs with the same rule,
-    or with its weak half alone where no pair can be equal vectors,
-    unrolled at M = 2 (:func:`_dominated_m2`) or in numpy, and
+    :func:`_dominated`'s larger blocks test their pairs with the same rule
+    in numpy, or with its weak half alone where no pair can be equal
+    vectors, in numpy or, at M = 2, unrolled (:func:`_dominated_m2`), and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
     members of a run of fronts in one call, with no call per pair or per
     narrow front: in numpy for a front with a record, member by member
@@ -145,10 +145,11 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
 # is kept because perfbench's tracer divides by the dom_nature calls it
 # counts, and a two-objective run needs some (see ROADMAP.md, item 1).
 _BLOCK_MIN_PAIRS = 32
-# Up to this many pairs an M = 2 block is tested unrolled in Python, which
-# beats numpy's fixed cost per block; larger blocks, blocks whose members come
-# as a record's columns, and every block of another M go to numpy (measured
-# with perfbench and timeit; see CHANGES.md).
+# Up to this many pairs a weak M = 2 block is tested unrolled in Python,
+# which beats numpy's fixed cost per block; larger blocks, blocks whose
+# members come as a record's columns, and every block of another M go to
+# numpy, and so do strict blocks: a strict test runs only on the dom_nature
+# floor or in numpy (measured with perfbench and timeit; see CHANGES.md).
 _BLOCK_MAX_PAIRS_M2 = 256
 
 
@@ -189,17 +190,15 @@ def _dominated_cols(a: np.ndarray, b: np.ndarray, strict: bool) -> np.ndarray:
     return weak.any(axis=0)
 
 
-def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]], strict: bool) -> list[bool]:
-    """Whether some peer dominates each member, for M = 2 objective pairs:
-    one pass over the members per peer, with every pair tested before the
-    running flag is read; with ``strict`` False the test is weak (see
+def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
+    """Whether some peer weakly dominates each member, for M = 2 objective
+    pairs: one pass over the members per peer, with every pair tested
+    before the running flag is read.  Only weak blocks come here, where no
+    member equals a peer and a weak dominance is a dominance (see
     :func:`_dominated`).  Uncounted, so only :func:`_dominated` calls it."""
     hit = [False] * len(member_objs)
     for p0, p1 in peer_objs:
-        if strict:
-            hit = [(p0 <= q0 and p1 <= q1 and (p0 < q0 or p1 < q1)) or h for (q0, q1), h in zip(member_objs, hit)]
-        else:
-            hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
+        hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
     return hit
 
 
@@ -225,29 +224,30 @@ def _dominated(
     raise :class:`DimensionMismatchError` before anything is counted.
     Blocks of fewer than ``_BLOCK_MIN_PAIRS`` pairs run the
     :func:`dom_nature` loop: one pass over the members per peer, with
-    exactly one :func:`dom_nature` call per pair; M = 2 blocks of up to
-    ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
+    exactly one :func:`dom_nature` call per pair; weak M = 2 blocks of up
+    to ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
     members' tuples unless ``member_cols`` is given; the rest run
     :func:`_dominated_cols`, one numpy comparison per objective.
 
-    With ``strict`` False the caller promises that no member's vector
-    equals a peer's, and the two larger paths test weak dominance only: a
-    peer no worse than a member in every objective.  Without equal vectors
-    that is a dominance, so the mask is the same, and the strict half of
-    the test (better in some objective) is skipped.  The :func:`dom_nature`
-    loop gives the same answers and is unchanged.  Every step of a cascade
+    The rule: a strict test runs only where an equal vector can meet, on
+    the :func:`dom_nature` floor or in numpy.  With ``strict`` False the
+    caller promises that no member's vector equals a peer's, and the two
+    larger paths test weak dominance only: a peer no worse than a member in
+    every objective.  Without equal vectors that is a dominance, so the
+    mask is the same, and the strict half of the test (better in some
+    objective) is skipped.  The :func:`dom_nature` loop gives the same
+    answers and is unchanged.  Every step of a cascade
     (:func:`ndfronts.linear._cascade`) after an insert or a delete keeps
     the promise: its peers are part of one front of the partition as it
     stood before the operation, and its members are the next front.  In a
     valid partition no member ``y`` of front ``j + 1`` equals a member
     ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
-    would dominate ``x`` too, and front ``j`` is an antichain.  Callers
-    that cannot promise it keep the strict test:
+    would dominate ``x`` too, and front ``j`` is an antichain.  Two
+    callers cannot promise it and keep the strict test:
     :func:`ndfronts.linear.dom_set`, which is public and may be handed a
-    new solution equal to a member; :func:`ndfronts.linear.update_insert`,
-    whose displaced set comes from its caller, in its cascade; and that
-    function's antichain check of the set against itself, whose diagonal
-    pairs are equal vectors.
+    new solution equal to a member, and the cascade of
+    :func:`ndfronts.linear.update_insert`, whose displaced set comes from
+    its caller.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
@@ -268,9 +268,9 @@ def _dominated(
         for p in peers:  # dom_nature is called before the running flag is read
             hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
         return hit, None
-    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
+    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None and not strict:
         try:  # unpacking every tuple checks its M before the block is counted
-            hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members], strict)
+            hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
         except ValueError:
             raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
         counter.pair_compares += pairs

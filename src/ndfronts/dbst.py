@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ndfronts.core import Counter, FrontSet, MissingSolutionError, Solution
+from ndfronts.core import ContractViolationError, Counter, FrontSet, MissingSolutionError, Solution
 from ndfronts.linear import Position, _first_witness, _settle, update_delete
 
 
@@ -125,17 +125,26 @@ class Approach:
         """The position of the stored solution with ``sol``'s id, or None
         when it is not stored.
 
-        ``sol``'s vector only steers.  A front with a member dominating
-        ``sol`` is better than the target's.  The deciding front has none,
-        so every member ahead of the target there is non-dominated with it,
-        and the scan either reaches the id or proves it absent.
+        ``sol``'s vector only steers, and must be the stored one's.  A
+        front with a member dominating ``sol`` is better than the target's.
+        The deciding front has none, so every member ahead of the target
+        there is non-dominated with it, and the scan either reaches the id
+        or proves it absent.  A search that misses an id the set holds was
+        steered by another vector: it raises
+        :class:`~ndfronts.core.ContractViolationError` naming the id.  That
+        check runs on a miss only, so found and absent ids cost no more.
         """
         nat, rank, pos = _search(fs, sol, self.search_order, counter, True)
-        return Position(rank, pos) if nat == 0 and pos else None
+        if nat == 0 and pos:
+            return Position(rank, pos)
+        if sol.id in fs:
+            raise ContractViolationError(f"solution {sol.id!r} is stored under another objective vector")
+        return None
 
     def delete(self, fs: FrontSet, sol: Solution, counter: Counter) -> None:
         """Remove the stored solution with ``sol``'s id and restore
-        validity; see :func:`delete`."""
+        validity; see :func:`delete`.  The search is :meth:`lookup`'s, so a
+        stored id under another vector raises, with nothing removed."""
         pos = self.lookup(fs, sol, counter)
         if pos is None:
             raise MissingSolutionError(sol.id)
@@ -194,7 +203,10 @@ def delete(fs: FrontSet, sol: Solution, strategy: str, counter: Counter) -> None
     ``"sequential"`` the linear row, which scans fronts in order, ``"tree"``
     the ltree row, which binary-searches over front ranks as
     :func:`lookup_tree` does; an id it does not find raises
-    :class:`~ndfronts.core.MissingSolutionError`.  The solution then leaves
+    :class:`~ndfronts.core.MissingSolutionError`, and a stored id handed
+    with another objective vector
+    :class:`~ndfronts.core.ContractViolationError`, both with nothing
+    removed (see :meth:`Approach.lookup`).  The solution then leaves
     its front and the id index through
     :meth:`~ndfronts.core.FrontSet.remove`.  Deleting from the last front
     costs nothing further; an emptied front is dropped outright and lower

@@ -15,7 +15,6 @@ reproducible run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -211,8 +210,10 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
     down.  ``displaced`` must be a non-empty antichain of new solutions
     with the set's M and distinct ids, and ``index`` must lie in 2..K+1;
     anything else raises before a comparison is counted or a solution
-    moved.  The antichain check is uncounted, so inserts skip it: their
-    displaced sets are carved out of one front.
+    moved.  The antichain check is one uncounted :func:`dom_nature` search
+    over the pairs ``(p, q)``, ``q`` in member order and then ``p``, which
+    names the first dominated member and its first dominator; inserts skip
+    it, as their displaced sets are carved out of one front.
 
     It also assumes, unchecked, that no member of front ``index`` dominates
     a member of ``displaced``, as when the set was displaced from the front
@@ -223,10 +224,10 @@ def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: 
         raise ContractViolationError("displaced set must be non-empty")
     if not 2 <= index <= len(fs.fronts) + 1:
         raise ContractViolationError(f"cascade rank {index} is outside 2..{len(fs.fronts) + 1}")
-    q = next(compress(displaced, _dominated(displaced, displaced, Counter(), None, None)[0]), None)
-    if q is not None:
-        p = next(p for p in displaced if dom_nature(p, q, Counter()) == 1)
-        raise ContractViolationError(f"displaced set is internally dominated: {p.id!r} vs {q.id!r}")
+    scratch = Counter()
+    pair = next(((p, q) for q in displaced for p in displaced if dom_nature(p, q, scratch) == 1), None)
+    if pair is not None:
+        raise ContractViolationError(f"displaced set is internally dominated: {pair[0].id!r} vs {pair[1].id!r}")
     fs.admit(*displaced)
     fs.fronts.insert(index - 1, Front(displaced))
     _cascade(fs, index, counter, True)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import ndfronts.cli
 from ndfronts import APPROACHES, Counter, FrontSet, Solution, core, full_sort, same_partition
 from ndfronts.cli import (
     InputError,
@@ -220,6 +221,27 @@ def test_a_dead_reference_names_its_file_and_line(tmp_path, capsys, row, message
     workload = load_workload(str(path))
     with pytest.raises(InputError, match=f"^step 2: {message}$"):
         check_workload(Workload(workload.m, workload.steps))
+
+
+@pytest.mark.parametrize("op", ["delete", "lookup"])
+@pytest.mark.parametrize("cells", ["9,9", ",9", "9,"])
+def test_a_delete_or_lookup_row_with_objective_values_is_a_usage_error(tmp_path, capsys, op, cells):
+    # the values would be dropped: the step acts on the live solution's vector
+    path = tmp_path / "w.csv"
+    path.write_text(f"op,id,obj_1,obj_2\ninsert,a,1,2\n{op},a,{cells}\n")
+    assert main(["run", "--workload", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}:3: a {op} row leaves its objective cells empty"]
+
+
+def test_cli_run_rejects_a_workload_file_and_a_seed_together(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")
+    assert main(["run", "--workload", str(path), "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --workload and --seed each give the workload; pass one"]
 
 
 def test_load_workload_negate_applies_to_inserts(tmp_path):
@@ -542,6 +564,15 @@ def test_verify_front_set_flags_tampering(twelve_in_five_levels):
     fs.fronts[0], fs.fronts[1] = fs.fronts[1], fs.fronts[0]
     ok, problems = verify_front_set(fs)
     assert not ok and problems
+
+
+def test_verify_front_set_resorts_independently_of_validate(monkeypatch, twelve_in_five_levels):
+    # no partition that validate accepts differs from a fresh sort, so only a
+    # validate that misses a problem lets the referee's own re-sort show
+    fs = full_sort(twelve_in_five_levels)
+    fs.fronts[0], fs.fronts[1] = fs.fronts[1], fs.fronts[0]
+    monkeypatch.setattr(ndfronts.cli, "validate", lambda fs: [])
+    assert verify_front_set(fs) == (False, ["partition differs from a from-scratch sort of the same solutions"])
 
 
 def test_bench_rows_all_pass():

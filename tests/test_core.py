@@ -148,12 +148,13 @@ def test_counter_exactness(t):
 grid_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 
 
-def _block_path(m: int, pairs: int) -> str:
+def _block_path(m: int, pairs: int, strict: bool = True) -> str:
     """The path a non-empty ``core._dominated`` block of ``pairs`` pairs takes
-    when its members come as tuples."""
+    when its members come as tuples: a strict block runs only on the
+    ``dom_nature`` floor or in numpy."""
     if pairs < core._BLOCK_MIN_PAIRS:
         return "dom_nature"
-    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 else "numpy"
+    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 and not strict else "numpy"
 
 
 def _bools(mask) -> list:
@@ -178,9 +179,11 @@ def grid_blocks(draw):
     return peers, members
 
 
-@given(grid_blocks())
-def test_dominated_equals_dom_nature_pair_by_pair(block):
+@given(grid_blocks(), st.booleans())
+def test_dominated_equals_dom_nature_pair_by_pair(block, strict):
     peers, members = block
+    if not strict:  # a weak block's caller promises that no member equals a peer
+        members = [q for q in members if all(q.objectives != p.objectives for p in peers)]
     c = Counter()
     spies = {
         "dom_nature": mock.patch.object(core, "dom_nature", wraps=core.dom_nature),
@@ -188,12 +191,14 @@ def test_dominated_equals_dom_nature_pair_by_pair(block):
         "numpy": mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols),
     }
     with spies["dom_nature"] as loop, spies["unrolled"] as unrolled, spies["numpy"] as numpy_path:
-        mask = core._dominated(peers, members, c, None, None)[0]
+        mask = core._dominated(peers, members, c, None, None, strict)[0]
     pairs = len(peers) * len(members)
     assert c.pair_compares == pairs
     m = (peers + members)[0].m if pairs else None
     taken = {"dom_nature": loop.called, "unrolled": unrolled.called, "numpy": numpy_path.called}
-    assert taken == {path: bool(pairs) and path == _block_path(m, pairs) for path in taken}
+    assert taken == {path: bool(pairs) and path == _block_path(m, pairs, strict) for path in taken}
+    if numpy_path.called:
+        assert numpy_path.call_args.args[-1] is strict
     # perfbench's tracer divides by dom_nature calls: the loop makes one per
     # pair, and the other paths make none
     assert loop.call_count == (pairs if taken["dom_nature"] else 0)
@@ -208,21 +213,26 @@ TIE_GRID = [Solution(f"v{i}", vec) for i, vec in enumerate(itertools.product([-0
 
 
 def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
+    # a strict block of the grid against itself meets equal vectors, so at
+    # M = 2 it takes numpy, not the weak-only unrolled path
     c = Counter()
-    with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled:
+    with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+        core, "_dominated_cols", wraps=core._dominated_cols
+    ) as numpy_path:
         mask, cols = core._dominated(TIE_GRID, TIE_GRID, c, None, None)
-    assert unrolled.called and cols is None
+    assert not unrolled.called and numpy_path.call_args.args[-1] is True and cols is not None
     assert c.pair_compares == 81
     scratch = Counter()
     assert _bools(mask) == [any(dom_nature(p, q, scratch) == 1 for p in TIE_GRID) for q in TIE_GRID]
-    # each peer on its own, so every pair's verdict shows
-    objs = [sol.objectives for sol in TIE_GRID]
+    # each peer on its own against every member it does not equal, so
+    # every such pair's weak verdict shows
     for p in TIE_GRID:
-        want = [dom_nature(p, q, scratch) == 1 for q in TIE_GRID]
-        assert core._dominated_m2([p.objectives], objs, True) == want, p
+        others = [q for q in TIE_GRID if q.objectives != p.objectives]
+        want = [dom_nature(p, q, scratch) == 1 for q in others]
+        assert core._dominated_m2([p.objectives], [q.objectives for q in others]) == want, p
     # the weak test alone counts an equal pair as a dominance, so it needs
     # the caller's promise that no member equals a peer
-    assert core._dominated_m2([(0.0, 0.0)], [(-0.0, 0.0)], False) == [True]
+    assert core._dominated_m2([(0.0, 0.0)], [(-0.0, 0.0)]) == [True]
     assert core._dominated_cols(np.zeros((2, 1)), np.zeros((2, 1)), False).tolist() == [True]
 
 
@@ -243,14 +253,14 @@ def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, value
     for upper, lower in zip(fs.fronts, fs.fronts[1:]):
         # the fact a weak block relies on: adjacent fronts share no vector
         assert not {p.objectives for p in upper} & {q.objectives for q in lower}
-        # pair by pair, each kernel's weak verdict is its strict one
+        # pair by pair, each weak kernel's verdict is the strict one
         objs, cols = [q.objectives for q in lower], core._cols(lower, m)
         for p in upper:
             want = [dom_nature(p, q, scratch) == 1 for q in lower]
             for strict in (True, False):
                 assert core._dominated_cols(core._cols([p], m), cols, strict).tolist() == want, (p, strict)
-                if m == 2:
-                    assert core._dominated_m2([p.objectives], objs, strict) == want, (p, strict)
+            if m == 2:
+                assert core._dominated_m2([p.objectives], objs) == want, p
         # whole blocks, with members as tuples and as a record: the same mask and charge
         for member_cols in (None, cols):
             got = []
@@ -261,27 +271,30 @@ def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, value
                 ) as numpy_path:
                     got.append(_bools(core._dominated(upper, lower, c, None, member_cols, strict)[0]))
                 assert c.pair_compares == len(upper) * len(lower)
-                for name, spy in (("unrolled", unrolled), ("numpy", numpy_path)):
-                    if spy.called:
-                        assert spy.call_args.args[-1] is strict
-                        paths.add((name, strict))
+                if numpy_path.called:
+                    assert numpy_path.call_args.args[-1] is strict
+                    paths.add(("numpy", strict))
+                if unrolled.called:
+                    paths.add(("unrolled", strict))
             assert got[0] == got[1] == [any(dom_nature(p, q, scratch) == 1 for p in upper) for q in lower]
-    # the weak paths were reached: unrolled at M = 2, and numpy at every M
+    # the weak paths were reached: unrolled at M = 2, and numpy at every M;
+    # a strict block never runs unrolled
     assert {("numpy", False)} | ({("unrolled", False)} if m == 2 else set()) <= paths
+    assert ("unrolled", True) not in paths
 
 
-# one width per M = 2 path: blocks of 1 x (width + 1) and 2 x width pairs
-# both take the dom_nature loop, the unrolled path and numpy in turn
+# one width per M = 2 path: weak blocks of 1 x (width + 1) and 2 x width
+# pairs both take the dom_nature loop, the unrolled path and numpy in turn
 @pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, core._BLOCK_MAX_PAIRS_M2])
 def test_dominated_dimension_mismatch_counts_nothing(width):
-    path = _block_path(2, width + 1)
-    assert path == _block_path(2, 2 * width)
+    path = _block_path(2, width + 1, strict=False)
+    assert path == _block_path(2, 2 * width, strict=False)
     p, odd = s("p", 0, 0), Solution("odd", (1, 2, 3))
     members = [s(f"q{j}", j, -j) for j in range(width)]
     c = Counter()
     for peers, block in (([p], members + [odd]), ([p, odd], members), ([odd, p], members)):
         with pytest.raises(DimensionMismatchError) as err:
-            core._dominated(peers, block, c, None, None)
+            core._dominated(peers, block, c, None, None, strict=False)  # raises before any mask
         if peers[0] is p and path != "numpy":
             assert str(err.value) == "cannot compare 'p' (M=2) with 'odd' (M=3)"
     assert c.pair_compares == 0
@@ -347,8 +360,10 @@ def test_validate_accepts_five_level_layout(twelve_in_five_levels):
 def test_validate_flags_intra_front_dominance():
     fs = FrontSet(2, [[s("a", 1, 1), s("b", 2, 2)]])
     problems = validate(fs)
-    assert len(problems) == 1
-    assert "dominates" in problems[0]
+    assert problems == ["front 1: 'a' dominates 'b' within one front"]
+    # a later member dominating an earlier one: the dominator is named first there too
+    fs = FrontSet(2, [[s("c", 3, 0), s("b", 2, 2), s("a", 1, 1)]])
+    assert validate(fs) == ["front 1: 'a' dominates 'b' within one front"]
 
 
 def test_validate_flags_undominated_lower_front():

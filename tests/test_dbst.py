@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ndfronts import (
     APPROACHES,
+    ContractViolationError,
     Counter,
     FrontSet,
     Position,
@@ -295,6 +296,23 @@ def test_lookup_missing_solution_returns_none():
     pop = gen_equal_fronts(9, 3)
     fs = FrontSet(2, [pop[i * 3 : (i + 1) * 3] for i in range(3)])
     assert lookup_tree(fs, s("x", 0.25, 0.75), Counter()) is None
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["lookup", "delete"])
+@pytest.mark.parametrize(
+    "vec",
+    [(0, 0), (9, 9), (0.5, 1.5)],
+    ids=["dominating-all", "dominated-by-all", "in-another-front"],
+)
+def test_a_stored_id_under_another_vector_is_a_contract_violation(approach, op, vec):
+    # the vector steers the search away from b's front, so it misses an id
+    # the set holds: that is the caller's error, not an absent id
+    fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 2)]])
+    before = [list(front) for front in fs.fronts]
+    with pytest.raises(ContractViolationError, match="'b'"):
+        getattr(APPROACHES[approach], op)(fs, s("b", *vec), Counter())
+    assert fs.fronts == before and "b" in fs and validate(fs) == []
 
 
 def test_lookup_empty_front_set():

@@ -164,8 +164,8 @@ def test_dom_set_start_out_of_range_raises_and_counts_nothing(start):
 
 @pytest.mark.parametrize("m, width", [(2, 40), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1), (3, 40), (3, 120)])
 def test_dom_set_keeps_a_member_equal_to_the_new_solution(m, width):
-    # dom_set is public and may be handed a copy of a member: its block on the
-    # unrolled path or numpy (with a record at 120) stays strict
+    # dom_set is public and may be handed a copy of a member: its block stays
+    # strict, in numpy at every M (reading the record at 120)
     pad = (1.0,) * (m - 2)
     fs = fs_of([s(f"x{i}", i + 1, width - i, *pad) for i in range(width)])
     front = fs.fronts[0]
@@ -222,11 +222,13 @@ def test_update_insert_cascade_matches_full_resort():
 
 @pytest.mark.parametrize(
     "m, width, path",
-    [(2, 40, "_dominated_m2"), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "_dominated_cols"), (3, 40, "_dominated_cols")],
+    [(2, 40, "_dominated_cols"), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "_dominated_cols"), (3, 40, "_dominated_cols")],
 )
 def test_update_insert_of_a_vector_equal_to_a_member_below_keeps_the_strict_test(monkeypatch, m, width, path):
     # the displaced member equals x{k} of the front it lands above, so only a
-    # strict block lifts x{k}: a weak one would count the equal vector as a dominance
+    # strict block lifts x{k}: a weak one would count the equal vector as a
+    # dominance.  A strict block runs in numpy, at M = 2 below
+    # _BLOCK_MAX_PAIRS_M2 pairs too, where a weak one would run unrolled
     pad = (1.0,) * (m - 2)
     fronts = [[s("a", *(0,) * m)], [s(f"x{i}", i + 1, width - i, *pad) for i in range(width)]]
     fs = fs_of(*fronts)
@@ -508,9 +510,9 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_unrolled(fn):
-        def wrapper(peer_objs, member_objs, strict):
+        def wrapper(peer_objs, member_objs):
             calls[0] += len(peer_objs) * len(member_objs)
-            return fn(peer_objs, member_objs, strict)
+            return fn(peer_objs, member_objs)
 
         return wrapper
 

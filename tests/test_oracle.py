@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndfronts import Counter, DuplicateIdError, FrontSet, Solution, full_sort, same_partition, validate
+from ndfronts import Counter, DimensionMismatchError, DuplicateIdError, FrontSet, Solution, full_sort, same_partition, validate
 from tests.conftest import TWELVE_LEVELS, random_population, reference_level_ids, s
 
 
@@ -21,6 +21,13 @@ def test_empty_population():
     assert fs.k == 0
     assert len(fs) == 0
     assert fs.m == 3
+
+
+def test_full_sort_rejects_a_population_of_another_or_mixed_m():
+    with pytest.raises(DimensionMismatchError, match=r"^population has M=2, expected M=3$"):
+        full_sort([s("a", 1, 2)], m=3)
+    with pytest.raises(DimensionMismatchError, match=r"^population mixes objective counts$"):
+        full_sort([s("a", 1, 2), s("b", 1, 2, 3)])
 
 
 def test_antichain_is_single_front():

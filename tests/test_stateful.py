@@ -2,9 +2,10 @@
 tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the inserts onto the larger block
-paths: the narrow ones onto the unrolled M = 2 path, or numpy at M = 3, and
-one batch wide enough to keep an objective array onto numpy at any M, and
-the moves onto its columns, whose consistency is an invariant too.  Every
+paths: each batch's strict ``dom_set`` block onto numpy at any M, the
+narrow batches' weak cascade step onto the unrolled M = 2 path, or numpy
+at M = 3, and one batch wide enough to keep an objective array onto its
+columns, whose consistency is an invariant too.  Every
 dominance block the update rules run is checked as well: the rules ask
 only which members some peer dominates, which is enough while no member
 dominates a peer, and a weak block (see ``core._dominated``) asks only
@@ -81,34 +82,47 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         self.live[sol.id] = sol
         return sol
 
-    def insert_batch(self, tag: str, slot: int, width: int) -> list[Solution]:
+    def insert_batch(self, tag: str, slot: int, width: int, shadow: bool) -> list[Solution]:
         """Insert a front of ``width`` points on an anti-diagonal, then an apex
         that dominates all of them.  Slot ``slot`` lies below the grid and
         every lower-numbered slot, and above every higher-numbered one, so
-        the front is new and the apex displaces it in one
-        ``1 x (width - 1)`` block, unrolled at M = 2 up to
-        ``core._BLOCK_MAX_PAIRS_M2`` pairs and in numpy otherwise."""
+        the front is new and the apex displaces it in one strict
+        ``1 x (width - 1)`` ``dom_set`` block, in numpy at any M.
+
+        With ``shadow``, a second front, each point half a unit behind one
+        of the first, goes in before the apex, and then a notch that
+        dominates only the middle point of the first front.  That point is
+        displaced onto the shadow front: one weak ``1 x width`` cascade
+        step, unrolled at M = 2 up to ``core._BLOCK_MAX_PAIRS_M2`` pairs and
+        in numpy otherwise."""
         base = 10 + (WIDTH + 2) * slot
         pad = (base + 1,) * (self.m - 2)
         batch = [
             Solution(f"{tag}.{i}", (base + 1 + i, base + width - i) + pad)
             for i in range(width)
         ]
+        if shadow:
+            mid = batch[width // 2].objectives
+            batch += [Solution(f"{tag}.s{i}", tuple(x + 0.5 for x in sol.objectives)) for i, sol in enumerate(batch)]
+            batch.append(Solution(f"{tag}.notch", (mid[0] - 0.25, mid[1] - 0.25) + pad))
         batch.append(Solution(f"{tag}.apex", (base,) * self.m))
-        unrolled = self.m == 2 and width - 1 <= core._BLOCK_MAX_PAIRS_M2
-        path = "_dominated_m2" if unrolled else "_dominated_cols"
         for approach, fs in self.sets.items():
-            with mock.patch.object(core, path, wraps=getattr(core, path)) as block:
+            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+                core, "_dominated_cols", wraps=core._dominated_cols
+            ) as numpy_path:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
-            assert block.called, (approach, path)
+            numpy_strict = {call.args[-1] for call in numpy_path.call_args_list}
+            assert True in numpy_strict, approach
+            if shadow:
+                assert unrolled.called if self.m == 2 else False in numpy_strict, approach
         self.live.update((sol.id, sol) for sol in batch)
         return batch
 
-    @precondition(lambda self: self.batches < 2)  # each batch adds WIDTH + 1 solutions
+    @precondition(lambda self: self.batches < 2)  # each batch adds 2 * WIDTH + 2 solutions
     @rule(target=solutions)
     def insert_antidiagonal(self):
-        batch = self.insert_batch(f"d{self.batches}", self.batches, WIDTH)
+        batch = self.insert_batch(f"d{self.batches}", self.batches, WIDTH, True)
         self.batches += 1
         return multiple(*batch)
 
@@ -118,7 +132,7 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         """Slot 2, below both narrower batches: the apex moves the whole wide
         front, columns and all, one rank down."""
         self.wide = True
-        batch = self.insert_batch("w", 2, WIDE)
+        batch = self.insert_batch("w", 2, WIDE, False)
         for approach, fs in self.sets.items():
             assert any(front[0] is batch[0] and front.buf is not None for front in fs.fronts), approach
         return multiple(*batch)
