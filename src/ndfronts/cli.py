@@ -483,17 +483,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workload and args.seed is not None:
         raise InputError("--workload and --seed each give the workload; pass one")
     if args.workload:
+        for flag, value in (("--m", args.m), ("--steps", args.steps)):
+            if value is not None:
+                raise InputError(f"{flag} applies to --seed workloads; a --workload file gives its own")
         workload = load_workload(args.workload, args.negate)
     elif args.seed is None:
         raise InputError("run needs --workload FILE or --seed N")
     elif args.negate:
         raise InputError("--negate applies to --workload files, not to --seed workloads")
     else:
-        if args.steps < 0:
-            raise InputError(f"--steps must be at least 0, got {args.steps}")
-        if args.m < 2:
-            raise InputError(f"--m must be at least 2, got {args.m}")
-        workload = random_workload(args.seed, m=args.m, total_steps=args.steps)
+        steps = 60 if args.steps is None else args.steps
+        m = 3 if args.m is None else args.m
+        if steps < 0:
+            raise InputError(f"--steps must be at least 0, got {steps}")
+        if m < 2:
+            raise InputError(f"--m must be at least 2, got {m}")
+        workload = random_workload(args.seed, m=m, total_steps=steps)
     fs = FrontSet(workload.m)
     if args.fs:
         fs = read_dump(args.fs)
@@ -569,8 +574,8 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workload", help="workload CSV (op,id,obj_1,...,obj_M)")
     p_run.add_argument("--fs", help="start from this front-set dump instead of empty")
     p_run.add_argument("--seed", type=int, help="generate a seeded random workload instead of a file")
-    p_run.add_argument("--steps", type=int, default=60, help="steps (at least 0) for --seed workloads")
-    p_run.add_argument("--m", type=int, default=3, help="objective count for --seed workloads")
+    p_run.add_argument("--steps", type=int, help="steps (at least 0) for --seed workloads; default 60")
+    p_run.add_argument("--m", type=int, help="objective count for --seed workloads; default 3")
     p_run.add_argument("--out", help="write the final front-set dump to this path")
     common(p_run)
     p_run.set_defaults(func=_cmd_run)

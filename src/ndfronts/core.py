@@ -242,12 +242,10 @@ def _dominated(
     stood before the operation, and its members are the next front.  In a
     valid partition no member ``y`` of front ``j + 1`` equals a member
     ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
-    would dominate ``x`` too, and front ``j`` is an antichain.  Two
-    callers cannot promise it and keep the strict test:
+    would dominate ``x`` too, and front ``j`` is an antichain.  One
+    caller cannot promise it and keeps the strict test:
     :func:`ndfronts.linear.dom_set`, which is public and may be handed a
-    new solution equal to a member, and the cascade of
-    :func:`ndfronts.linear.update_insert`, whose displaced set comes from
-    its caller.
+    new solution equal to a member.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,

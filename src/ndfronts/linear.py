@@ -5,7 +5,8 @@ solution's place, in one call; :mod:`ndfronts.dbst` decides which ranks it
 scans: all of them for the linear order, one per probe for bisection.  :func:`_settle`
 stores a new solution where the search put it, and one cascade,
 :func:`_cascade`, restores the partition below it after an insert and
-after a delete.  No solution is ever held in two places at once:
+after a delete, entered through :func:`update_insert` and
+:func:`update_delete`.  No solution is ever held in two places at once:
 displaced sets are moved, not copied, so the only working storage is the
 set currently in flight.  Comparisons stop at the first deciding witness
 exactly where the update rules allow, which makes counter values
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ndfronts.core import (
-    ContractViolationError,
     Counter,
     Front,
     FrontSet,
@@ -27,7 +27,6 @@ from ndfronts.core import (
     _SCAN_MIN_WIDTH,
     _dominated,
     _mismatch,
-    dom_nature,
 )
 
 
@@ -200,37 +199,18 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     return stays
 
 
-def update_insert(fs: FrontSet, displaced: list[Solution], index: int, counter: Counter) -> None:
-    """Settle a displaced set of new solutions at rank ``index``, cascading
-    leftovers downward.
+def update_insert(fs: FrontSet, index: int, counter: Counter) -> None:
+    """Restore the partition below front ``index`` after an insert placed
+    its displaced set there: :func:`_cascade` from that rank, with
+    weak-dominance blocks.
 
-    The displaced set becomes the front at ``index``, and :func:`_cascade`
-    lifts into it every member of the front below that is non-dominated
-    with all of it; the rest stay one rank lower and the cascade moves
-    down.  ``displaced`` must be a non-empty antichain of new solutions
-    with the set's M and distinct ids, and ``index`` must lie in 2..K+1;
-    anything else raises before a comparison is counted or a solution
-    moved.  The antichain check is one uncounted :func:`dom_nature` search
-    over the pairs ``(p, q)``, ``q`` in member order and then ``p``, which
-    names the first dominated member and its first dominator; inserts skip
-    it, as their displaced sets are carved out of one front.
-
-    It also assumes, unchecked, that no member of front ``index`` dominates
-    a member of ``displaced``, as when the set was displaced from the front
-    above it.  Otherwise the partition it leaves is invalid: the cascade
-    asks only whether a lower member is dominated.
-    """
-    if not displaced:
-        raise ContractViolationError("displaced set must be non-empty")
-    if not 2 <= index <= len(fs.fronts) + 1:
-        raise ContractViolationError(f"cascade rank {index} is outside 2..{len(fs.fronts) + 1}")
-    scratch = Counter()
-    pair = next(((p, q) for q in displaced for p in displaced if dom_nature(p, q, scratch) == 1), None)
-    if pair is not None:
-        raise ContractViolationError(f"displaced set is internally dominated: {pair[0].id!r} vs {pair[1].id!r}")
-    fs.admit(*displaced)
-    fs.fronts.insert(index - 1, Front(displaced))
-    _cascade(fs, index, counter, True)
+    It assumes, unchecked, the state :func:`_settle` leaves: front
+    ``index`` is the set the insert displaced from the front above it,
+    and every front below is as the partition stood before the insert.
+    The weak blocks rely on it (see :func:`~ndfronts.core._dominated`)."""
+    if not 2 <= index <= len(fs.fronts):
+        raise IndexError(f"front index {index} out of range for an insert cascade")
+    _cascade(fs, index, counter)
 
 
 def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter: Counter) -> None:
@@ -244,7 +224,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     out of the front in one :meth:`~ndfronts.core.FrontSet._move`, and the
     displaced set becomes the next front.  When ``new`` dominated its whole
     front, every rank below simply shifts by one; otherwise
-    :func:`_cascade` settles the displaced set.
+    :func:`update_insert` settles the displaced set.
     """
     if index > len(fs.fronts):
         fs.fronts.append(Front((new,)))
@@ -260,7 +240,7 @@ def _settle(fs: FrontSet, index: int, nat: int, pos: int, new: Solution, counter
     fs._append(front, new)
     fs.fronts.insert(index, displaced)
     if len(front) > 1:
-        _cascade(fs, index + 1, counter, False)
+        update_insert(fs, index + 1, counter)
 
 
 def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
@@ -273,10 +253,10 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
     rely on it (see :func:`~ndfronts.core._dominated`)."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
-    _cascade(fs, index, counter, False)
+    _cascade(fs, index, counter)
 
 
-def _cascade(fs: FrontSet, index: int, counter: Counter, strict: bool) -> None:
+def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     """Move into front ``index`` every member of the next front that no
     member of it dominates on entry, and go on one rank down while a step
     promotes something and leaves the next front non-empty; a front emptied
@@ -297,12 +277,10 @@ def _cascade(fs: FrontSet, index: int, counter: Counter, strict: bool) -> None:
     front, so the step carries the columns its block read for them, and a
     cascade builds each front's array from tuples at most once.
 
-    With ``strict`` False each block tests weak dominance only, which is
-    exact when the cascade starts from a valid partition: no member of a
-    front equals a member of the front above it (see
-    :func:`~ndfronts.core._dominated`).  Inserts and deletes pass False;
-    :func:`update_insert`, whose displaced set comes from its caller,
-    passes True.
+    Each block tests weak dominance only, which is exact because both
+    entries, :func:`update_insert` and :func:`update_delete`, start from
+    a valid partition: no member of a front equals a member of the front
+    above it (see :func:`~ndfronts.core._dominated`).
     """
     cols = None
     while index < len(fs.fronts):
@@ -310,7 +288,7 @@ def _cascade(fs: FrontSet, index: int, counter: Counter, strict: bool) -> None:
         upper_cols = fs._columns(upper)
         if upper_cols is not None:
             cols = upper_cols
-        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower), strict)
+        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower), False)
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return

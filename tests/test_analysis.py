@@ -103,6 +103,21 @@ def test_gen_equal_fronts_shape():
         gen_equal_fronts(10, 3)
 
 
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        (lambda: gen_chain(-1), "n must be non-negative"),
+        (lambda: gen_antichain(-1), "n must be non-negative"),
+        (lambda: gen_equal_fronts(4, 0), "k must be positive"),
+        (lambda: gen_two_front(0, 1), "both fronts need at least one solution"),
+    ],
+    ids=["chain", "antichain", "equal-fronts", "two-front"],
+)
+def test_generators_reject_impossible_sizes(generate, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate()
+
+
 def test_gen_equal_fronts_total_domination_between_neighbours():
     pop = gen_equal_fronts(12, 3)
     fronts = [pop[i * 4 : (i + 1) * 4] for i in range(3)]

@@ -244,6 +244,27 @@ def test_cli_run_rejects_a_workload_file_and_a_seed_together(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: --workload and --seed each give the workload; pass one"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--m", "5"], "--m"), (["--steps", "7"], "--steps"), (["--m", "2"], "--m"), (["--steps", "7", "--m", "5"], "--m")],
+    ids=["m5", "steps7", "m-matching-the-file", "both"],
+)
+def test_cli_run_rejects_seeded_sizes_with_a_workload_file(tmp_path, capsys, argv, flag):
+    # the file gives M and the steps; a size flag it would ignore is an error
+    path = tmp_path / "w.csv"
+    path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")
+    assert main(["run", "--workload", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} applies to --seed workloads; a --workload file gives its own"]
+
+
+def test_cli_run_seeded_sizes_default_to_m3_and_60_steps(capsys):
+    assert main(["run", "--seed", "4", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["front_set"]["m"] == 3 and len(report["steps"]) == 60
+
+
 def test_load_workload_negate_applies_to_inserts(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("op,id,obj_1,obj_2\ninsert,a,1,2\n")
@@ -598,6 +619,12 @@ def test_bench_rows_rejects_a_k_below_one(k):
     with pytest.raises(InputError) as exc:
         bench_rows("equal-fronts", 12, k, ["linear"])
     assert str(exc.value) == f"--k must be at least 1, got {k}"
+
+
+def test_bench_rows_rejects_an_unknown_scenario():
+    # argparse's choices guard the CLI; a library caller reaches the check itself
+    with pytest.raises(InputError, match="^unknown scenario 'nope'$"):
+        bench_rows("nope", 8, None, ["linear"])
 
 
 # --- the executable ------------------------------------------------------------

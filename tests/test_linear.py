@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import ndfronts
 from ndfronts import (
     APPROACHES,
-    ContractViolationError,
     Counter,
     DimensionMismatchError,
     DuplicateIdError,
@@ -189,24 +188,6 @@ def test_dom_set_matches_brute_force_filter(seed):
 
 # --- update_insert -----------------------------------------------------------
 
-def test_update_insert_nothing_promoted_shifts_down():
-    fs = fs_of([s("a", 1, 1)], [s("b", 5, 5)])
-    update_insert(fs, [s("m", 3, 3)], 2, Counter())
-    assert fs.level_ids() == [{"a"}, {"m"}, {"b"}]
-
-
-def test_update_insert_whole_front_absorbed():
-    fs = fs_of([s("a", 1, 1)], [s("b", 3, 3)])
-    update_insert(fs, [s("m", 2, 4)], 2, Counter())
-    assert fs.level_ids() == [{"a"}, {"m", "b"}]
-
-
-def test_update_insert_past_last_front_appends():
-    fs = fs_of([s("a", 1, 1)])
-    update_insert(fs, [s("m", 2, 2)], 2, Counter())
-    assert fs.level_ids() == [{"a"}, {"m"}]
-
-
 def test_update_insert_cascade_matches_full_resort():
     # displaced set pushes part of each lower level one rank down
     lv1 = [s("a1", 1, 1)]
@@ -220,71 +201,48 @@ def test_update_insert_cascade_matches_full_resort():
     assert validate(fs) == []
 
 
-@pytest.mark.parametrize(
-    "m, width, path",
-    [(2, 40, "_dominated_cols"), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "_dominated_cols"), (3, 40, "_dominated_cols")],
-)
-def test_update_insert_of_a_vector_equal_to_a_member_below_keeps_the_strict_test(monkeypatch, m, width, path):
-    # the displaced member equals x{k} of the front it lands above, so only a
-    # strict block lifts x{k}: a weak one would count the equal vector as a
-    # dominance.  A strict block runs in numpy, at M = 2 below
-    # _BLOCK_MAX_PAIRS_M2 pairs too, where a weak one would run unrolled
-    pad = (1.0,) * (m - 2)
-    fronts = [[s("a", *(0,) * m)], [s(f"x{i}", i + 1, width - i, *pad) for i in range(width)]]
-    fs = fs_of(*fronts)
-    k = width // 2
-    twin = Solution("twin", fronts[1][k].objectives)
-    flags = []
-    kernel = getattr(ndfronts.core, path)
-
-    def recorded(a, b, strict):
-        flags.append(strict)
-        return kernel(a, b, strict)
-
-    monkeypatch.setattr(ndfronts.core, path, recorded)
+def test_update_insert_index_out_of_range():
+    # only a rank with a front above it can hold a displaced set
+    fs = fs_of([s("a", 1, 1)], [s("b", 2, 2)], [s("c", 3, 3)])
+    for index in (1, 4, 0):
+        c = Counter()
+        with pytest.raises(IndexError):
+            update_insert(fs, index, c)
+        assert c.pair_compares == 0
     c = Counter()
-    update_insert(fs, [twin], 2, c)
-    assert flags == [True]
-    assert c.pair_compares == width
-    assert same_partition(fs, full_sort(fronts[0] + fronts[1] + [twin]))
-    assert fs.level_ids() == [{"a"}, {"twin"} | {f"x{i}" for i in range(width)}]
-    assert validate(fs) == []
-
-
-def test_update_insert_rejects_dominated_displaced_set():
-    fs = fs_of([s("a", 1, 1)], [s("b", 9, 9)])
-    with pytest.raises(ContractViolationError, match="internally dominated: 'm' vs 'w'"):
-        update_insert(fs, [s("m", 3, 3), s("w", 4, 4)], 2, Counter())
-
-
-def test_update_insert_rejects_empty_or_top_rank():
-    fs = fs_of([s("a", 1, 1)], [s("b", 9, 9)])
-    with pytest.raises(ContractViolationError):
-        update_insert(fs, [], 2, Counter())
-    with pytest.raises(ContractViolationError):
-        update_insert(fs, [s("m", 3, 3)], 1, Counter())
-    with pytest.raises(ContractViolationError):
-        update_insert(fs, [s("m", 3, 3)], 4, Counter())
-
-
-@pytest.mark.parametrize(
-    "displaced, error",
-    [
-        ([Solution("a", (3, 3))], DuplicateIdError),  # "a" is stored
-        ([s("m", 2, 4), s("m", 4, 2)], DuplicateIdError),
-        ([Solution("m", (3, 3, 3))], DimensionMismatchError),
-    ],
-    ids=["stored-id", "repeated-id", "wrong-m"],
-)
-def test_update_insert_rejects_bad_solutions_before_any_work(displaced, error):
-    fs = fs_of([s("a", 1, 1)], [s("b", 9, 9)])
-    before = fs.level_ids()
-    c = Counter()
-    with pytest.raises(error):
-        update_insert(fs, displaced, 2, c)
+    update_insert(fs, 3, c)  # a displaced last front: nothing below it
     assert c.pair_compares == 0
-    assert fs.level_ids() == before
-    assert "m" not in fs and validate(fs) == []
+    assert fs.level_ids() == [{"a"}, {"b"}, {"c"}]
+
+
+@pytest.mark.parametrize("m, grid", [(2, 6), (2, 30), (3, 4), (5, 3)])
+def test_update_insert_on_a_set_as_settle_leaves_it_matches_full_sort(m, grid):
+    # the insert's front scan and dom_set done by hand: the new solution
+    # joins its front, the members it dominates there become the next front,
+    # and update_insert must leave what an insert leaves, member order too.
+    # Small grids make equal vectors common, also across fronts
+    rng = random.Random(1000 * m + grid)
+    cases = 0
+    while cases < 40:
+        pop = random_population(rng, rng.randrange(4, 30), m, grid=grid)
+        new = Solution("n", tuple(float(rng.randrange(grid)) for _ in range(m)))
+        before = full_sort(pop)
+        rank = next(r for r, ids in enumerate(full_sort(pop + [new]).level_ids(), 1) if "n" in ids)
+        if rank > before.k:
+            continue
+        front = before.fronts[rank - 1]
+        displaced = [sol for sol in front if dominates(new, sol)]
+        if not displaced:
+            continue
+        cases += 1
+        kept = [sol for sol in front if sol not in displaced] + [new]
+        fs = FrontSet(m, before.fronts[: rank - 1] + [kept, displaced] + before.fronts[rank:])
+        update_insert(fs, rank + 1, Counter())
+        assert same_partition(fs, full_sort(pop + [new]))
+        assert validate(fs) == []
+        inserted = full_sort(pop)
+        insert_linear(inserted, new, Counter())
+        assert [[sol.id for sol in f] for f in fs.fronts] == [[sol.id for sol in f] for f in inserted.fronts]
 
 
 def test_delete_rejects_unknown_strategy():
@@ -522,9 +480,9 @@ def _audit_kernel(monkeypatch):
     for module in (ndfronts.linear, ndfronts.dbst):
         monkeypatch.setattr(module, "_first_witness", witness)
 
-    def recorded(fs, index, counter, strict):
+    def recorded(fs, index, counter):
         widths.append(len(fs.fronts[index - 1]))
-        return cascade(fs, index, counter, strict)
+        return cascade(fs, index, counter)
 
     cascade = ndfronts.linear._cascade
     monkeypatch.setattr(ndfronts.linear, "_cascade", recorded)
@@ -653,6 +611,38 @@ def test_only_a_delete_cascade_goes_through_update_delete(monkeypatch, approach,
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("op", ["insert", "shift", "delete"])
+def test_only_an_insert_cascade_goes_through_update_insert(monkeypatch, approach, op):
+    # the tracer's update_insert span must time insert cascades only
+    k = 6
+    fronts = _column_ladder(k)
+    fs = FrontSet(2, [list(front) for front in fronts])
+    entered = []  # the rank update_insert is called with, per call
+    entry = ndfronts.linear.update_insert
+
+    def counted(*args):
+        entered.append(args[1])
+        return entry(*args)
+
+    monkeypatch.setattr(ndfronts.linear, "update_insert", counted)
+    started = []  # the rank each cascade starts from
+    cascade = ndfronts.linear._cascade
+    monkeypatch.setattr(ndfronts.linear, "_cascade", lambda *args: started.append(args[1]) or cascade(*args))
+    if op == "insert":
+        APPROACHES[approach].insert(fs, s("probe", -2, 10_000.5), Counter())  # displaces both x of rank 1
+        assert fs.k == k + 1
+        assert (started, entered) == ([2], [2])
+    elif op == "shift":
+        APPROACHES[approach].insert(fs, s("probe", -100, -100), Counter())  # dominates all of rank 1
+        assert fs.k == k + 1 and fs.level_ids()[0] == {"probe"}
+        assert (started, entered) == ([], [])
+    else:
+        APPROACHES[approach].delete(fs, fronts[0][-1], Counter())  # y1: each y moves up one rank
+        assert (started, entered) == ([1], [])
+    assert validate(fs) == []
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
 @pytest.mark.parametrize("op", ["insert", "delete"])
 def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach, op):
     # x chains and one y: every cascade block is columns x (columns + 1), past
@@ -692,17 +682,23 @@ def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach
 
 @pytest.mark.parametrize("op", ["insert", "delete"])
 def test_a_cascade_rejects_a_front_with_compensating_m_members(op):
-    fs = FrontSet(3, [[s(f"{name}{i}", i + x, 12 - i + x, x) for i in range(12)] for name, x in (("t", 0), ("b", 0.5))])
+    top = [s(f"t{i}", i, 12 - i, 0) for i in range(12)]
+    bottom = [s(f"b{i}", i + 0.5, 12.5 - i, 0.5) for i in range(12)]
+    if op == "delete":
+        fs = FrontSet(3, [top, bottom])
+    else:
+        # three solutions an insert displaced from the front above, as
+        # _settle leaves them before their cascade
+        fs = FrontSet(3, [top, [s(f"n{i}", i + 0.25, 12.25 - i, 0.25) for i in range(3)], bottom])
     # an M=2 and an M=4 member: their lengths sum to what two M=3 members' would
-    fs.fronts[1][1] = s("two", 1.5, 11.5)
-    fs.fronts[1][2] = s("four", 2.5, 10.5, 0.5, 0.5)
+    fs.fronts[-1][1] = s("two", 1.5, 11.5)
+    fs.fronts[-1][2] = s("four", 2.5, 10.5, 0.5, 0.5)
     c = Counter()
     with pytest.raises(DimensionMismatchError):
         if op == "delete":
             update_delete(fs, 1, c)  # a 12 x 12 block
         else:
-            # three new solutions above the edited front: a 3 x 12 block
-            update_insert(fs, [s(f"n{i}", i + 0.25, 12.25 - i, 0.25) for i in range(3)], 2, c)
+            update_insert(fs, 2, c)  # a 3 x 12 block
     assert c.pair_compares == 0
 
 
