@@ -25,9 +25,17 @@ def streams(n: int, seed: int) -> dict[str, list[Solution]]:
     }
 
 
+def population_size(text: str) -> int:
+    """A ``--sizes`` entry: an integer of at least 1, or an argparse usage error."""
+    n = int(text)  # argparse turns the ValueError of a non-integer into a usage error
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"size must be at least 1, got {n}")
+    return n
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="*", default=[32, 64, 128])
+    parser.add_argument("--sizes", type=population_size, nargs="*", default=[32, 64, 128])
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 

@@ -511,6 +511,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.k is not None and args.scenario not in (None, "equal-fronts"):
+        raise InputError(f"--k applies to equal-fronts only, not to {args.scenario}")
     approaches = [args.approach] if args.approach else list(APPROACHES)
     scenarios = [args.scenario] if args.scenario else list(SCENARIOS)
     rows = []

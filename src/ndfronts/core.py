@@ -70,9 +70,8 @@ class Counter:
     A :func:`dom_nature` call adds exactly one, no matter how many
     objectives the pair carries, and a :func:`_dominated` block adds one for
     every pair in it, whichever way it tests them: with :func:`dom_nature`
-    calls, unrolled at M = 2, or in numpy, and whether it tests strict or
-    only weak dominance, as every cascade step does (see
-    :func:`_dominated`).  The only other place that counts
+    calls, unrolled at M = 2, or in numpy (see :func:`_dominated`).  The
+    only other place that counts
     is the front scan (:func:`ndfronts.linear._first_witness`), one call per
     run of ranks: it tests each wide front in numpy and each narrow one
     member by member (unrolled when M is 2 or 3), both uncounted, and adds
@@ -106,9 +105,9 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     it.  At M = 2 the pair is unrolled: two weak tests each way, and a
     strict one only when ``a`` is no worse in both.  At any other M it
     walks the coordinates and stops as soon as each side has won one.
-    :func:`_dominated`'s larger blocks test their pairs with the same rule
-    in numpy, or with its weak half alone where no pair can be equal
-    vectors, in numpy or, at M = 2, unrolled (:func:`_dominated_m2`), and
+    :func:`_dominated`'s larger blocks test only its weak half, which is
+    the whole rule where no pair can be equal vectors, unrolled at M = 2
+    (:func:`_dominated_m2`) or in numpy, and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
     members of a run of fronts in one call, with no call per pair or per
     narrow front: in numpy for a front with a record, member by member
@@ -145,11 +144,10 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
 # is kept because perfbench's tracer divides by the dom_nature calls it
 # counts, and a two-objective run needs some (see ROADMAP.md, item 1).
 _BLOCK_MIN_PAIRS = 32
-# Up to this many pairs a weak M = 2 block is tested unrolled in Python,
-# which beats numpy's fixed cost per block; larger blocks, blocks whose
-# members come as a record's columns, and every block of another M go to
-# numpy, and so do strict blocks: a strict test runs only on the dom_nature
-# floor or in numpy (measured with perfbench and timeit; see CHANGES.md).
+# Up to this many pairs an M = 2 block is tested unrolled in Python, which
+# beats numpy's fixed cost per block; larger blocks, blocks whose members
+# come as a record's columns, and every block of another M go to numpy
+# (measured with perfbench and timeit; see CHANGES.md).
 _BLOCK_MAX_PAIRS_M2 = 256
 
 
@@ -173,29 +171,22 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
 
 
-def _dominated_cols(a: np.ndarray, b: np.ndarray, strict: bool) -> np.ndarray:
-    """Whether some peer column of ``a`` ``(M, g)`` dominates each member
-    column of ``b`` ``(M, n)``, as ``n`` bools; one 2-D comparison per
-    objective and relation, and with ``strict`` False only the weak one
-    (see :func:`_dominated`).  Uncounted, so only :func:`_dominated` calls
-    it."""
+def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether some peer column of ``a`` ``(M, g)`` weakly dominates each
+    member column of ``b`` ``(M, n)``, as ``n`` bools; one 2-D comparison
+    per objective (see :func:`_dominated`).  Uncounted, so only
+    :func:`_dominated` calls it."""
     weak = a[0, :, None] <= b[0]
     for k in range(1, len(b)):
         weak &= a[k, :, None] <= b[k]
-    if strict:  # a peer no worse in every objective must also be better in one
-        better = a[0, :, None] < b[0]
-        for k in range(1, len(b)):
-            better |= a[k, :, None] < b[k]
-        weak &= better
     return weak.any(axis=0)
 
 
 def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
     """Whether some peer weakly dominates each member, for M = 2 objective
     pairs: one pass over the members per peer, with every pair tested
-    before the running flag is read.  Only weak blocks come here, where no
-    member equals a peer and a weak dominance is a dominance (see
-    :func:`_dominated`).  Uncounted, so only :func:`_dominated` calls it."""
+    before the running flag is read (see :func:`_dominated`).  Uncounted,
+    so only :func:`_dominated` calls it."""
     hit = [False] * len(member_objs)
     for p0, p1 in peer_objs:
         hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
@@ -208,7 +199,6 @@ def _dominated(
     counter: Counter,
     peer_cols: np.ndarray | None,
     member_cols: np.ndarray | None,
-    strict: bool = True,
 ) -> tuple[list[bool] | np.ndarray, np.ndarray | None]:
     """Whether some peer dominates each member: a mask with ``mask[j]``
     True when a member of ``peers`` dominates ``members[j]``, and the member
@@ -222,30 +212,28 @@ def _dominated(
     Every pair is tested, with no early exit, and the block adds exactly
     ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
     raise :class:`DimensionMismatchError` before anything is counted.
+    The path depends on the pair count, M and ``member_cols`` alone.
     Blocks of fewer than ``_BLOCK_MIN_PAIRS`` pairs run the
     :func:`dom_nature` loop: one pass over the members per peer, with
-    exactly one :func:`dom_nature` call per pair; weak M = 2 blocks of up
-    to ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
+    exactly one :func:`dom_nature` call per pair; M = 2 blocks of up to
+    ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
     members' tuples unless ``member_cols`` is given; the rest run
     :func:`_dominated_cols`, one numpy comparison per objective.
 
-    The rule: a strict test runs only where an equal vector can meet, on
-    the :func:`dom_nature` floor or in numpy.  With ``strict`` False the
-    caller promises that no member's vector equals a peer's, and the two
-    larger paths test weak dominance only: a peer no worse than a member in
-    every objective.  Without equal vectors that is a dominance, so the
-    mask is the same, and the strict half of the test (better in some
-    objective) is skipped.  The :func:`dom_nature` loop gives the same
-    answers and is unchanged.  Every step of a cascade
+    The one block rule: the two larger paths test weak dominance only, a
+    peer no worse than a member in every objective, and the caller
+    promises that no member's vector equals a peer's.  Without equal
+    vectors a weak dominance is a dominance, so every path gives the same
+    mask; for a member equal to a peer the larger paths answer True and
+    the :func:`dom_nature` loop False.  Every step of a cascade
     (:func:`ndfronts.linear._cascade`) after an insert or a delete keeps
     the promise: its peers are part of one front of the partition as it
     stood before the operation, and its members are the next front.  In a
     valid partition no member ``y`` of front ``j + 1`` equals a member
     ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
-    would dominate ``x`` too, and front ``j`` is an antichain.  One
-    caller cannot promise it and keeps the strict test:
+    would dominate ``x`` too, and front ``j`` is an antichain.
     :func:`ndfronts.linear.dom_set`, which is public and may be handed a
-    new solution equal to a member.
+    new solution equal to a member, keeps its strict answer itself.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
@@ -266,7 +254,7 @@ def _dominated(
         for p in peers:  # dom_nature is called before the running flag is read
             hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
         return hit, None
-    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None and not strict:
+    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
         try:  # unpacking every tuple checks its M before the block is counted
             hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
         except ValueError:
@@ -281,7 +269,7 @@ def _dominated(
             raise _mismatch(peers[0], side[0])
         sides.append(cols)
     counter.pair_compares += pairs
-    return _dominated_cols(*sides, strict), sides[1]
+    return _dominated_cols(*sides), sides[1]
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:

@@ -16,6 +16,7 @@ reproducible run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -189,13 +190,22 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     :meth:`~ndfronts.core.FrontSet._columns`), the tail is a slice of it.
     Raises IndexError, with nothing counted, unless
     ``1 <= start <= len(front) + 1``.
+
+    The block tests weak dominance (see :func:`~ndfronts.core._dominated`),
+    which also hits a member equal to ``new``; such a member stays.  Only
+    the hits are searched for one, and only when one is found are the
+    members compared with ``new``.  :func:`_settle` never meets one: a tail member
+    equal to ``new`` would dominate the witness before the tail, in the
+    same front.
     """
     if not 1 <= start <= len(front) + 1:
         raise IndexError(f"start {start} out of range 1..{len(front) + 1}")
     cols = fs._columns(front)
-    tail_cols = None if cols is None else cols[:, start - 1 :]
+    hit = _dominated([new], front[start - 1 :], counter, None, None if cols is None else cols[:, start - 1 :])[0]
     stays = np.ones(len(front), dtype=bool)
-    stays[start - 1 :] = np.logical_not(_dominated([new], front[start - 1 :], counter, None, tail_cols)[0])
+    stays[start - 1 :] = np.logical_not(hit)
+    if any(q.objectives == new.objectives for q in compress(front[start - 1 :], hit)):
+        stays |= [q.objectives == new.objectives for q in front]  # those before start stay anyway
     return stays
 
 
@@ -277,10 +287,12 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     front, so the step carries the columns its block read for them, and a
     cascade builds each front's array from tuples at most once.
 
-    Each block tests weak dominance only, which is exact because both
-    entries, :func:`update_insert` and :func:`update_delete`, start from
-    a valid partition: no member of a front equals a member of the front
-    above it (see :func:`~ndfronts.core._dominated`).
+    Each step's block follows the one block rule of
+    :func:`~ndfronts.core._dominated`: above its smallest sizes it tests
+    weak dominance only, which is exact here because both entries,
+    :func:`update_insert` and :func:`update_delete`, start from a valid
+    partition, where no member of a front equals a member of the front
+    above it.
     """
     cols = None
     while index < len(fs.fronts):
@@ -288,7 +300,7 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
         upper_cols = fs._columns(upper)
         if upper_cols is not None:
             cols = upper_cols
-        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower), False)
+        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower))
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return

@@ -403,6 +403,23 @@ def test_cli_bench_equal_fronts_runs_below_the_worst_two_front_minimum(capsys):
     assert "ALL PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scenario", ["chain", "antichain", "worst-two-front"])
+def test_cli_bench_rejects_k_for_a_scenario_without_fronts_to_count(capsys, scenario):
+    # --k sizes equal-fronts only: given with another scenario it is an error, not ignored
+    assert main(["bench", "--scenario", scenario, "--n", "10", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --k applies to equal-fronts only, not to {scenario}"]
+
+
+def test_cli_bench_applies_k_to_equal_fronts_among_all_scenarios(capsys):
+    assert main(["bench", "--n", "12", "--k", "3", "--report", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {r["scenario"] for r in rows} == {"chain", "antichain", "equal-fronts", "worst-two-front"}
+    # linear's equal-fronts lookup of the last member of the last front: k + n / k - 1
+    assert [r["measured"] for r in rows if r["scenario"] == "equal-fronts" and r["approach"] == "linear"] == [6]
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_cli_bench_rejects_a_k_below_one(capsys, k):
     assert main(["bench", "--n", "16", "--k", k]) == 2
@@ -934,17 +951,50 @@ def test_cli_run_rejects_negate_without_a_workload_file(capsys):
     assert captured.err.splitlines() == ["error: --negate applies to --workload files, not to --seed workloads"]
 
 
-def test_online_ratio_script_runs_its_checks():
-    # the script asserts same_partition and the N-times-offline bound itself
+def _run_script(name, *argv):
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "online_ratio.py"), "--sizes", "8", "16"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "x"])
+def test_online_ratio_script_rejects_a_size_below_one(size):
+    done = _run_script("online_ratio.py", "--sizes", "8", size)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("online_ratio.py: error: argument --sizes: ")
+
+
+def test_code_lines_script_counts_code_only(tmp_path):
+    # docstrings, comments and blank lines are not code; a string that is
+    # not a docstring and a statement split over lines count every line
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self, a,\n"
+        "          b):\n"
+        '        """Function\n        docstring."""\n'
+        '        text = """not a\n        docstring"""\n'
+        "        return text\n"
+    )
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
+    done = _run_script("code_lines.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert [line.split() for line in done.stdout.splitlines()] == [["empty.py", "0"], ["mod.py", "7"], ["total", "7"]]
+
+
+def test_online_ratio_script_runs_its_checks():
+    # the script asserts same_partition and the N-times-offline bound itself
+    done = _run_script("online_ratio.py", "--sizes", "8", "16")
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     keys = {(row[0], " ".join(row[1:-5]), row[-5]) for row in rows}

@@ -148,13 +148,12 @@ def test_counter_exactness(t):
 grid_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 
 
-def _block_path(m: int, pairs: int, strict: bool = True) -> str:
+def _block_path(m: int, pairs: int) -> str:
     """The path a non-empty ``core._dominated`` block of ``pairs`` pairs takes
-    when its members come as tuples: a strict block runs only on the
-    ``dom_nature`` floor or in numpy."""
+    when its members come as tuples."""
     if pairs < core._BLOCK_MIN_PAIRS:
         return "dom_nature"
-    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 and not strict else "numpy"
+    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 else "numpy"
 
 
 def _bools(mask) -> list:
@@ -179,11 +178,9 @@ def grid_blocks(draw):
     return peers, members
 
 
-@given(grid_blocks(), st.booleans())
-def test_dominated_equals_dom_nature_pair_by_pair(block, strict):
+@given(grid_blocks())
+def test_dominated_equals_dom_nature_pair_by_pair(block):
     peers, members = block
-    if not strict:  # a weak block's caller promises that no member equals a peer
-        members = [q for q in members if all(q.objectives != p.objectives for p in peers)]
     c = Counter()
     spies = {
         "dom_nature": mock.patch.object(core, "dom_nature", wraps=core.dom_nature),
@@ -191,21 +188,25 @@ def test_dominated_equals_dom_nature_pair_by_pair(block, strict):
         "numpy": mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols),
     }
     with spies["dom_nature"] as loop, spies["unrolled"] as unrolled, spies["numpy"] as numpy_path:
-        mask = core._dominated(peers, members, c, None, None, strict)[0]
+        mask = core._dominated(peers, members, c, None, None)[0]
     pairs = len(peers) * len(members)
     assert c.pair_compares == pairs
     m = (peers + members)[0].m if pairs else None
     taken = {"dom_nature": loop.called, "unrolled": unrolled.called, "numpy": numpy_path.called}
-    assert taken == {path: bool(pairs) and path == _block_path(m, pairs, strict) for path in taken}
-    if numpy_path.called:
-        assert numpy_path.call_args.args[-1] is strict
+    assert taken == {path: bool(pairs) and path == _block_path(m, pairs) for path in taken}
     # perfbench's tracer divides by dom_nature calls: the loop makes one per
     # pair, and the other paths make none
     assert loop.call_count == (pairs if taken["dom_nature"] else 0)
     # the Python paths hand their list to FrontSet._move as it is
     assert isinstance(mask, np.ndarray) == taken["numpy"]
+    # pair by pair a dominance, as dom_nature has it; a member equal to a peer,
+    # which no caller hands a block, is hit on every path but the loop
     scratch = Counter()
-    assert _bools(mask) == [any(dom_nature(p, q, scratch) == 1 for p in peers) for q in members]
+    weak = not taken["dom_nature"]
+    want = [
+        any(dom_nature(p, q, scratch) == 1 or (weak and p.objectives == q.objectives) for p in peers) for q in members
+    ]
+    assert _bools(mask) == want
 
 
 # -0.0 and 0.0 tie, so each vector here has an identical twin
@@ -213,17 +214,17 @@ TIE_GRID = [Solution(f"v{i}", vec) for i, vec in enumerate(itertools.product([-0
 
 
 def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
-    # a strict block of the grid against itself meets equal vectors, so at
-    # M = 2 it takes numpy, not the weak-only unrolled path
+    # the grid against itself, 81 pairs at M = 2, runs unrolled and tests
+    # weak dominance only: every member is hit, by its own vector at least
     c = Counter()
     with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
         core, "_dominated_cols", wraps=core._dominated_cols
     ) as numpy_path:
         mask, cols = core._dominated(TIE_GRID, TIE_GRID, c, None, None)
-    assert not unrolled.called and numpy_path.call_args.args[-1] is True and cols is not None
+    assert unrolled.called and not numpy_path.called and cols is None
     assert c.pair_compares == 81
+    assert _bools(mask) == [True] * len(TIE_GRID)
     scratch = Counter()
-    assert _bools(mask) == [any(dom_nature(p, q, scratch) == 1 for p in TIE_GRID) for q in TIE_GRID]
     # each peer on its own against every member it does not equal, so
     # every such pair's weak verdict shows
     for p in TIE_GRID:
@@ -233,7 +234,7 @@ def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
     # the weak test alone counts an equal pair as a dominance, so it needs
     # the caller's promise that no member equals a peer
     assert core._dominated_m2([(0.0, 0.0)], [(-0.0, 0.0)]) == [True]
-    assert core._dominated_cols(np.zeros((2, 1)), np.zeros((2, 1)), False).tolist() == [True]
+    assert core._dominated_cols(np.zeros((2, 1)), np.zeros((2, 1))).tolist() == [True]
 
 
 def _doubled_grid(m: int, values: list[float]) -> list[Solution]:
@@ -253,48 +254,39 @@ def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, value
     for upper, lower in zip(fs.fronts, fs.fronts[1:]):
         # the fact a weak block relies on: adjacent fronts share no vector
         assert not {p.objectives for p in upper} & {q.objectives for q in lower}
-        # pair by pair, each weak kernel's verdict is the strict one
+        # pair by pair, each weak kernel's verdict is dom_nature's strict one
         objs, cols = [q.objectives for q in lower], core._cols(lower, m)
         for p in upper:
             want = [dom_nature(p, q, scratch) == 1 for q in lower]
-            for strict in (True, False):
-                assert core._dominated_cols(core._cols([p], m), cols, strict).tolist() == want, (p, strict)
+            assert core._dominated_cols(core._cols([p], m), cols).tolist() == want, p
             if m == 2:
                 assert core._dominated_m2([p.objectives], objs) == want, p
         # whole blocks, with members as tuples and as a record: the same mask and charge
+        want = [any(dom_nature(p, q, scratch) == 1 for p in upper) for q in lower]
         for member_cols in (None, cols):
-            got = []
-            for strict in (True, False):
-                c = Counter()
-                with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
-                    core, "_dominated_cols", wraps=core._dominated_cols
-                ) as numpy_path:
-                    got.append(_bools(core._dominated(upper, lower, c, None, member_cols, strict)[0]))
-                assert c.pair_compares == len(upper) * len(lower)
-                if numpy_path.called:
-                    assert numpy_path.call_args.args[-1] is strict
-                    paths.add(("numpy", strict))
-                if unrolled.called:
-                    paths.add(("unrolled", strict))
-            assert got[0] == got[1] == [any(dom_nature(p, q, scratch) == 1 for p in upper) for q in lower]
-    # the weak paths were reached: unrolled at M = 2, and numpy at every M;
-    # a strict block never runs unrolled
-    assert {("numpy", False)} | ({("unrolled", False)} if m == 2 else set()) <= paths
-    assert ("unrolled", True) not in paths
+            c = Counter()
+            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+                core, "_dominated_cols", wraps=core._dominated_cols
+            ) as numpy_path:
+                assert _bools(core._dominated(upper, lower, c, None, member_cols)[0]) == want
+            assert c.pair_compares == len(upper) * len(lower)
+            paths.update(path for path, spy in (("numpy", numpy_path), ("unrolled", unrolled)) if spy.called)
+    # the weak paths were reached: unrolled at M = 2, and numpy at every M
+    assert {"numpy"} | ({"unrolled"} if m == 2 else set()) <= paths
 
 
-# one width per M = 2 path: weak blocks of 1 x (width + 1) and 2 x width
+# one width per M = 2 path: blocks of 1 x (width + 1) and 2 x width
 # pairs both take the dom_nature loop, the unrolled path and numpy in turn
 @pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, core._BLOCK_MAX_PAIRS_M2])
 def test_dominated_dimension_mismatch_counts_nothing(width):
-    path = _block_path(2, width + 1, strict=False)
-    assert path == _block_path(2, 2 * width, strict=False)
+    path = _block_path(2, width + 1)
+    assert path == _block_path(2, 2 * width)
     p, odd = s("p", 0, 0), Solution("odd", (1, 2, 3))
     members = [s(f"q{j}", j, -j) for j in range(width)]
     c = Counter()
     for peers, block in (([p], members + [odd]), ([p, odd], members), ([odd, p], members)):
         with pytest.raises(DimensionMismatchError) as err:
-            core._dominated(peers, block, c, None, None, strict=False)  # raises before any mask
+            core._dominated(peers, block, c, None, None)  # raises before any mask
         if peers[0] is p and path != "numpy":
             assert str(err.value) == "cannot compare 'p' (M=2) with 'odd' (M=3)"
     assert c.pair_compares == 0

@@ -157,33 +157,106 @@ def test_dom_set_start_out_of_range_raises_and_counts_nothing(start):
     with pytest.raises(IndexError):
         dom_set(fs, fs.fronts[0], s("n", 2, 2), start, c)
     assert c.pair_compares == 0
-    assert dom_set(fs, fs.fronts[0], s("n", 2, 2), 4, c).tolist() == [True] * 3  # an empty tail
+    stays = dom_set(fs, fs.fronts[0], s("n", 2, 2), 4, c)  # an empty tail
+    assert stays.dtype == bool and stays.tolist() == [True] * 3
     assert c.pair_compares == 0
 
 
-@pytest.mark.parametrize("m, width", [(2, 40), (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1), (3, 40), (3, 120)])
-def test_dom_set_keeps_a_member_equal_to_the_new_solution(m, width):
-    # dom_set is public and may be handed a copy of a member: its block stays
-    # strict, in numpy at every M (reading the record at 120)
+def _dom_set_path(monkeypatch, fs):
+    """Spy on the block paths of ``core._dominated``; returns the list of
+    paths taken, named ``dom_nature``, ``unrolled``, ``numpy`` (columns
+    built from tuples) or ``record`` (a slice of a front's record)."""
+    taken = []
+    core = ndfronts.core
+    loop, unrolled, numpy_path = core.dom_nature, core._dominated_m2, core._dominated_cols
+
+    def spy_loop(*args):
+        taken.append("dom_nature")
+        return loop(*args)
+
+    def spy_unrolled(*args):
+        taken.append("unrolled")
+        return unrolled(*args)
+
+    def spy_numpy(a, b):
+        read = any(front.buf is not None and np.shares_memory(b, front.buf) for front in fs.fronts)
+        taken.append("record" if read else "numpy")
+        return numpy_path(a, b)
+
+    monkeypatch.setattr(core, "dom_nature", spy_loop)
+    monkeypatch.setattr(core, "_dominated_m2", spy_unrolled)
+    monkeypatch.setattr(core, "_dominated_cols", spy_numpy)
+    return taken
+
+
+@pytest.mark.parametrize(
+    "m, width, path",
+    [
+        (2, 1, "dom_nature"),
+        (2, 3, "dom_nature"),
+        (2, ndfronts.core._BLOCK_MIN_PAIRS - 1, "dom_nature"),
+        (2, 40, "unrolled"),
+        (2, ndfronts.core._SCAN_MIN_WIDTH - 1, "unrolled"),
+        (3, 40, "numpy"),
+        (5, 40, "numpy"),
+        # a front this wide has a record, so an M = 2 tail of more than 256
+        # pairs, or of 200, is a slice of it: M = 2 blocks from tuples stop at 95
+        (2, 120, "record"),
+        (2, 200, "record"),
+        (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "record"),
+        (3, 120, "record"),
+    ],
+)
+@pytest.mark.parametrize("twins_at", ["first", "middle", "last", "first-middle-last"])
+def test_dom_set_keeps_a_member_equal_to_the_new_solution(monkeypatch, m, width, path, twins_at):
+    # dom_set is public and may be handed a copy of one or several members:
+    # its weak block hits them, on every path but the dom_nature loop, and
+    # dom_set itself keeps them
+    at = {"first": {0}, "middle": {width // 2}, "last": {width - 1}}.get(twins_at, {0, width // 2, width - 1})
     pad = (1.0,) * (m - 2)
-    fs = fs_of([s(f"x{i}", i + 1, width - i, *pad) for i in range(width)])
-    front = fs.fronts[0]
-    twin = Solution("twin", front[width // 2].objectives)
-    c = Counter()
-    assert dom_set(fs, front, twin, 1, c).tolist() == [True] * width
-    assert c.pair_compares == width
+    # an anti-diagonal, each point non-dominated with the twins' vector
+    vec = (width / 2 + 0.75, width / 2 + 0.25) + pad
+    front = [Solution(f"t{i}", vec) if i in at else s(f"x{i}", i + 1, width - i, *pad) for i in range(width)]
+    fs = fs_of(front)
+    assert validate(fs) == []
+    taken = _dom_set_path(monkeypatch, fs)
+    for start in sorted({1, min(at) + 1}):
+        c = Counter()
+        taken.clear()
+        stays = dom_set(fs, fs.fronts[0], Solution("new", vec), start, c)
+        assert stays.dtype == bool and stays.tolist() == [True] * width
+        assert c.pair_compares == width - start + 1
+        assert set(taken) == {path if start == 1 else _tail_path(m, width - start + 1, path)}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32))
-def test_dom_set_matches_brute_force_filter(seed):
+def _tail_path(m: int, tail: int, path: str) -> str:
+    """The path of a 1 x ``tail`` block on a front whose whole-width block takes ``path``."""
+    if tail < ndfronts.core._BLOCK_MIN_PAIRS:
+        return "dom_nature"
+    if path == "record":
+        return path
+    return "unrolled" if m == 2 and tail <= ndfronts.core._BLOCK_MAX_PAIRS_M2 else "numpy"
+
+
+@pytest.mark.parametrize("m, width", [(2, 10), (2, 40), (2, 200), (3, 40), (2, 120), (3, 120), (2, 300)])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_dom_set_matches_brute_force_filter(m, width, seed):
+    # a front drawn with repeats from an integer anti-diagonal holds many
+    # equal vectors, and the new solution, near the diagonal, may equal some
+    # of them, dominate some or neither; widths reach every block path
     rng = random.Random(seed)
-    raw = random_population(rng, 10, 2, grid=8)
-    fs = full_sort(raw)
+    diag = 6 * m
+    points = [vec for vec in itertools.product(range(diag + 1), repeat=m) if sum(vec) == diag]
+    fs = fs_of([Solution(f"x{i}", rng.choice(points)) for i in range(width)])
     front = fs.fronts[0]
-    new = Solution("n", (float(rng.randrange(8)), float(rng.randrange(8))))
-    stays = dom_set(fs, front, new, 1, Counter())
-    assert stays.tolist() == [not dominates(new, p) for p in front]
+    near = list(rng.choice(points))
+    near[rng.randrange(m)] += rng.choice([-1, 0, 0, 1])
+    new = Solution("n", tuple(near))
+    start = rng.choice([1, 1, rng.randrange(1, width + 2)])
+    stays = dom_set(fs, front, new, start, Counter())
+    assert stays.dtype == bool
+    assert stays.tolist() == [i < start - 1 or not dominates(new, p) for i, p in enumerate(front)]
 
 
 # --- update_insert -----------------------------------------------------------
@@ -450,9 +523,9 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_block(fn):
-        def wrapper(a, b, strict):
+        def wrapper(a, b):
             calls[0] += a.shape[1] * b.shape[1]
-            return fn(a, b, strict)
+            return fn(a, b)
 
         return wrapper
 
@@ -564,15 +637,15 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     blocks = []
     audited = ndfronts.core._dominated_cols
 
-    def numpy_path(a, b, strict):
-        blocks.append((a.shape[1], b.shape[1], strict))
-        return audited(a, b, strict)
+    def numpy_path(a, b):
+        blocks.append((a.shape[1], b.shape[1]))
+        return audited(a, b)
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     c = Counter()
     APPROACHES[approach].delete(fs, pop[n1 - 1], c)
-    # the whole lower front is one weak block against the survivors of the upper one
-    assert blocks == [(n1 - 1, 100 - n1, False)]
+    # the whole lower front is one block against the survivors of the upper one
+    assert blocks == [(n1 - 1, 100 - n1)]
     assert widths == [n1 - 1]
     assert calls[0] == c.pair_compares
     if approach == "linear":
@@ -973,17 +1046,17 @@ def test_wide_cascade_blocks_read_the_records(monkeypatch, approach, op):
     blocks = []
     audited = ndfronts.core._dominated_cols
 
-    def numpy_path(a, b, strict):
+    def numpy_path(a, b):
         # a record's slice shares its buffer; an array built from tuples is new
         read = [any(np.shares_memory(side, front.buf) for front in fs.fronts if front.buf is not None) for side in (a, b)]
-        blocks.append((a.shape[1], b.shape[1], *read, strict))
-        return audited(a, b, strict)
+        blocks.append((a.shape[1], b.shape[1], *read))
+        return audited(a, b)
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
     run()
-    cascade = [(WIDE - 1, WIDE, True, True, False)] * 2  # weak: adjacent fronts share no vector
-    # an insert's dom_set tail is the record's slice after the witness t1, tested strictly
-    assert blocks == ([(1, WIDE - 2, False, True, True)] + cascade if op == "insert" else cascade)
+    cascade = [(WIDE - 1, WIDE, True, True)] * 2
+    # an insert's dom_set tail is the record's slice after the witness t1
+    assert blocks == ([(1, WIDE - 2, False, True)] + cascade if op == "insert" else cascade)
     assert_columns_consistent(fs)
 
 

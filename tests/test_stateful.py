@@ -2,13 +2,12 @@
 tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the inserts onto the larger block
-paths: each batch's strict ``dom_set`` block onto numpy at any M, the
-narrow batches' weak cascade step onto the unrolled M = 2 path, or numpy
-at M = 3, and one batch wide enough to keep an objective array onto its
-columns, whose consistency is an invariant too.  Every
-dominance block the update rules run is checked as well: the rules ask
-only which members some peer dominates, which is enough while no member
-dominates a peer, and a weak block (see ``core._dominated``) asks only
+paths: the narrow batches' ``dom_set`` blocks and cascade steps onto the
+unrolled M = 2 path, or numpy at M = 3, and one batch wide enough to keep
+an objective array onto its columns, whose consistency is an invariant
+too.  Every dominance block the update rules run is checked as well: the
+rules ask only which members some peer dominates, which is enough while no
+member dominates a peer, and a block (see ``core._dominated``) asks only
 which members some peer weakly dominates, which is enough while no member
 equals a peer; after every step no front shares a vector with the front
 above it, which is why a cascade's blocks may be weak."""
@@ -38,19 +37,20 @@ WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fill
 WIDE = max(core._SCAN_MIN_WIDTH, core._BLOCK_MAX_PAIRS_M2 + 1) + 1
 
 
-def _dominated_where_no_member_dominates_a_peer(peers, members, counter, peer_cols, member_cols, strict=True):
+def _dominated_where_no_member_dominates_a_peer(peers, members, counter, peer_cols, member_cols):
     """``linear._dominated``, after asserting the facts its callers rely on:
-    no member dominates any of its peers, and in a weak block no member
-    equals a peer.  The first makes "dominated by a peer" the same as "in
-    any relation with a peer" for each cascade step, and the only relation
-    a ``dom_set`` tail can have with its new solution; the second makes a
-    weak dominance a strict one."""
+    no member dominates any of its peers, and no member equals a peer.  The
+    first makes "dominated by a peer" the same as "in any relation with a
+    peer" for each cascade step, and the only relation a ``dom_set`` tail
+    can have with its new solution; the second makes a weak dominance a
+    strict one, on cascade steps and on the ``dom_set`` tails of inserts
+    alike."""
     scratch = Counter()
     for q in members:
         for p in peers:
             assert dom_nature(q, p, scratch) != 1, f"member {q.id!r} dominates peer {p.id!r}"
-            assert strict or q.objectives != p.objectives, f"member {q.id!r} equals peer {p.id!r} in a weak block"
-    return core._dominated(peers, members, counter, peer_cols, member_cols, strict)
+            assert q.objectives != p.objectives, f"member {q.id!r} equals peer {p.id!r}"
+    return core._dominated(peers, members, counter, peer_cols, member_cols)
 
 
 class FrontSetsUnderChurn(RuleBasedStateMachine):
@@ -86,15 +86,15 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         """Insert a front of ``width`` points on an anti-diagonal, then an apex
         that dominates all of them.  Slot ``slot`` lies below the grid and
         every lower-numbered slot, and above every higher-numbered one, so
-        the front is new and the apex displaces it in one strict
-        ``1 x (width - 1)`` ``dom_set`` block, in numpy at any M.
+        the front is new and the apex displaces it in one
+        ``1 x (width - 1)`` ``dom_set`` block: unrolled at M = 2 while the
+        front has no record, and in numpy otherwise.
 
         With ``shadow``, a second front, each point half a unit behind one
         of the first, goes in before the apex, and then a notch that
         dominates only the middle point of the first front.  That point is
-        displaced onto the shadow front: one weak ``1 x width`` cascade
-        step, unrolled at M = 2 up to ``core._BLOCK_MAX_PAIRS_M2`` pairs and
-        in numpy otherwise."""
+        displaced onto the shadow front: one ``1 x width`` cascade step,
+        on the same path."""
         base = 10 + (WIDTH + 2) * slot
         pad = (base + 1,) * (self.m - 2)
         batch = [
@@ -112,10 +112,14 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
             ) as numpy_path:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
-            numpy_strict = {call.args[-1] for call in numpy_path.call_args_list}
-            assert True in numpy_strict, approach
+            # the shapes of the blocks on the path these widths take
+            if self.m == 2 and width < core._SCAN_MIN_WIDTH:
+                blocks = {(len(call.args[0]), len(call.args[1])) for call in unrolled.call_args_list}
+            else:
+                blocks = {(call.args[0].shape[1], call.args[1].shape[1]) for call in numpy_path.call_args_list}
+            assert (1, width - 1) in blocks, approach  # the apex's dom_set tail
             if shadow:
-                assert unrolled.called if self.m == 2 else False in numpy_strict, approach
+                assert (1, width) in blocks, approach  # the notch's cascade step
         self.live.update((sol.id, sol) for sol in batch)
         return batch
 
