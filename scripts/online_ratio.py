@@ -35,7 +35,7 @@ def population_size(text: str) -> int:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=population_size, nargs="*", default=[32, 64, 128])
+    parser.add_argument("--sizes", type=population_size, nargs="+", default=[32, 64, 128])
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 

@@ -110,8 +110,8 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     (:func:`_dominated_m2`) or in numpy, and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
     members of a run of fronts in one call, with no call per pair or per
-    narrow front: in numpy for a front with a record, member by member
-    otherwise, unrolled when M is 2 or 3.
+    narrow front: in numpy for a front of at least ``_SCAN_MIN_WIDTH``
+    members, member by member otherwise, unrolled when M is 2 or 3.
     """
     ao, bo = a.objectives, b.objectives
     m = len(ao)
@@ -280,9 +280,10 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
     return DomRelation(nat)
 
 
-# Fronts at least this wide keep an objective array and are scanned with
-# numpy; narrower ones build none and keep the dom_nature loop (measured with
-# perfbench; see CHANGES.md).
+# Fronts at least this wide are scanned with numpy, reading their record;
+# narrower ones keep the member loop even when they hold one (measured with
+# perfbench; see CHANGES.md).  Which fronts keep a record is
+# FrontSet._keeps_record's rule.
 _SCAN_MIN_WIDTH = 96
 
 
@@ -323,13 +324,15 @@ class FrontSet:
     :class:`DuplicateIdError` otherwise.  Only :meth:`admit` and
     :meth:`remove` change the id index.
 
-    Each front is a :class:`Front`.  One of at least ``_SCAN_MIN_WIDTH``
-    members also keeps an objective array, its record, which its probe
-    scans and the cascade blocks that test it read.  The front holds its
-    record itself, which :meth:`_columns`, the only way to read one, builds
-    on first read.  The contract that keeps it right: a front's members are
-    edited only through this class, whose every edit applies to the members
-    and the record together.  :meth:`remove` and :meth:`_append` edit one
+    Each front is a :class:`Front`, and may also keep an objective array,
+    its record, which its probe scans and the ``dom_set`` and cascade
+    blocks that test it read.  The front holds its record itself, which
+    :meth:`_columns`, the only way to read one, builds on first read, and
+    keeps while :meth:`_keeps_record` allows: at M = 2 from
+    ``_SCAN_MIN_WIDTH`` members on, at M >= 3 at any width.  The probe
+    scans read it only from ``_SCAN_MIN_WIDTH`` members on.  The contract
+    that keeps it right: a front's members are edited only through this
+    class, whose every edit applies to the members and the record together.  :meth:`remove` and :meth:`_append` edit one
     member, and :meth:`_move` moves any number of members from one front to
     another, columns and all, in one step.  Whole fronts in ``fronts`` may
     be inserted, dropped or replaced, as :mod:`ndfronts.linear` does, but
@@ -371,9 +374,11 @@ class FrontSet:
     def remove(self, f_index: int, s_index: int) -> bool:
         """Remove the solution at 1-based front ``f_index``, position
         ``s_index``; a front this empties is dropped and lower ranks
-        renumber.  Returns whether the front still holds members.  Raises
-        IndexError, with nothing removed, unless ``1 <= f_index <= K`` and
-        ``1 <= s_index <= len(front)``."""
+        renumber.  The record's later columns shift down one, unless the
+        front is left narrower than :meth:`_keeps_record` allows, which
+        drops the record.  Returns whether the front still holds members.
+        Raises IndexError, with nothing removed, unless
+        ``1 <= f_index <= K`` and ``1 <= s_index <= len(front)``."""
         if not 1 <= f_index <= len(self.fronts):
             raise IndexError(f"front index {f_index} out of range 1..{len(self.fronts)}")
         front = self.fronts[f_index - 1]
@@ -382,7 +387,7 @@ class FrontSet:
         self._ids.discard(front.pop(s_index - 1).id)
         buf, n = front.buf, len(front)
         if buf is not None:
-            if n < _SCAN_MIN_WIDTH:
+            if not self._keeps_record(n):
                 front.buf = None
             else:
                 buf[:, s_index - 1 : n] = buf[:, s_index : n + 1]
@@ -391,10 +396,15 @@ class FrontSet:
         return bool(front)
 
     def _append(self, front: Front, sol: Solution) -> None:
-        """Append ``sol`` to ``front``, a front of this set."""
+        """Append ``sol`` to ``front``, a front of this set, writing its
+        column into the record in place while the record has room."""
         front.append(sol)
-        if front.buf is not None:
-            _extend(front, len(front) - 1, np.array(sol.objectives)[:, None])
+        buf, n = front.buf, len(front) - 1
+        if buf is not None:
+            if n < buf.shape[1]:
+                buf[:, n] = sol.objectives
+            else:
+                _extend(front, n, np.array(sol.objectives)[:, None])
 
     def _move(self, src: Front, stays: list[bool] | np.ndarray, dest: Front) -> Front:
         """Append the members of ``src`` flagged False in ``stays``, a list
@@ -404,9 +414,15 @@ class FrontSet:
         :func:`~itertools.compress` of ``src`` by a list mask: a list is used
         as it is, and an array is turned into one.  Columns move with their
         members: each part's columns are the mask's slice of ``src``'s
-        record, which leaves with ``src``, so a bool array of the mask is
-        built only when ``src`` has a record.  A narrow part keeps no
-        array; a cascade carries the columns it needs itself."""
+        record, which leaves with ``src``, cut with ``ndarray.compress``,
+        so a bool array of the mask is built only when ``src`` has a
+        record.  The part that stays keeps its slice where
+        :meth:`_keeps_record` allows; where it does not (at M = 2, below
+        ``_SCAN_MIN_WIDTH``), a cascade carries the columns it needs itself.
+        ``dest`` with a record has the moved columns appended to it; one
+        without gets one, from its members' tuples and the moved columns,
+        only when the move takes it to ``_SCAN_MIN_WIDTH`` members, and is
+        otherwise left to :meth:`_columns` to build on its next read."""
         keep = stays.tolist() if isinstance(stays, np.ndarray) else stays
         if all(keep):
             return src
@@ -417,21 +433,32 @@ class FrontSet:
         if rec is not None:
             rec = rec[:, : len(src)]
             stays = np.asarray(stays)
-            if len(kept) >= _SCAN_MIN_WIDTH:
-                kept.buf = rec[:, stays]
+            if self._keeps_record(len(kept)):
+                kept.buf = rec.compress(stays, axis=1)
         if dest.buf is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
             dest.buf = np.ascontiguousarray(_cols(dest[:start], self.m))
         if dest.buf is not None:
-            _extend(dest, start, rec[:, ~stays] if rec is not None else _cols(dest[start:], self.m))
+            _extend(dest, start, rec.compress(~stays, axis=1) if rec is not None else _cols(dest[start:], self.m))
         return kept
+
+    def _keeps_record(self, width: int) -> bool:
+        """Whether a front of ``width`` members of this set keeps a record.
+        At M = 2 only from ``_SCAN_MIN_WIDTH`` members on: its narrower
+        blocks run unrolled on the members' tuples, and a record would push
+        them onto numpy.  At M >= 3 at any width: every block above the
+        :func:`dom_nature` floor runs on numpy, so a record built once
+        spares every later block the build from tuples."""
+        return self.m > 2 or width >= _SCAN_MIN_WIDTH
 
     def _columns(self, front: Front) -> np.ndarray | None:
         """The ``(M, n)`` objective array of ``front``, a front of this set,
-        whose column ``j`` holds ``front[j]``, or None when ``front`` is
-        narrower than ``_SCAN_MIN_WIDTH``.  This is the only way to read a
-        record; a front without one gets one, built from its members'
-        tuples."""
-        if len(front) < _SCAN_MIN_WIDTH:
+        whose column ``j`` holds ``front[j]``, or None when
+        :meth:`_keeps_record` gives ``front`` no record.  This is the only
+        way to read a record; a front without one gets one, built from its
+        members' tuples, which the front keeps and this set's mutators keep
+        in step.  At M >= 3 that holds at any width, so a front's array is
+        built from tuples once, not once per cascade."""
+        if not self._keeps_record(len(front)):
             return None
         if front.buf is None:
             front.buf = np.ascontiguousarray(_cols(front, self.m))

@@ -25,6 +25,7 @@ from ndfronts.core import (
     Front,
     FrontSet,
     Solution,
+    _BLOCK_MIN_PAIRS,
     _SCAN_MIN_WIDTH,
     _dominated,
     _mismatch,
@@ -60,12 +61,13 @@ def _first_witness(
     scan the id search.
 
     The whole run of ranks is one call, so the linear order pays Python's
-    call overhead once per search rather than per front.  A front with a
-    record (see :meth:`~ndfronts.core.FrontSet._columns`) is tested whole
-    by :func:`_scan_columns`.  Any other front is tested one member at a
-    time with :func:`~ndfronts.core.dom_nature`'s rule inline, unrolled
-    here when the probe has M = 2 or 3 and by :func:`_scan_members` for
-    any other M; a member reached whose M is not the probe's raises
+    call overhead once per search rather than per front.  A front of at
+    least ``_SCAN_MIN_WIDTH`` members is tested whole through its record
+    (see :meth:`~ndfronts.core.FrontSet._columns`) by :func:`_scan_columns`.
+    A narrower front, even one that keeps a record, is tested one member
+    at a time with :func:`~ndfronts.core.dom_nature`'s rule inline,
+    unrolled here when the probe has M = 2 or 3 and by
+    :func:`_scan_members` for any other M; a member reached whose M is not the probe's raises
     :class:`~ndfronts.core.DimensionMismatchError`.  The scans are
     uncounted; the counter gets, here and only here, the pairs the
     sequential scan tests: for each front passed, the position where it
@@ -83,7 +85,7 @@ def _first_witness(
     while nat == -1 and rank < hi:
         front = fronts[rank]
         rank += 1
-        # _columns is None below the width anyway; testing it here spares a call per narrow front
+        # a narrow front takes the member loop even when it keeps a record (M >= 3)
         cols = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
         if cols is not None and m == fs.m:
             nat, pos = _scan_columns(cols, front if find_id else None, probe)
@@ -147,9 +149,9 @@ def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solutio
 
 
 def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for one front without a record, or
-    with one of another M, when the probe has M other than 2 or 3: its
-    members tested one at a time with
+    """:func:`_first_witness`'s answer for one front narrower than
+    ``_SCAN_MIN_WIDTH``, or with a record of another M, when the probe has
+    M other than 2 or 3: its members tested one at a time with
     :func:`~ndfronts.core.dom_nature`'s rule inline, so a pair costs no
     call; with ``find_id`` False no id can match, and none is compared.  A
     member reached whose M is not the probe's raises
@@ -186,9 +188,10 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     ``stays`` for :meth:`~ndfronts.core.FrontSet._move`.  Positions before
     ``start`` were classified by the caller.  The tail is one
     ``1 x len(tail)`` :func:`~ndfronts.core._dominated` test, so each
-    candidate is compared exactly once; when ``front`` has a record (see
-    :meth:`~ndfronts.core.FrontSet._columns`), the tail is a slice of it.
-    Raises IndexError, with nothing counted, unless
+    candidate is compared exactly once; when
+    :meth:`~ndfronts.core.FrontSet._columns` gives the front's record (at
+    M >= 3 at any width, which builds it on first read), the tail is a
+    slice of it.  Raises IndexError, with nothing counted, unless
     ``1 <= start <= len(front) + 1``.
 
     The block tests weak dominance (see :func:`~ndfronts.core._dominated`),
@@ -201,10 +204,12 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     if not 1 <= start <= len(front) + 1:
         raise IndexError(f"start {start} out of range 1..{len(front) + 1}")
     cols = fs._columns(front)
-    hit = _dominated([new], front[start - 1 :], counter, None, None if cols is None else cols[:, start - 1 :])[0]
+    tail = front[start - 1 :]
+    hit = _dominated([new], tail, counter, None, None if cols is None else cols[:, start - 1 :])[0]
     stays = np.ones(len(front), dtype=bool)
     stays[start - 1 :] = np.logical_not(hit)
-    if any(q.objectives == new.objectives for q in compress(front[start - 1 :], hit)):
+    # the dom_nature floor tests strict dominance, so a twin is never among its hits
+    if len(tail) >= _BLOCK_MIN_PAIRS and any(q.objectives == new.objectives for q in compress(tail, hit)):
         stays |= [q.objectives == new.objectives for q in front]  # those before start stay anyway
     return stays
 
@@ -284,8 +289,13 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     :mod:`ndfronts.analysis` count on.  The block reads each side's record
     (see :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  The
     members a step leaves in the lower front are the next step's upper
-    front, so the step carries the columns its block read for them, and a
-    cascade builds each front's array from tuples at most once.
+    front.  At M >= 3 every front keeps its record at any width, and
+    :meth:`~ndfronts.core.FrontSet._move` slices the survivors' columns
+    into theirs, so a front's array is built from tuples once and read by
+    every later cascade.  At M = 2 a front narrower than
+    ``_SCAN_MIN_WIDTH`` keeps none, and the step carries the columns its
+    block read for the survivors itself, so a cascade builds each front's
+    array from tuples at most once.
 
     Each step's block follows the one block rule of
     :func:`~ndfronts.core._dominated`: above its smallest sizes it tests
@@ -308,5 +318,5 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
             fs.fronts.pop(index)
             return
         fs.fronts[index] = kept
-        cols = None if lower_cols is None else lower_cols.compress(stays, axis=1)
+        cols = None if lower_cols is None or kept.buf is not None else lower_cols.compress(stays, axis=1)
         index += 1

@@ -93,13 +93,15 @@ def build_front_set(m: int, levels: list[list[Solution]]) -> FrontSet:
 
 
 def assert_columns_consistent(fs: FrontSet) -> None:
-    """Every record of ``fs`` belongs to a front of at least
-    ``_SCAN_MIN_WIDTH`` members and holds, in column ``j``, the objectives
-    of that front's ``j``-th member."""
+    """Every record of ``fs`` is at least as wide as its front and holds,
+    in column ``j``, the objectives of that front's ``j``-th member; at
+    M = 2 it also belongs to a front of at least ``_SCAN_MIN_WIDTH``
+    members, while at M >= 3 a front of any width may keep one."""
     for front in fs.fronts:
         if front.buf is None:
             continue
-        assert len(front) >= core._SCAN_MIN_WIDTH and front.buf.shape[1] >= len(front)
+        assert fs.m > 2 or len(front) >= core._SCAN_MIN_WIDTH
+        assert front.buf.shape[1] >= len(front)
         want = np.array([sol.objectives for sol in front], dtype=np.float64).reshape(len(front), fs.m)
         assert np.array_equal(front.buf[:, : len(front)], want.T)
 

@@ -968,6 +968,16 @@ def test_online_ratio_script_rejects_a_size_below_one(size):
     assert done.stderr.splitlines()[-1].startswith("online_ratio.py: error: argument --sizes: ")
 
 
+
+@pytest.mark.parametrize("args", [["--sizes"], ["--sizes", "--seed", "3"]], ids=["alone", "before-seed"])
+def test_online_ratio_script_rejects_sizes_without_a_value(args):
+    # an empty --sizes list would print the table header and run nothing
+    done = _run_script("online_ratio.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == "online_ratio.py: error: argument --sizes: expected at least one argument"
+
 def test_code_lines_script_counts_code_only(tmp_path):
     # docstrings, comments and blank lines are not code; a string that is
     # not a docstring and a statement split over lines count every line

@@ -509,9 +509,10 @@ def test_validate_flags_an_id_index_out_of_step_with_the_stored_ids():
 
 @pytest.mark.parametrize("approach", ["linear", "ltree", "rtree"])
 def test_records_hold_columns_only_within_their_growth_rule(approach):
-    """Auxiliary space beyond ``fronts``: only fronts of ``_SCAN_MIN_WIDTH``
-    members keep a record, and a front holds nothing but its record, one
-    float array no larger than :func:`core._extend`'s growth rule allows."""
+    """Auxiliary space beyond ``fronts``: at M = 2 only fronts of
+    ``_SCAN_MIN_WIDTH`` members keep a record, at M >= 3 any front a block
+    has read does, and a front holds nothing but its record, one float
+    array no larger than :func:`core._extend`'s growth rule allows."""
     from ndfronts import APPROACHES
 
     ops = APPROACHES[approach]
@@ -520,12 +521,14 @@ def test_records_hold_columns_only_within_their_growth_rule(approach):
     for i in range(2000):  # seeded M = 5 online sort: few wide fronts, inserts only
         ops.insert(fs, Solution(f"p{i}", tuple(rng.random() for _ in range(5))), Counter())
     recs = [front.buf for front in fs.fronts if front.buf is not None]
-    assert recs, "the sort should leave a front wide enough for a record"
+    assert any(len(front) >= core._SCAN_MIN_WIDTH for front in fs.fronts if front.buf is not None)
+    # the dom_set and cascade blocks read narrow fronts too, and their records stay
+    assert any(len(front) < core._SCAN_MIN_WIDTH for front in fs.fronts if front.buf is not None)
     assert_columns_consistent(fs)
     for front in fs.fronts:
         assert type(front) is core.Front and vars(front).keys() <= {"buf"}
         if front.buf is not None:
-            # an exact build, or the last growth to end + end // 4; inserts only ever extend
+            # an exact build or slice, or the last growth to end + end // 4
             n = len(front)
             assert front.buf.dtype == np.float64 and len(front.buf) == 5 and front.buf.shape[1] <= n + n // 4
     assert sum(buf.nbytes for buf in recs) <= 8 * 5 * (len(fs) + len(fs) // 4)
@@ -535,16 +538,40 @@ def test_records_hold_columns_only_within_their_growth_rule(approach):
         ops.insert(narrow, Solution(f"q{i}", (rng.random(), rng.random())), Counter())
     assert max(map(len, narrow.fronts)) < core._SCAN_MIN_WIDTH
     assert all(front.buf is None for front in narrow.fronts)
-    antichain = FrontSet(2, [[s(f"a{i}", i, -i) for i in range(core._SCAN_MIN_WIDTH)]])
-    assert ops.lookup(antichain, antichain.fronts[0][-1], Counter()) is not None  # builds the record
-    assert antichain.fronts[0].buf is not None
-    ops.delete(antichain, antichain.fronts[0][0], Counter())  # one member below the width
-    assert antichain.fronts[0].buf is None
+    for m in (2, 3):
+        antichain = FrontSet(m, [[s(f"a{i}", i, -i, *(0,) * (m - 2)) for i in range(core._SCAN_MIN_WIDTH)]])
+        assert ops.lookup(antichain, antichain.fronts[0][-1], Counter()) is not None  # builds the record
+        assert antichain.fronts[0].buf is not None
+        ops.delete(antichain, antichain.fronts[0][0], Counter())  # one member below the width
+        assert (antichain.fronts[0].buf is not None) == (m > 2)  # M = 2 drops it, M = 3 keeps it in step
+        assert_columns_consistent(antichain)
+
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_append_writes_into_the_record_while_it_has_room(m):
+    # a record full to its width grows by a quarter once; the appends after
+    # that write into the same array until it is full again
+    width = core._SCAN_MIN_WIDTH if m == 2 else 8
+    fs = FrontSet(m, [[s(f"a{i}", i, -i, *(0,) * (m - 2)) for i in range(width)]])
+    front = fs.fronts[0]
+    assert fs._columns(front) is not None and front.buf.shape[1] == width
+    arrays = []
+    for i in range(width, width + width // 4 + 2):
+        fs.admit(new := s(f"a{i}", i, -i, *(0,) * (m - 2)))
+        fs._append(front, new)
+        arrays.append(front.buf)
+        assert_columns_consistent(fs)
+    grown = width + 1 + (width + 1) // 4  # the first append grows the full record by a quarter
+    fits = grown - width  # appends up to the grown capacity, that first one included
+    assert all(buf is arrays[0] and buf.shape[1] == grown for buf in arrays[:fits])
+    assert arrays[fits].shape[1] == grown + 1 + (grown + 1) // 4  # the next one grows it again
 
 
 W = core._SCAN_MIN_WIDTH
 # source width and record, destination width and record, members that leave,
-# and which of the two fronts hold a record after the move
+# and which of the two fronts hold a record after the move; at M = 2 only a
+# front of at least W members keeps one
 MOVE_CASES = {
     "narrow-source": (20, False, 5, False, 7, (False, False)),
     "wide-source-with-record": (W + 30, True, 5, False, 12, (True, False)),
@@ -554,20 +581,39 @@ MOVE_CASES = {
     "narrow-source-into-a-destination-with-a-record": (20, False, W, True, 6, (False, True)),
     "all-stay": (W + 10, True, 5, False, 0, (True, False)),
 }
+# at M = 3 the source's record is sliced at every width, a destination with
+# a record keeps it, and one without gets one only when it reaches W
+MOVE_CASES_M3 = {
+    "narrow-source": (20, False, 5, False, 7, (False, False)),
+    "narrow-source-with-record": (20, True, 5, False, 7, (True, False)),
+    "narrow-source-with-record-into-a-narrow-destination-with-one": (20, True, 5, True, 7, (True, True)),
+    "narrow-source-into-a-narrow-destination-with-a-record": (20, False, 5, True, 7, (False, True)),
+    "wide-source-left-narrow": (W + 3, True, 5, False, 12, (True, False)),
+    "destination-crosses-the-width": (W + 10, True, W - 5, False, 8, (True, True)),
+    "narrow-source-with-record-into-a-destination-crossing-the-width": (20, True, W - 5, False, 8, (True, True)),
+    "narrow-source-into-a-destination-crossing-the-width": (20, False, W - 5, False, 8, (False, False)),
+    "all-stay": (20, True, 5, False, 0, (True, False)),
+}
 
 
-@pytest.mark.parametrize("case", MOVE_CASES)
-def test_move_takes_a_list_mask_and_an_array_mask_alike(case):
-    src_width, src_rec, dest_width, dest_rec, leave, recs_after = MOVE_CASES[case]
+@pytest.mark.parametrize(
+    "m, case",
+    [pytest.param(2, case, id=case) for case in MOVE_CASES]
+    + [pytest.param(3, case, id=f"m3-{case}") for case in MOVE_CASES_M3],
+)
+def test_move_takes_a_list_mask_and_an_array_mask_alike(m, case):
+    src_width, src_rec, dest_width, dest_rec, leave, recs_after = (MOVE_CASES if m == 2 else MOVE_CASES_M3)[case]
     leaving = set(random.Random(src_width).sample(range(src_width), leave))
     keep = [j not in leaving for j in range(src_width)]
     results = []
     for mask in (keep, np.array(keep)):
-        src = [Solution(f"s{j}", (j, -j, j % 7)) for j in range(src_width)]
-        dest = [Solution(f"d{i}", (-i, i, i % 5)) for i in range(dest_width)]
-        fs = FrontSet(3, [src, dest])
+        src = [Solution(f"s{j}", (j, -j, j % 7)[:m]) for j in range(src_width)]
+        dest = [Solution(f"d{i}", (-i, i, i % 5)[:m]) for i in range(dest_width)]
+        fs = FrontSet(m, [src, dest])
         for front, rec in zip(fs.fronts, (src_rec, dest_rec)):
-            assert (fs._columns(front) is not None) == rec  # builds the record
+            if rec:
+                assert fs._columns(front) is not None  # builds the record
+            assert (front.buf is not None) == rec
         kept = fs._move(fs.fronts[0], mask, fs.fronts[1])
         assert (kept is fs.fronts[0]) == (leave == 0)
         fs.fronts[0] = kept

@@ -197,8 +197,9 @@ def _dom_set_path(monkeypatch, fs):
         (2, ndfronts.core._BLOCK_MIN_PAIRS - 1, "dom_nature"),
         (2, 40, "unrolled"),
         (2, ndfronts.core._SCAN_MIN_WIDTH - 1, "unrolled"),
-        (3, 40, "numpy"),
-        (5, 40, "numpy"),
+        # at M >= 3 dom_set reads the front's record at every width
+        (3, 40, "record"),
+        (5, 40, "record"),
         # a front this wide has a record, so an M = 2 tail of more than 256
         # pairs, or of 200, is a slice of it: M = 2 blocks from tuples stop at 95
         (2, 120, "record"),
@@ -220,13 +221,20 @@ def test_dom_set_keeps_a_member_equal_to_the_new_solution(monkeypatch, m, width,
     fs = fs_of(front)
     assert validate(fs) == []
     taken = _dom_set_path(monkeypatch, fs)
+    searched = []  # one entry per search of a block's hits for a twin
+    search = ndfronts.linear.compress
+    monkeypatch.setattr(ndfronts.linear, "compress", lambda *args: searched.append(args) or search(*args))
     for start in sorted({1, min(at) + 1}):
         c = Counter()
         taken.clear()
+        del searched[:]
         stays = dom_set(fs, fs.fronts[0], Solution("new", vec), start, c)
         assert stays.dtype == bool and stays.tolist() == [True] * width
         assert c.pair_compares == width - start + 1
-        assert set(taken) == {path if start == 1 else _tail_path(m, width - start + 1, path)}
+        tail_path = path if start == 1 else _tail_path(m, width - start + 1, path)
+        assert set(taken) == {tail_path}
+        # the floor tests strict dominance and never hits a twin, so its hits are not searched
+        assert len(searched) == (tail_path != "dom_nature")
 
 
 def _tail_path(m: int, tail: int, path: str) -> str:
@@ -753,6 +761,48 @@ def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach
     assert same_partition(fs, full_sort(pop))
 
 
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_a_second_delete_cascade_at_m3_builds_no_columns_from_tuples(monkeypatch, approach):
+    # k fronts of `columns` chains, each chain's member dominating only its
+    # own chain's member one rank down: deleting a rank-1 member promotes its
+    # chain one rank all the way down, through every front, in blocks of
+    # about columns x columns pairs on the numpy path.  At M = 3 the first
+    # cascade builds each front's record, and the fronts keep them, narrow
+    # as they are, so the second cascade over the same fronts builds none
+    k, columns = 12, 8
+    assert (columns - 1) * columns >= ndfronts.core._BLOCK_MIN_PAIRS and columns < ndfronts.core._SCAN_MIN_WIDTH
+    fronts = [[s(f"c{c}r{r}", 2 * c + r, 2 * (columns - c) + r, r) for c in range(columns)] for r in range(k)]
+    fs = FrontSet(3, fronts)
+    assert validate(fs) == []
+    pop = [sol for front in fronts for sol in front]
+    builds = []  # the ids of every array core._cols builds from tuples
+    build = ndfronts.core._cols
+
+    def recorded(sols, m):
+        builds.append([sol.id for sol in sols])
+        return build(sols, m)
+
+    monkeypatch.setattr(ndfronts.core, "_cols", recorded)
+    calls, _ = _audit_kernel(monkeypatch)
+    for n_deleted, c in enumerate((2, 5), 1):
+        del builds[:]
+        calls[0] = 0
+        counter = Counter()
+        APPROACHES[approach].delete(fs, fronts[0][c], counter)
+        pop.remove(fronts[0][c])
+        assert calls[0] == counter.pair_compares
+        # the chain moved up one rank at every front, so the cascade ran through all of them
+        assert fs.k == k and len(fs.fronts[-1]) == columns - n_deleted
+        assert same_partition(fs, full_sort(pop))
+        assert_columns_consistent(fs)
+        assert all(front.buf is not None for front in fs.fronts)
+        if n_deleted == 1:
+            built = [sol_id for ids in builds for sol_id in ids]
+            assert len(builds) == k and len(built) == len(set(built))  # each front once
+        else:
+            assert builds == []
+
+
 @pytest.mark.parametrize("op", ["insert", "delete"])
 def test_a_cascade_rejects_a_front_with_compensating_m_members(op):
     top = [s(f"t{i}", i, 12 - i, 0) for i in range(12)]
@@ -878,16 +928,18 @@ def _loop_scan(front, probe, counter, find_id):
 
 @pytest.mark.parametrize("find_id", [True, False])
 @pytest.mark.parametrize("m", [2, 3])
-def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(m, find_id):
+def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m, find_id):
     # every vector over {-0.0, 0.0, 1.0}^M is a member; each rotation of the
     # front puts another one first, so every probe meets every member at
     # position 1, and the probe's id, when stored, sits at a moving position
     grid = [Solution(f"s{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0], repeat=m))]
     n = len(grid)
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", None)  # narrow: never the numpy scan
     for r in range(n):
-        front = grid[r:] + grid[:r]
-        fs = FrontSet(m, [front])
-        assert fs._columns(front) is None  # narrow: the member-by-member scan
+        fs = FrontSet(m, [grid[r:] + grid[:r]])
+        front = fs.fronts[0]
+        # a narrow front keeps a record once read at M = 3, and still takes the member-by-member scan
+        assert (fs._columns(front) is not None) == (m > 2) == (front.buf is not None)
         for i, member in enumerate(grid):
             for pid in ("absent", grid[(r + i) % n].id):
                 probe = Solution(pid, member.objectives)
@@ -911,7 +963,9 @@ def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find
     wide = grid * -(-CROSSOVER // len(grid))
     stack = [[Solution(f"r{r}-{i}", vec) for i, vec in enumerate(front)] for r, front in enumerate(narrow[:2] + [wide] + narrow[2:], 1)]
     fs = FrontSet(m, stack)
-    assert [fs._columns(front) is not None for front in fs.fronts] == [False, False, True, False, False]
+    # at M >= 3 the narrow fronts keep a record once read too, but only the wide one is scanned in numpy
+    assert [fs._columns(front) is not None for front in fs.fronts] == [m > 2, m > 2, True, m > 2, m > 2]
+    assert [front.buf is not None for front in fs.fronts] == [m > 2, m > 2, True, m > 2, m > 2]
     wide_scans = []
     scan = ndfronts.linear._scan_columns
     monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda *args: wide_scans.append(args[0].shape[1]) or scan(*args))

@@ -3,14 +3,18 @@ tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the inserts onto the larger block
 paths: the narrow batches' ``dom_set`` blocks and cascade steps onto the
-unrolled M = 2 path, or numpy at M = 3, and one batch wide enough to keep
-an objective array onto its columns, whose consistency is an invariant
-too.  Every dominance block the update rules run is checked as well: the
-rules ask only which members some peer dominates, which is enough while no
-member dominates a peer, and a block (see ``core._dominated``) asks only
-which members some peer weakly dominates, which is enough while no member
-equals a peer; after every step no front shares a vector with the front
-above it, which is why a cascade's blocks may be weak."""
+unrolled M = 2 path, or numpy at M = 3 and 5, and one batch wide enough to
+keep an objective array at every M onto its columns.  At M = 3 and 5 narrow
+fronts keep their records too, while the front scan reads them only at
+``core._SCAN_MIN_WIDTH`` members: unrolled below it at M = 3, and with
+``linear._scan_members`` at M = 5.  Every record's consistency with its
+front is an invariant.  Every dominance block the update rules run is
+checked as well: the rules ask only which members some peer dominates,
+which is enough while no member dominates a peer, and a block (see
+``core._dominated``) asks only which members some peer weakly dominates,
+which is enough while no member equals a peer; after every step no front
+shares a vector with the front above it, which is why a cascade's blocks
+may be weak."""
 
 from __future__ import annotations
 
@@ -68,13 +72,13 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
     def teardown(self) -> None:
         self.blocks.stop()
 
-    @initialize(m=st.sampled_from([2, 3]))
+    @initialize(m=st.sampled_from([2, 3, 5]))
     def start(self, m: int) -> None:
         self.m = m
         self.sets = {approach: FrontSet(m) for approach in APPROACHES}
 
-    @rule(target=solutions, vec=st.tuples(GRID, GRID, GRID))
-    def insert(self, vec: tuple[int, int, int]) -> Solution:
+    @rule(target=solutions, vec=st.tuples(*[GRID] * 5))
+    def insert(self, vec: tuple[int, ...]) -> Solution:
         sol = Solution(f"s{self.next_id}", vec[: self.m])
         self.next_id += 1
         for approach, fs in self.sets.items():
