@@ -73,9 +73,10 @@ class Counter:
     calls, unrolled at M = 2, or in numpy (see :func:`_dominated`).  The
     only other place that counts
     is the front scan (:func:`ndfronts.linear._first_witness`), one call per
-    run of ranks: it tests each wide front in numpy and each narrow one
-    member by member (unrolled when M is 2 or 3), both uncounted, and adds
-    as it passes each front the pairs the sequential scan tests there.
+    run of ranks: it tests every front in numpy at M > 3, and at M = 2 or 3
+    each wide front in numpy and each narrow one member by member, unrolled,
+    all uncounted, and adds as it passes each front the pairs the
+    sequential scan tests there.
     Reset it between operations to read per-operation costs.
     """
 
@@ -110,8 +111,9 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     (:func:`_dominated_m2`) or in numpy, and
     :func:`ndfronts.linear._first_witness` applies it to one probe and the
     members of a run of fronts in one call, with no call per pair or per
-    narrow front: in numpy for a front of at least ``_SCAN_MIN_WIDTH``
-    members, member by member otherwise, unrolled when M is 2 or 3.
+    front: in numpy for every front at M > 3 and for a front of at least
+    ``_SCAN_MIN_WIDTH`` members at M = 2 or 3, and otherwise member by
+    member, unrolled.
     """
     ao, bo = a.objectives, b.objectives
     m = len(ao)
@@ -199,14 +201,12 @@ def _dominated(
     counter: Counter,
     peer_cols: np.ndarray | None,
     member_cols: np.ndarray | None,
-) -> tuple[list[bool] | np.ndarray, np.ndarray | None]:
+) -> list[bool] | np.ndarray:
     """Whether some peer dominates each member: a mask with ``mask[j]``
-    True when a member of ``peers`` dominates ``members[j]``, and the member
-    columns its numpy path read, given or built.  The numpy path returns a
-    bool array; the two Python paths, the :func:`dom_nature` loop and the
-    unrolled M = 2 path, and an empty block return the list of bools they
-    built, with None for the columns.  A cascade step carries a slice of the
-    columns to its next step and hands the mask, list or array, to
+    True when a member of ``peers`` dominates ``members[j]``.  The numpy
+    path returns a bool array; the two Python paths, the :func:`dom_nature`
+    loop and the unrolled M = 2 path, and an empty block return the list of
+    bools they built.  A cascade step hands the mask, list or array, to
     :meth:`FrontSet._move`.
 
     Every pair is tested, with no early exit, and the block adds exactly
@@ -237,14 +237,14 @@ def _dominated(
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
-    such as a front's stored record (see :class:`FrontSet`), a slice of it,
-    or columns a cascade carried from its previous step.  The block then
+    such as a front's stored record (see :class:`FrontSet`) or a slice of
+    it.  The block then
     reads them instead of building an array from the members' tuples, and
     checks that side's M by the array's shape alone: such an array was
     built by :func:`_cols`, which admits only members of its M.
     """
     if not peers or not members:
-        return [False] * len(members), None
+        return [False] * len(members)
     m = len(peers[0].objectives)
     pairs = len(peers) * len(members)
     if pairs < _BLOCK_MIN_PAIRS:
@@ -253,14 +253,14 @@ def _dominated(
         hit = [False] * len(members)
         for p in peers:  # dom_nature is called before the running flag is read
             hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
-        return hit, None
+        return hit
     if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
         try:  # unpacking every tuple checks its M before the block is counted
             hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
         except ValueError:
             raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
         counter.pair_compares += pairs
-        return hit, None
+        return hit
     sides = []
     for side, cols in ((peers, peer_cols), (members, member_cols)):
         if cols is None:
@@ -269,7 +269,7 @@ def _dominated(
             raise _mismatch(peers[0], side[0])
         sides.append(cols)
     counter.pair_compares += pairs
-    return _dominated_cols(*sides), sides[1]
+    return _dominated_cols(*sides)
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
@@ -280,8 +280,9 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
     return DomRelation(nat)
 
 
-# Fronts at least this wide are scanned with numpy, reading their record;
-# narrower ones keep the member loop even when they hold one (measured with
+# At M = 2 and 3 fronts at least this wide are scanned with numpy, reading
+# their record, and narrower ones keep the unrolled member loop even when
+# they hold one; at M > 3 every front is scanned with numpy (measured with
 # perfbench; see CHANGES.md).  Which fronts keep a record is
 # FrontSet._keeps_record's rule.
 _SCAN_MIN_WIDTH = 96
@@ -297,7 +298,8 @@ class Front(list):
 
     Only :class:`FrontSet`'s mutators edit a front and its record, and
     always together, so the two agree.  Only :meth:`FrontSet._columns`
-    hands the record out.
+    hands the record out, and only it builds one from the members'
+    tuples.
     """
 
     # a class-level default, not __slots__: building a front stays cheap
@@ -327,10 +329,11 @@ class FrontSet:
     Each front is a :class:`Front`, and may also keep an objective array,
     its record, which its probe scans and the ``dom_set`` and cascade
     blocks that test it read.  The front holds its record itself, which
-    :meth:`_columns`, the only way to read one, builds on first read, and
-    keeps while :meth:`_keeps_record` allows: at M = 2 from
-    ``_SCAN_MIN_WIDTH`` members on, at M >= 3 at any width.  The probe
-    scans read it only from ``_SCAN_MIN_WIDTH`` members on.  The contract
+    :meth:`_columns`, the only way to read one and the only code that
+    builds one, builds on first read, and keeps while :meth:`_keeps_record`
+    allows: at M = 2 from ``_SCAN_MIN_WIDTH`` members on, at M >= 3 at any
+    width.  The probe scans read it at every width at M > 3, and at M = 2
+    and 3 only from ``_SCAN_MIN_WIDTH`` members on.  The contract
     that keeps it right: a front's members are edited only through this
     class, whose every edit applies to the members and the record together.  :meth:`remove` and :meth:`_append` edit one
     member, and :meth:`_move` moves any number of members from one front to
@@ -417,12 +420,12 @@ class FrontSet:
         record, which leaves with ``src``, cut with ``ndarray.compress``,
         so a bool array of the mask is built only when ``src`` has a
         record.  The part that stays keeps its slice where
-        :meth:`_keeps_record` allows; where it does not (at M = 2, below
-        ``_SCAN_MIN_WIDTH``), a cascade carries the columns it needs itself.
-        ``dest`` with a record has the moved columns appended to it; one
-        without gets one, from its members' tuples and the moved columns,
-        only when the move takes it to ``_SCAN_MIN_WIDTH`` members, and is
-        otherwise left to :meth:`_columns` to build on its next read."""
+        :meth:`_keeps_record` allows (at M = 2 not below
+        ``_SCAN_MIN_WIDTH``).  ``dest`` with a record has the moved columns
+        appended to it, sliced from ``src``'s record or, when ``src`` has
+        none, read from the moved members' tuples; ``dest`` without one is
+        left without one at any width, for :meth:`_columns` to build on its
+        next read."""
         keep = stays.tolist() if isinstance(stays, np.ndarray) else stays
         if all(keep):
             return src
@@ -435,8 +438,6 @@ class FrontSet:
             stays = np.asarray(stays)
             if self._keeps_record(len(kept)):
                 kept.buf = rec.compress(stays, axis=1)
-        if dest.buf is None and rec is not None and len(dest) >= _SCAN_MIN_WIDTH:
-            dest.buf = np.ascontiguousarray(_cols(dest[:start], self.m))
         if dest.buf is not None:
             _extend(dest, start, rec.compress(~stays, axis=1) if rec is not None else _cols(dest[start:], self.m))
         return kept
@@ -446,8 +447,9 @@ class FrontSet:
         At M = 2 only from ``_SCAN_MIN_WIDTH`` members on: its narrower
         blocks run unrolled on the members' tuples, and a record would push
         them onto numpy.  At M >= 3 at any width: every block above the
-        :func:`dom_nature` floor runs on numpy, so a record built once
-        spares every later block the build from tuples."""
+        :func:`dom_nature` floor runs on numpy, and at M > 3 so does every
+        probe scan, so a record built once spares every later block and
+        scan the build from tuples."""
         return self.m > 2 or width >= _SCAN_MIN_WIDTH
 
     def _columns(self, front: Front) -> np.ndarray | None:

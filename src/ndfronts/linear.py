@@ -8,9 +8,11 @@ stores a new solution where the search put it, and one cascade,
 after a delete, entered through :func:`update_insert` and
 :func:`update_delete`.  No solution is ever held in two places at once:
 displaced sets are moved, not copied, so the only working storage is the
-set currently in flight.  Comparisons stop at the first deciding witness
-exactly where the update rules allow, which makes counter values
-reproducible run over run.
+set currently in flight.  Nor are objectives: a front's are held only in
+its members and its record (see :class:`~ndfronts.core.FrontSet`), and no
+scan or cascade step keeps a copy of them for a later one.  Comparisons
+stop at the first deciding witness exactly where the update rules allow,
+which makes counter values reproducible run over run.
 """
 
 from __future__ import annotations
@@ -61,13 +63,16 @@ def _first_witness(
     scan the id search.
 
     The whole run of ranks is one call, so the linear order pays Python's
-    call overhead once per search rather than per front.  A front of at
-    least ``_SCAN_MIN_WIDTH`` members is tested whole through its record
-    (see :meth:`~ndfronts.core.FrontSet._columns`) by :func:`_scan_columns`.
-    A narrower front, even one that keeps a record, is tested one member
-    at a time with :func:`~ndfronts.core.dom_nature`'s rule inline,
-    unrolled here when the probe has M = 2 or 3 and by
-    :func:`_scan_members` for any other M; a member reached whose M is not the probe's raises
+    call overhead once per search rather than per front.  A probe whose M
+    is not the set's raises :class:`~ndfronts.core.DimensionMismatchError`
+    before any front is charged.  At M > 3 every front, and at M = 2 or 3
+    a front of at least ``_SCAN_MIN_WIDTH`` members, is tested whole
+    through its record (see :meth:`~ndfronts.core.FrontSet._columns`,
+    which raises while building one for a member of another M) by
+    :func:`_scan_columns`.  A narrower front at M = 2 or 3, even one that
+    keeps a record, is tested one member at a time with
+    :func:`~ndfronts.core.dom_nature`'s rule unrolled inline; a member
+    reached whose M is not the probe's raises
     :class:`~ndfronts.core.DimensionMismatchError`.  The scans are
     uncounted; the counter gets, here and only here, the pairs the
     sequential scan tests: for each front passed, the position where it
@@ -82,15 +87,13 @@ def _first_witness(
     elif m == 3:
         p0, p1, p2 = objs
     nat, rank, pos = -1, lo - 1, 0
+    if m != fs.m and rank < hi:
+        raise _mismatch(probe, fronts[rank][0])
     while nat == -1 and rank < hi:
         front = fronts[rank]
         rank += 1
-        # a narrow front takes the member loop even when it keeps a record (M >= 3)
-        cols = fs._columns(front) if len(front) >= _SCAN_MIN_WIDTH else None
-        if cols is not None and m == fs.m:
-            nat, pos = _scan_columns(cols, front if find_id else None, probe)
-        elif m > 3:
-            nat, pos = _scan_members(front, probe, find_id)
+        if m > 3 or len(front) >= _SCAN_MIN_WIDTH:
+            nat, pos = _scan_columns(fs._columns(front), front if find_id else None, probe)
         else:
             # unrolled: the probe weakly dominating the member is a dominance
             # unless the vectors are equal, and the member weakly dominating
@@ -130,10 +133,11 @@ def _first_witness(
 
 
 def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solution) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for a wide front given as its
-    ``(M, n)`` objective array, from one numpy comparison of every member,
-    then a search of the front's members before the witness for the probe's
-    id; with ``front`` None no id can match.  Uncounted, so only
+    """:func:`_first_witness`'s answer for a front given as its record, an
+    ``(M, n)`` objective array (every front at M > 3, a wide one
+    otherwise), from one numpy comparison of every member, then a search of
+    the front's members before the witness for the probe's id; with
+    ``front`` None no id can match.  Uncounted, so only
     :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
@@ -146,39 +150,6 @@ def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solutio
             if sol.id == probe.id:
                 return 0, pos
     return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
-
-
-def _scan_members(front: list[Solution], probe: Solution, find_id: bool) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for one front narrower than
-    ``_SCAN_MIN_WIDTH``, or with a record of another M, when the probe has
-    M other than 2 or 3: its members tested one at a time with
-    :func:`~ndfronts.core.dom_nature`'s rule inline, so a pair costs no
-    call; with ``find_id`` False no id can match, and none is compared.  A
-    member reached whose M is not the probe's raises
-    :class:`~ndfronts.core.DimensionMismatchError`.  Uncounted, so only
-    :func:`_first_witness` calls it."""
-    objs, pid = probe.objectives, probe.id
-    m = len(objs)
-    for pos, sol in enumerate(front, 1):
-        other = sol.objectives
-        if len(other) != m:
-            raise _mismatch(probe, sol)
-        probe_better = sol_better = False
-        for x, y in zip(objs, other):
-            if x < y:
-                if sol_better:
-                    break
-                probe_better = True
-            elif y < x:
-                if probe_better:
-                    break
-                sol_better = True
-        else:  # neither side lost a coordinate: a dominance, or equal vectors
-            if probe_better or sol_better:
-                return 1 if probe_better else -1, pos
-        if find_id and sol.id == pid:
-            return 0, pos
-    return 0, 0
 
 
 def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Counter) -> np.ndarray:
@@ -205,7 +176,7 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
         raise IndexError(f"start {start} out of range 1..{len(front) + 1}")
     cols = fs._columns(front)
     tail = front[start - 1 :]
-    hit = _dominated([new], tail, counter, None, None if cols is None else cols[:, start - 1 :])[0]
+    hit = _dominated([new], tail, counter, None, None if cols is None else cols[:, start - 1 :])
     stays = np.ones(len(front), dtype=bool)
     stays[start - 1 :] = np.logical_not(hit)
     # the dom_nature floor tests strict dominance, so a twin is never among its hits
@@ -287,15 +258,16 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     :func:`~ndfronts.core._dominated` test, with no early exit: it always
     costs that many comparisons, which the closed-form worst cases in
     :mod:`ndfronts.analysis` count on.  The block reads each side's record
-    (see :meth:`~ndfronts.core.FrontSet._columns`) when it has one.  The
-    members a step leaves in the lower front are the next step's upper
-    front.  At M >= 3 every front keeps its record at any width, and
+    (see :meth:`~ndfronts.core.FrontSet._columns`) where that side keeps
+    one.  The members a step leaves in the lower front are the next step's
+    upper front.  At M >= 3 every front keeps its record at any width, and
     :meth:`~ndfronts.core.FrontSet._move` slices the survivors' columns
     into theirs, so a front's array is built from tuples once and read by
     every later cascade.  At M = 2 a front narrower than
-    ``_SCAN_MIN_WIDTH`` keeps none, and the step carries the columns its
-    block read for the survivors itself, so a cascade builds each front's
-    array from tuples at most once.
+    ``_SCAN_MIN_WIDTH`` keeps none, and each block reads such a side from
+    its members' tuples; no step keeps a copy for the next, so a cascade
+    reads a survivor's tuple at most twice, as one step's lower side and
+    the next step's upper side.
 
     Each step's block follows the one block rule of
     :func:`~ndfronts.core._dominated`: above its smallest sizes it tests
@@ -304,13 +276,9 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     partition, where no member of a front equals a member of the front
     above it.
     """
-    cols = None
     while index < len(fs.fronts):
         upper, lower = fs.fronts[index - 1], fs.fronts[index]
-        upper_cols = fs._columns(upper)
-        if upper_cols is not None:
-            cols = upper_cols
-        stays, lower_cols = _dominated(upper, lower, counter, cols, fs._columns(lower))
+        stays = _dominated(upper, lower, counter, fs._columns(upper), fs._columns(lower))
         kept = fs._move(lower, stays, upper)
         if kept is lower:
             return
@@ -318,5 +286,4 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
             fs.fronts.pop(index)
             return
         fs.fronts[index] = kept
-        cols = None if lower_cols is None or kept.buf is not None else lower_cols.compress(stays, axis=1)
         index += 1

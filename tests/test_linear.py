@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -725,7 +726,7 @@ def test_only_an_insert_cascade_goes_through_update_insert(monkeypatch, approach
 
 @pytest.mark.parametrize("approach", APPROACHES)
 @pytest.mark.parametrize("op", ["insert", "delete"])
-def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach, op):
+def test_a_cascade_builds_each_fronts_columns_at_most_twice(monkeypatch, approach, op):
     # x chains and one y: every cascade block is columns x (columns + 1), past
     # the unrolled M = 2 path onto the numpy one, but far below the record width
     k = 50
@@ -753,10 +754,12 @@ def test_a_cascade_builds_each_fronts_columns_at_most_once(monkeypatch, approach
         APPROACHES[approach].delete(fs, fronts[0][-1], c)
         assert fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(columns)}
         pop.remove(fronts[0][-1])
-    # a step's survivors are the next step's group: their columns are carried
-    built = [sol_id for ids in builds for sol_id in ids]
-    assert built and len(built) == len(set(built))
-    assert len(builds) <= k
+    # no front this narrow keeps a record at M = 2, so each step builds both
+    # its sides from tuples: a step's survivors, built as its lower side, are
+    # built again as the next step's upper side, and no solution a third time
+    per_id = collections.Counter(sol_id for ids in builds for sol_id in ids)
+    assert per_id and max(per_id.values()) <= 2
+    assert len(builds) <= 2 * (k - 1)
     assert calls[0] == c.pair_compares
     assert same_partition(fs, full_sort(pop))
 
@@ -875,6 +878,23 @@ def test_wide_front_scan_rejects_a_probe_of_another_m():
     with pytest.raises(DimensionMismatchError):
         locate_sequential(fs, Solution("p", (1.0, 2.0, 3.0)), c)
     assert c.pair_compares == 0
+    # at M = 5 a narrow front is scanned in numpy too: a probe of a larger or
+    # a smaller M is rejected before that front is charged, from rank 1 or 2
+    narrow = FrontSet(
+        5, [[Solution(f"{name}{i}", (i + d, 8.0 - i + d, 0.0, 0.0, 0.0)) for i in range(8)] for name, d in (("t", 0.0), ("b", 0.5))]
+    )
+    assert validate(narrow) == [] and max(map(len, narrow.fronts)) < CROSSOVER
+    for objs in ((1.0, 2.0, 3.0, 4.0), (1.0, 2.0)):
+        probe = Solution("p", objs)
+        for lo in (1, 2):
+            c = Counter()
+            with pytest.raises(DimensionMismatchError, match=rf"^cannot compare 'p' \(M={len(objs)}\) with '[tb]0' \(M=5\)$"):
+                ndfronts.linear._first_witness(narrow, probe, lo, 2, c, True)
+            assert c.pair_compares == 0
+        c = Counter()
+        with pytest.raises(DimensionMismatchError):
+            locate_sequential(narrow, probe, c)
+        assert c.pair_compares == 0
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
@@ -901,13 +921,18 @@ def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
 def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, odd, find_id):
     # the probe is non-dominated with the first two members of rank 3, so the
     # scan reaches the hand-edited third; ranks 1 and 2 each hold a member
-    # non-dominated with the probe, then one dominating it
+    # non-dominated with the probe, then one dominating it.  At M > 3 every
+    # front is scanned through its record, and building rank 3's from its
+    # members' tuples (core._cols) is what raises
     m = len(probe)
     pad = (0.0,) * (m - 2)
     above = [[Solution(f"u{r}", (r / 4 - 1, r / 4 + 10, *pad)), Solution(f"d{r}", (r / 4, r / 4, *pad))] for r in range(2)]
     fs = FrontSet(m, above + [[Solution(f"s{i}", (float(i), 6.0 - i, *pad)) for i in range(1, 5)]])
     fs.fronts[2][2] = Solution("odd", odd)
-    message = rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"
+    if m > 3:
+        message = rf"^solution 'odd' has M={len(odd)}, expected M={m}$"
+    else:
+        message = rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"
     for lo in (1, 2, 3):
         c = Counter()
         with pytest.raises(DimensionMismatchError, match=message):
@@ -951,24 +976,25 @@ def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m,
 
 
 @pytest.mark.parametrize("find_id", [True, False])
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find_id):
-    # a stack of subsets of the tie grid over {-0.0, 0.0, 1.0}^M, with a front
-    # of the whole grid repeated past the record width at rank 3, so a run of
-    # ranks reads a record mid-run; the scan only reads the fronts, so they
-    # need not be a valid partition
+    # a stack of subsets of the tie grid over {-0.0, 0.0, 1.0}^M, narrower
+    # than the record width, with a front of the whole grid repeated past it
+    # at rank 3, so a run of ranks reads a record mid-run; the scan only
+    # reads the fronts, so they need not be a valid partition
     rng = random.Random(m)
     grid = list(itertools.product([-0.0, 0.0, 1.0], repeat=m))
-    narrow = [rng.sample(grid, rng.randrange(3, len(grid))) for _ in range(4)]
+    narrow = [rng.sample(grid, rng.randrange(3, min(len(grid), CROSSOVER))) for _ in range(4)]
     wide = grid * -(-CROSSOVER // len(grid))
     stack = [[Solution(f"r{r}-{i}", vec) for i, vec in enumerate(front)] for r, front in enumerate(narrow[:2] + [wide] + narrow[2:], 1)]
     fs = FrontSet(m, stack)
-    # at M >= 3 the narrow fronts keep a record once read too, but only the wide one is scanned in numpy
+    # at M >= 3 the narrow fronts keep a record once read too; at M = 3 only
+    # the wide one is scanned in numpy, and at M > 3 every front is
     assert [fs._columns(front) is not None for front in fs.fronts] == [m > 2, m > 2, True, m > 2, m > 2]
     assert [front.buf is not None for front in fs.fronts] == [m > 2, m > 2, True, m > 2, m > 2]
-    wide_scans = []
+    numpy_scans = []  # the width of each front _scan_columns tests
     scan = ndfronts.linear._scan_columns
-    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda *args: wide_scans.append(args[0].shape[1]) or scan(*args))
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda *args: numpy_scans.append(args[0].shape[1]) or scan(*args))
     k = fs.k
     vectors = grid[:: max(1, len(grid) // 27)] + [(2.0,) * m]  # the last is dominated by every front
     reached = set()  # (lo, the rank the run stopped at) for each run the record decided or passed
@@ -983,12 +1009,14 @@ def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find
                         nat, pos = _loop_scan(fs.fronts[rank - 1], probe, want_counter, find_id)
                         if nat != -1:
                             break
-                    del wide_scans[:]
+                    del numpy_scans[:]
                     got = ndfronts.linear._first_witness(fs, probe, lo, hi, got_counter, find_id)
                     assert got == (nat, rank, pos), (probe, lo, hi)
                     assert got_counter.pair_compares == want_counter.pair_compares, (probe, lo, hi)
-                    assert len(wide_scans) == (lo <= 3 <= rank)
-                    if wide_scans:
+                    # the path rule, for every front the run passed or stopped at
+                    in_numpy = range(lo, rank + 1) if m > 3 else [3] if lo <= 3 <= rank else []
+                    assert numpy_scans == [len(fs.fronts[r - 1]) for r in in_numpy], (probe, lo, hi)
+                    if lo <= 3 <= rank:
                         reached.add((lo, rank))
     assert {(1, 3), (1, 4), (1, 5)} <= reached  # the record decided a run, and runs passed it
 

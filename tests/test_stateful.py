@@ -5,10 +5,10 @@ anti-diagonal batches below the grid take the inserts onto the larger block
 paths: the narrow batches' ``dom_set`` blocks and cascade steps onto the
 unrolled M = 2 path, or numpy at M = 3 and 5, and one batch wide enough to
 keep an objective array at every M onto its columns.  At M = 3 and 5 narrow
-fronts keep their records too, while the front scan reads them only at
-``core._SCAN_MIN_WIDTH`` members: unrolled below it at M = 3, and with
-``linear._scan_members`` at M = 5.  Every record's consistency with its
-front is an invariant.  Every dominance block the update rules run is
+fronts keep their records too.  The front scan reads a record at every
+width at M = 5, in numpy, and at M = 2 and 3 only from
+``core._SCAN_MIN_WIDTH`` members on, unrolled below it.  Every record's
+consistency with its front is an invariant.  Every dominance block the update rules run is
 checked as well: the rules ask only which members some peer dominates,
 which is enough while no member dominates a peer, and a block (see
 ``core._dominated``) asks only which members some peer weakly dominates,
@@ -138,11 +138,12 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
     @rule(target=solutions)
     def insert_wide_antidiagonal(self):
         """Slot 2, below both narrower batches: the apex moves the whole wide
-        front, columns and all, one rank down."""
+        front one rank down, into a new front that gets its record when
+        ``FrontSet._columns`` next reads it."""
         self.wide = True
         batch = self.insert_batch("w", 2, WIDE, False)
         for approach, fs in self.sets.items():
-            assert any(front[0] is batch[0] and front.buf is not None for front in fs.fronts), approach
+            assert any(front[0] is batch[0] and fs._columns(front) is not None for front in fs.fronts), approach
         return multiple(*batch)
 
     @rule(sol=consumes(solutions))
