@@ -232,8 +232,7 @@ def _dominated(
     valid partition no member ``y`` of front ``j + 1`` equals a member
     ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
     would dominate ``x`` too, and front ``j`` is an antichain.
-    :func:`ndfronts.linear.dom_set`, which is public and may be handed a
-    new solution equal to a member, keeps its strict answer itself.
+    :func:`ndfronts.linear.dom_set` settles such ties itself.
 
     ``peer_cols`` and ``member_cols`` may give a side's objectives as an
     ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,

@@ -38,9 +38,7 @@ _SEQUENTIAL = TreeVariant.SEQUENTIAL
 _ROUNDS_UP = {TreeVariant.LEFT_BALANCED: 1, TreeVariant.RIGHT_BALANCED: 0}
 
 
-def navigate(
-    fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter, *, find_id: bool = True
-) -> list[tuple[int, int, int]]:
+def navigate(fs: FrontSet, new: Solution, variant: TreeVariant, counter: Counter) -> list[tuple[int, int, int]]:
     """Binary-search the front ranks for where ``new`` belongs, in one of
     the two bisection orders; returns one ``(nature, rank, position)``
     triple per probed front, in probe order, as
@@ -51,11 +49,9 @@ def navigate(
     witness sends the search left (better ranks), a dominated witness right
     (worse ranks), and non-domination with the whole front goes left; the
     search ends when that side's range is empty, so it probes nothing when
-    ``fs`` has no fronts.  A member with ``new``'s id ends the search
-    (lookups); an insert, whose probe's id is never stored, passes
-    ``find_id=False`` to skip that search (see
-    :func:`~ndfronts.linear._first_witness`).  Any variant other than the
-    two bisection orders, :attr:`TreeVariant.SEQUENTIAL` included, raises
+    ``fs`` has no fronts.  Reaching ``new`` itself, its id under its
+    vector, ends the search (lookups).  Any variant other than the two
+    bisection orders, :attr:`TreeVariant.SEQUENTIAL` included, raises
     ValueError before anything is probed.
     """
     bias = _ROUNDS_UP.get(variant)
@@ -65,7 +61,7 @@ def navigate(
     lo, hi = 1, fs.k
     while lo <= hi:
         mid = (lo + hi + bias) // 2
-        nat, _, pos = probed = _first_witness(fs, new, mid, mid, counter, find_id)
+        nat, _, pos = probed = _first_witness(fs, new, mid, mid, counter)
         trace.append(probed)
         if nat == -1:
             lo = mid + 1
@@ -76,7 +72,7 @@ def navigate(
     return trace
 
 
-def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter, find_id: bool) -> tuple[int, int, int]:
+def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter) -> tuple[int, int, int]:
     """The probe that decides where ``probe`` belongs when the fronts are
     searched in ``order``: its nature, rank and position (see
     :func:`~ndfronts.linear._first_witness`) at the best rank where no
@@ -92,9 +88,9 @@ def _search(fs: FrontSet, probe: Solution, order: TreeVariant, counter: Counter,
     to strictly better ranks, so the last such probe decides.
     """
     if order is _SEQUENTIAL:
-        probed = _first_witness(fs, probe, 1, fs.k, counter, find_id)
+        probed = _first_witness(fs, probe, 1, fs.k, counter)
         return probed if probed[0] != -1 else (0, fs.k + 1, 0)
-    for probed in reversed(navigate(fs, probe, order, counter, find_id=find_id)):
+    for probed in reversed(navigate(fs, probe, order, counter)):
         if probed[0] != -1:
             return probed
     return 0, fs.k + 1, 0
@@ -105,7 +101,7 @@ def _insert(fs: FrontSet, new: Solution, order: TreeVariant, counter: Counter) -
     :func:`~ndfronts.linear._settle` stores it.  Every order produces the
     same partition; only the comparison counts differ."""
     fs.admit(new)
-    nat, rank, pos = _search(fs, new, order, counter, False)
+    nat, rank, pos = _search(fs, new, order, counter)
     _settle(fs, rank, nat, pos, new, counter)
 
 
@@ -125,16 +121,18 @@ class Approach:
         """The position of the stored solution with ``sol``'s id, or None
         when it is not stored.
 
-        ``sol``'s vector only steers, and must be the stored one's.  A
-        front with a member dominating ``sol`` is better than the target's.
-        The deciding front has none, so every member ahead of the target
-        there is non-dominated with it, and the scan either reaches the id
+        Found means the same id under the same vector: ``sol``'s vector
+        steers the search and must be the stored one's.  A front with a
+        member dominating ``sol`` is better than the target's.  The
+        deciding front has none, so every member ahead of the target there
+        is non-dominated with it, and the scan either reaches the target
         or proves it absent.  A search that misses an id the set holds was
-        steered by another vector: it raises
-        :class:`~ndfronts.core.ContractViolationError` naming the id.  That
-        check runs on a miss only, so found and absent ids cost no more.
+        handed another vector: it raises
+        :class:`~ndfronts.core.ContractViolationError` naming the id, even
+        when that vector steered into the id's own front.  That check runs
+        on a miss only, so found and absent ids cost no more.
         """
-        nat, rank, pos = _search(fs, sol, self.search_order, counter, True)
+        nat, rank, pos = _search(fs, sol, self.search_order, counter)
         if nat == 0 and pos:
             return Position(rank, pos)
         if sol.id in fs:

@@ -27,7 +27,6 @@ from ndfronts.core import (
     Front,
     FrontSet,
     Solution,
-    _BLOCK_MIN_PAIRS,
     _SCAN_MIN_WIDTH,
     _dominated,
     _mismatch,
@@ -42,9 +41,7 @@ class Position:
     s_index: int
 
 
-def _first_witness(
-    fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Counter, find_id: bool
-) -> tuple[int, int, int]:
+def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Counter) -> tuple[int, int, int]:
     """Scan the fronts of ``fs`` at ranks ``lo..hi``, best first, until one
     is not decided by a member dominating ``probe``; returns that front's
     nature, rank and position, or the last front's ``(-1, hi, pos)`` when a
@@ -52,15 +49,14 @@ def _first_witness(
     run is empty).
 
     Each front is scanned in order for its first member that ``probe``
-    dominates (1), is dominated by (-1) or shares its id with (0); its
-    answer is that nature and the member's 1-based position, or ``(0, 0)``
-    when ``probe`` is non-dominated with the whole front and its id is not
-    there.  One witness decides the front: as an antichain it cannot hold
-    both a member dominating ``probe`` and one that ``probe`` dominates.
-    An insert probe's id is never stored
-    (:meth:`~ndfronts.core.FrontSet.admit` guarantees it), so only lookups
-    stop at an id match, and inserts pass ``find_id=False`` to spare the
-    scan the id search.
+    dominates (1), is dominated by (-1) or is ``probe`` itself, its id
+    under its vector (0); its answer is that nature and the member's
+    1-based position, or ``(0, 0)`` when ``probe`` is non-dominated with
+    the whole front and not stored there.  One witness decides the front:
+    as an antichain it cannot hold both a member dominating ``probe`` and
+    one that ``probe`` dominates.  An insert probe's id is never stored
+    (:meth:`~ndfronts.core.FrontSet.admit` guarantees it), so an insert
+    stops at a dominance only.
 
     The whole run of ranks is one call, so the linear order pays Python's
     call overhead once per search rather than per front.  A probe whose M
@@ -93,11 +89,12 @@ def _first_witness(
         front = fronts[rank]
         rank += 1
         if m > 3 or len(front) >= _SCAN_MIN_WIDTH:
-            nat, pos = _scan_columns(fs._columns(front), front if find_id else None, probe)
+            nat, pos = _scan_columns(fs._columns(front), front, probe)
         else:
             # unrolled: the probe weakly dominating the member is a dominance
-            # unless the vectors are equal, and the member weakly dominating
-            # the probe is one, since the first test has excluded equal vectors
+            # unless the vectors are equal, when only the probe's own id stops
+            # the scan, and the member weakly dominating the probe is one,
+            # since the first test has excluded equal vectors
             nat = pos = 0
             try:
                 if m == 2:
@@ -107,11 +104,11 @@ def _first_witness(
                             if p0 < q0 or p1 < q1:
                                 nat, pos = 1, i
                                 break
+                            if sol.id == pid:
+                                pos = i
+                                break
                         elif q0 <= p0 and q1 <= p1:
                             nat, pos = -1, i
-                            break
-                        if find_id and sol.id == pid:
-                            pos = i
                             break
                 else:
                     for i, sol in enumerate(front, 1):
@@ -120,11 +117,11 @@ def _first_witness(
                             if p0 < q0 or p1 < q1 or p2 < q2:
                                 nat, pos = 1, i
                                 break
+                            if sol.id == pid:
+                                pos = i
+                                break
                         elif q0 <= p0 and q1 <= p1 and q2 <= p2:
                             nat, pos = -1, i
-                            break
-                        if find_id and sol.id == pid:
-                            pos = i
                             break
             except ValueError:
                 raise _mismatch(probe, sol) from None
@@ -132,24 +129,22 @@ def _first_witness(
     return nat, rank, pos
 
 
-def _scan_columns(cols: np.ndarray, front: list[Solution] | None, probe: Solution) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for a front given as its record, an
-    ``(M, n)`` objective array (every front at M > 3, a wide one
-    otherwise), from one numpy comparison of every member, then a search of
-    the front's members before the witness for the probe's id; with
-    ``front`` None no id can match.  Uncounted, so only
-    :func:`_first_witness` calls it."""
+def _scan_columns(cols: np.ndarray, front: list[Solution], probe: Solution) -> tuple[int, int]:
+    """:func:`_first_witness`'s answer for ``front`` given as its record,
+    an ``(M, n)`` objective array (every front at M > 3, a wide one
+    otherwise), from one numpy comparison of every member: the first
+    weakly related member decides unless its vector equals the probe's
+    under another id, when the scan steps on to the next.  Uncounted, so
+    only :func:`_first_witness` calls it."""
     p = np.array(probe.objectives)[:, None]
     ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
     le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
-    hit = ge != le  # exactly one holds: a strict dominance either way
-    w = int(hit.argmax())
-    found = bool(hit[w])
-    if front is not None:
-        for pos, sol in enumerate(front[: w if found else len(front)], 1):
-            if sol.id == probe.id:
-                return 0, pos
-    return (int(ge[w]) - int(le[w]), w + 1) if found else (0, 0)
+    weak = ge | le
+    w = int(weak.argmax())
+    while weak[w] and ge[w] and le[w] and front[w].id != probe.id:
+        weak[w] = False  # an equal vector that is not the probe
+        w = int(weak.argmax())
+    return (int(ge[w]) - int(le[w]), w + 1) if weak[w] else (0, 0)
 
 
 def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Counter) -> np.ndarray:
@@ -165,10 +160,11 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     slice of it.  Raises IndexError, with nothing counted, unless
     ``1 <= start <= len(front) + 1``.
 
-    The block tests weak dominance (see :func:`~ndfronts.core._dominated`),
-    which also hits a member equal to ``new``; such a member stays.  Only
-    the hits are searched for one, and only when one is found are the
-    members compared with ``new``.  :func:`_settle` never meets one: a tail member
+    Above the :func:`~ndfronts.core.dom_nature` floor the block tests weak
+    dominance (see :func:`~ndfronts.core._dominated`), which also hits a
+    member equal to ``new``; such a member stays.  The hits of every path
+    are searched for one, and only when one is found are the members
+    compared with ``new``.  :func:`_settle` never meets one: a tail member
     equal to ``new`` would dominate the witness before the tail, in the
     same front.
     """
@@ -179,8 +175,7 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     hit = _dominated([new], tail, counter, None, None if cols is None else cols[:, start - 1 :])
     stays = np.ones(len(front), dtype=bool)
     stays[start - 1 :] = np.logical_not(hit)
-    # the dom_nature floor tests strict dominance, so a twin is never among its hits
-    if len(tail) >= _BLOCK_MIN_PAIRS and any(q.objectives == new.objectives for q in compress(tail, hit)):
+    if any(q.objectives == new.objectives for q in compress(tail, hit)):
         stays |= [q.objectives == new.objectives for q in front]  # those before start stay anyway
     return stays
 

@@ -302,17 +302,39 @@ def test_lookup_missing_solution_returns_none():
 @pytest.mark.parametrize("op", ["lookup", "delete"])
 @pytest.mark.parametrize(
     "vec",
-    [(0, 0), (9, 9), (0.5, 1.5)],
-    ids=["dominating-all", "dominated-by-all", "in-another-front"],
+    [(0, 0), (9, 9), (0.5, 1.5), (1.5, 3)],
+    ids=["dominating-all", "dominated-by-all", "in-another-front", "in-its-own-front"],
 )
 def test_a_stored_id_under_another_vector_is_a_contract_violation(approach, op, vec):
-    # the vector steers the search away from b's front, so it misses an id
-    # the set holds: that is the caller's error, not an absent id
+    # found means b's id under b's vector, so the search misses an id the set
+    # holds, even where the vector steers it into b's own front: that is the
+    # caller's error, not an absent id
     fs = FrontSet(2, [[s("a", 1, 1)], [s("b", 2, 2)]])
     before = [list(front) for front in fs.fronts]
     with pytest.raises(ContractViolationError, match="'b'"):
         getattr(APPROACHES[approach], op)(fs, s("b", *vec), Counter())
     assert fs.fronts == before and "b" in fs and validate(fs) == []
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("m, width", [(2, 8), (2, core._SCAN_MIN_WIDTH), (3, 8), (3, core._SCAN_MIN_WIDTH), (5, 8)])
+def test_a_stored_id_steered_into_its_own_front_is_a_contract_violation(approach, m, width):
+    # two anti-diagonals, the second one step worse; b sits mid-way along the
+    # second, and the probe, between b and its right neighbour, lies on that
+    # diagonal too: every member of rank 1 that dominates b dominates it, and
+    # it is non-dominated with all of rank 2.  Narrow fronts at M = 2 and 3
+    # run the unrolled member loops, the rest the numpy scan
+    pad = (0.0,) * (m - 2)
+    fs = FrontSet(m, [[Solution(f"r{r}-{i}", (i + r, width - i + r, *pad)) for i in range(width)] for r in (0, 1)])
+    j = width // 2
+    b = fs.fronts[1][j]
+    assert validate(fs) == [] and APPROACHES[approach].lookup(fs, b, Counter()) == Position(2, j + 1)
+    elsewhere = Solution(b.id, (j + 1.5, width - j + 0.5, *pad))
+    before = [list(front) for front in fs.fronts]
+    for op in ("lookup", "delete"):
+        with pytest.raises(ContractViolationError, match=f"'{b.id}'"):
+            getattr(APPROACHES[approach], op)(fs, elsewhere, Counter())
+    assert fs.fronts == before and validate(fs) == []
 
 
 def test_lookup_empty_front_set():

@@ -234,8 +234,11 @@ def test_dom_set_keeps_a_member_equal_to_the_new_solution(monkeypatch, m, width,
         assert c.pair_compares == width - start + 1
         tail_path = path if start == 1 else _tail_path(m, width - start + 1, path)
         assert set(taken) == {tail_path}
-        # the floor tests strict dominance and never hits a twin, so its hits are not searched
-        assert len(searched) == (tail_path != "dom_nature")
+        # every path's hits are searched for a twin: the weak paths' hold the
+        # tail's twins, and the floor's, strict, hold none
+        assert len(searched) == 1
+        tail_twins = sum(i >= start - 1 for i in at)
+        assert sum(searched[0][1]) == (0 if tail_path == "dom_nature" else tail_twins)
 
 
 def _tail_path(m: int, tail: int, path: str) -> str:
@@ -539,11 +542,11 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     def counted_witness(fn):
-        def wrapper(fs, probe, lo, hi, counter, find_id):
-            probed = fn(fs, probe, lo, hi, counter, find_id)
+        def wrapper(fs, probe, lo, hi, counter):
+            probed = fn(fs, probe, lo, hi, counter)
             reference = Counter()
             for front in fs.fronts[lo - 1 : probed[1]]:
-                _loop_scan(front, probe, reference, find_id)
+                _loop_scan(front, probe, reference)
             calls[0] += reference.pair_compares
             return probed
 
@@ -859,9 +862,9 @@ def test_wide_front_insert_kernel_calls_are_all_counted(monkeypatch, approach, p
     scans = []
     audited = ndfronts.linear._scan_columns
 
-    def numpy_scan(cols, ids, probe):
+    def numpy_scan(cols, front, probe):
         scans.append(cols.shape[1])
-        return audited(cols, ids, probe)
+        return audited(cols, front, probe)
 
     monkeypatch.setattr(ndfronts.linear, "_scan_columns", numpy_scan)
     c = Counter()
@@ -889,7 +892,7 @@ def test_wide_front_scan_rejects_a_probe_of_another_m():
         for lo in (1, 2):
             c = Counter()
             with pytest.raises(DimensionMismatchError, match=rf"^cannot compare 'p' \(M={len(objs)}\) with '[tb]0' \(M=5\)$"):
-                ndfronts.linear._first_witness(narrow, probe, lo, 2, c, True)
+                ndfronts.linear._first_witness(narrow, probe, lo, 2, c)
             assert c.pair_compares == 0
         c = Counter()
         with pytest.raises(DimensionMismatchError):
@@ -906,7 +909,7 @@ def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
     assert c.pair_compares == 0
 
 
-@pytest.mark.parametrize("find_id", [True, False])
+@pytest.mark.parametrize("pid", ["p", "s1"], ids=["absent-id", "stored-id"])
 @pytest.mark.parametrize(
     "probe, odd",
     [
@@ -918,9 +921,10 @@ def test_narrow_front_scan_rejects_a_probe_of_another_m(approach):
     ],
     ids=["m2-meets-m3", "m3-meets-m2", "m3-meets-m4", "m4-meets-m3", "m5-meets-m2"],
 )
-def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, odd, find_id):
+def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, odd, pid):
     # the probe is non-dominated with the first two members of rank 3, so the
-    # scan reaches the hand-edited third; ranks 1 and 2 each hold a member
+    # scan reaches the hand-edited third, also when the probe carries the
+    # first one's id under another vector; ranks 1 and 2 each hold a member
     # non-dominated with the probe, then one dominating it.  At M > 3 every
     # front is scanned through its record, and building rank 3's from its
     # members' tuples (core._cols) is what raises
@@ -932,31 +936,36 @@ def test_narrow_front_scan_rejects_an_odd_m_member_and_charges_nothing(probe, od
     if m > 3:
         message = rf"^solution 'odd' has M={len(odd)}, expected M={m}$"
     else:
-        message = rf"^cannot compare 'p' \(M={m}\) with 'odd' \(M={len(odd)}\)$"
+        message = rf"^cannot compare '{pid}' \(M={m}\) with 'odd' \(M={len(odd)}\)$"
     for lo in (1, 2, 3):
         c = Counter()
         with pytest.raises(DimensionMismatchError, match=message):
-            ndfronts.linear._first_witness(fs, Solution("p", probe), lo, 3, c, find_id)
+            ndfronts.linear._first_witness(fs, Solution(pid, probe), lo, 3, c)
         assert c.pair_compares == 2 * (3 - lo)  # two pairs for each rank lo..2, none for rank 3
 
 
-def _loop_scan(front, probe, counter, find_id):
-    """The sequential front scan, the reference for every scan of one front.
-    It calls this module's binding of ``dom_nature``, which
+def _loop_scan(front, probe, counter):
+    """The sequential front scan, the reference for every scan of one front:
+    it stops at a dominance either way or at the probe itself, its id under
+    its vector.  It calls this module's binding of ``dom_nature``, which
     :func:`_audit_kernel` leaves unwrapped."""
     for pos, sol in enumerate(front, 1):
         nat = dom_nature(probe, sol, counter)
-        if nat != 0 or (find_id and sol.id == probe.id):
+        if nat != 0 or (sol.id == probe.id and sol.objectives == probe.objectives):
             return nat, pos
     return 0, 0
 
 
-@pytest.mark.parametrize("find_id", [True, False])
+@pytest.mark.parametrize("pid_kind", ["absent", "member", "another-member"])
 @pytest.mark.parametrize("m", [2, 3])
-def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m, find_id):
+def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m, pid_kind):
     # every vector over {-0.0, 0.0, 1.0}^M is a member; each rotation of the
     # front puts another one first, so every probe meets every member at
-    # position 1, and the probe's id, when stored, sits at a moving position
+    # position 1.  The probe takes each member's vector under an absent id,
+    # under that member's id (the member itself, at a moving position), or
+    # under the next member's id, a stored id under another vector (or under
+    # an equal one, where -0.0 meets 0.0), which stops the scan only as the
+    # member itself would
     grid = [Solution(f"s{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0], repeat=m))]
     n = len(grid)
     monkeypatch.setattr(ndfronts.linear, "_scan_columns", None)  # narrow: never the numpy scan
@@ -966,18 +975,17 @@ def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m,
         # a narrow front keeps a record once read at M = 3, and still takes the member-by-member scan
         assert (fs._columns(front) is not None) == (m > 2) == (front.buf is not None)
         for i, member in enumerate(grid):
-            for pid in ("absent", grid[(r + i) % n].id):
-                probe = Solution(pid, member.objectives)
-                want_counter, got_counter = Counter(), Counter()
-                want = _loop_scan(front, probe, want_counter, find_id)
-                got = ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter, find_id)
-                assert got == (want[0], 1, want[1]), (probe, r)
-                assert got_counter.pair_compares == want_counter.pair_compares
+            pid = {"absent": "absent", "member": member.id, "another-member": grid[(i + 1) % n].id}[pid_kind]
+            probe = Solution(pid, member.objectives)
+            want_counter, got_counter = Counter(), Counter()
+            want = _loop_scan(front, probe, want_counter)
+            got = ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter)
+            assert got == (want[0], 1, want[1]), (probe, r)
+            assert got_counter.pair_compares == want_counter.pair_compares
 
 
-@pytest.mark.parametrize("find_id", [True, False])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find_id):
+def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m):
     # a stack of subsets of the tie grid over {-0.0, 0.0, 1.0}^M, narrower
     # than the record width, with a front of the whole grid repeated past it
     # at rank 3, so a run of ranks reads a record mid-run; the scan only
@@ -1006,11 +1014,11 @@ def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find
                     want_counter, got_counter = Counter(), Counter()
                     nat, pos = -1, 0
                     for rank in range(lo, hi + 1):
-                        nat, pos = _loop_scan(fs.fronts[rank - 1], probe, want_counter, find_id)
+                        nat, pos = _loop_scan(fs.fronts[rank - 1], probe, want_counter)
                         if nat != -1:
                             break
                     del numpy_scans[:]
-                    got = ndfronts.linear._first_witness(fs, probe, lo, hi, got_counter, find_id)
+                    got = ndfronts.linear._first_witness(fs, probe, lo, hi, got_counter)
                     assert got == (nat, rank, pos), (probe, lo, hi)
                     assert got_counter.pair_compares == want_counter.pair_compares, (probe, lo, hi)
                     # the path rule, for every front the run passed or stopped at
@@ -1028,16 +1036,15 @@ def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m, find
     st.sampled_from(["grid", "line"]),
     st.integers(0, 2**32),
     st.sampled_from(["absent", "present", "member"]),
-    st.booleans(),
 )
-def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind, find_id):
+def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind):
     rng = random.Random(seed)
     zero = lambda: rng.choice([0.0, -0.0])  # noqa: E731
     if shape == "grid":  # ties and dominance everywhere, so witnesses come early
         grid = [-0.0, 0.0, 1.0, 2.0]
         vecs = [tuple(rng.choice(grid) for _ in range(m)) for _ in range(n)]
         probe_vec = tuple(rng.choice(grid) for _ in range(m))
-    else:  # an antichain: no witness, so only an id match or the end stops the scan
+    else:  # an antichain: no witness, so only the probe itself or the end stops the scan
         vecs = [(float(i), float(n - i), *(zero() for _ in range(m - 2))) for i in range(n)]
         x = rng.randrange(2 * n + 1) / 2  # a member's vector when whole
         probe_vec = (x, n - x, *(zero() for _ in range(m - 2)))
@@ -1045,12 +1052,12 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
     target = rng.randrange(n)
     if probe_kind == "member":  # the stored solution itself
         probe = front[target]
-    else:
+    else:  # "present" is a stored id under another vector, unless the draw is its own
         probe = Solution(f"s{target}" if probe_kind == "present" else "absent", probe_vec)
     fs = FrontSet(m, [front])
     want_counter, got_counter = Counter(), Counter()
-    nat, pos = _loop_scan(front, probe, want_counter, find_id)
-    assert ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter, find_id) == (nat, 1, pos)
+    nat, pos = _loop_scan(front, probe, want_counter)
+    assert ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter) == (nat, 1, pos)
     assert got_counter.pair_compares == want_counter.pair_compares
 
 
