@@ -154,9 +154,12 @@ _BLOCK_MAX_PAIRS_M2 = 256
 
 
 def _cols(sols: list[Solution], m: int) -> np.ndarray:
-    """Objectives of ``sols`` as an ``(M, n)`` float64 array whose column
-    ``j`` holds ``sols[j]``, read from their tuples in one flat pass, or
-    with one ``np.array`` call for a side of one to four members.
+    """Objectives of ``sols`` as a C-contiguous ``(M, n)`` float64 array
+    whose column ``j`` holds ``sols[j]``, read row by row from their
+    tuples in one flat pass, or with one ``np.array`` call for a single
+    member, whose ``(M, 1)`` transpose is contiguous too.  A block's 3-D
+    comparison (:func:`_dominated_cols`) reads a contiguous side several
+    times faster than a transposed view.
 
     Every array of a group of members, record or block side, is built
     here, so this is where a member whose M is not ``m`` is caught: it
@@ -168,20 +171,19 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
     if not {m}.issuperset(map(len, objs)):
         odd = next(sol for sol in sols if sol.m != m)
         raise DimensionMismatchError(f"solution {odd.id!r} has M={odd.m}, expected M={m}")
-    if 0 < len(objs) < 5:  # np.array's fixed cost is the smaller here
+    if len(objs) == 1:  # np.array's fixed cost is the smaller here
         return np.array(objs).T
-    return np.fromiter(chain.from_iterable(objs), np.float64, len(objs) * m).reshape(len(objs), m).T
+    return np.fromiter(chain.from_iterable(zip(*objs)), np.float64, len(objs) * m).reshape(m, len(objs))
 
 
 def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether some peer column of ``a`` ``(M, g)`` weakly dominates each
-    member column of ``b`` ``(M, n)``, as ``n`` bools; one 2-D comparison
-    per objective (see :func:`_dominated`).  Uncounted, so only
+    member column of ``b`` ``(M, n)``, as ``n`` bools: one 3-D comparison
+    of every objective of every pair, reduced over the objectives and then
+    over the peers (see :func:`_dominated`).  Its temporary is an
+    ``(M, g, n)`` bool array, M·g·n bytes.  Uncounted, so only
     :func:`_dominated` calls it."""
-    weak = a[0, :, None] <= b[0]
-    for k in range(1, len(b)):
-        weak &= a[k, :, None] <= b[k]
-    return weak.any(axis=0)
+    return np.logical_or.reduce(np.logical_and.reduce(a[:, :, None] <= b[:, None, :]))
 
 
 def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
@@ -218,7 +220,10 @@ def _dominated(
     exactly one :func:`dom_nature` call per pair; M = 2 blocks of up to
     ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
     members' tuples unless ``member_cols`` is given; the rest run
-    :func:`_dominated_cols`, one numpy comparison per objective.
+    :func:`_dominated_cols`, one 3-D numpy comparison of the whole block,
+    whose temporary takes M·g·n bytes for ``g`` peers and ``n`` members
+    where a comparison per objective took 2·g·n: for one 2000 x 2000
+    block at M = 5 the tracemalloc peak goes from 7.75 MiB to 22.9 MiB.
 
     The one block rule: the two larger paths test weak dominance only, a
     peer no worse than a member in every objective, and the caller
@@ -462,7 +467,7 @@ class FrontSet:
         if not self._keeps_record(len(front)):
             return None
         if front.buf is None:
-            front.buf = np.ascontiguousarray(_cols(front, self.m))
+            front.buf = _cols(front, self.m)
         return front.buf[:, : len(front)]
 
     @property

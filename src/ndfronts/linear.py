@@ -65,8 +65,9 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     a front of at least ``_SCAN_MIN_WIDTH`` members, is tested whole
     through its record (see :meth:`~ndfronts.core.FrontSet._columns`,
     which raises while building one for a member of another M) by
-    :func:`_scan_columns`.  A narrower front at M = 2 or 3, even one that
-    keeps a record, is tested one member at a time with
+    :func:`_scan_columns`, against the probe's ``(M, 1)`` column, built
+    once per call at the first such front.  A narrower front at M = 2 or
+    3, even one that keeps a record, is tested one member at a time with
     :func:`~ndfronts.core.dom_nature`'s rule unrolled inline; a member
     reached whose M is not the probe's raises
     :class:`~ndfronts.core.DimensionMismatchError`.  The scans are
@@ -85,11 +86,14 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     nat, rank, pos = -1, lo - 1, 0
     if m != fs.m and rank < hi:
         raise _mismatch(probe, fronts[rank][0])
+    col = None  # the probe as an (M, 1) column, built at the first numpy scan
     while nat == -1 and rank < hi:
         front = fronts[rank]
         rank += 1
         if m > 3 or len(front) >= _SCAN_MIN_WIDTH:
-            nat, pos = _scan_columns(fs._columns(front), front, probe)
+            if col is None:
+                col = np.array(objs)[:, None]
+            nat, pos = _scan_columns(fs._columns(front), front, col, pid)
         else:
             # unrolled: the probe weakly dominating the member is a dominance
             # unless the vectors are equal, when only the probe's own id stops
@@ -129,22 +133,28 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     return nat, rank, pos
 
 
-def _scan_columns(cols: np.ndarray, front: list[Solution], probe: Solution) -> tuple[int, int]:
+def _scan_columns(cols: np.ndarray, front: list[Solution], col: np.ndarray, pid: str) -> tuple[int, int]:
     """:func:`_first_witness`'s answer for ``front`` given as its record,
     an ``(M, n)`` objective array (every front at M > 3, a wide one
-    otherwise), from one numpy comparison of every member: the first
-    weakly related member decides unless its vector equals the probe's
-    under another id, when the scan steps on to the next.  Uncounted, so
-    only :func:`_first_witness` calls it."""
-    p = np.array(probe.objectives)[:, None]
-    ge = (cols >= p).all(axis=0)  # the probe weakly dominates the member
-    le = (cols <= p).all(axis=0)  # the member weakly dominates the probe
+    otherwise), against the probe given as its ``(M, 1)`` column ``col``
+    and its id ``pid``, from one numpy comparison of every member each
+    way: the first weakly related member decides unless its vector equals
+    the probe's under another id, when the scan steps on to the next.
+    ``(0, 0)`` comes as soon as no member is weakly related, and the
+    deciding member's two flags are read as Python bools.  Its temporaries
+    are ``(M, n)`` bool arrays, M·n bytes each.  Uncounted, so only
+    :func:`_first_witness` calls it."""
+    ge = np.logical_and.reduce(cols >= col)  # the probe weakly dominates the member
+    le = np.logical_and.reduce(cols <= col)  # the member weakly dominates the probe
     weak = ge | le
     w = int(weak.argmax())
-    while weak[w] and ge[w] and le[w] and front[w].id != probe.id:
+    while weak.item(w):
+        dominates, dominated = ge.item(w), le.item(w)
+        if not (dominates and dominated) or front[w].id == pid:
+            return dominates - dominated, w + 1
         weak[w] = False  # an equal vector that is not the probe
         w = int(weak.argmax())
-    return (int(ge[w]) - int(le[w]), w + 1) if weak[w] else (0, 0)
+    return 0, 0
 
 
 def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Counter) -> np.ndarray:

@@ -167,10 +167,10 @@ def _bools(mask) -> list:
 
 @st.composite
 def grid_blocks(draw):
-    """Two lists of grid solutions with one M in {2, 3, 5}; up to 12 x 12, and
-    up to 20 x 20 at M = 2, so blocks fall on every side of each crossover,
-    empty ones included."""
-    m = draw(st.sampled_from([2, 3, 5]))
+    """Two lists of grid solutions with one M in {2, 3, 4, 5}, every M the
+    scan tests use; up to 12 x 12, and up to 20 x 20 at M = 2, so blocks
+    fall on every side of each crossover, empty ones included."""
+    m = draw(st.sampled_from([2, 3, 4, 5]))
     width = math.isqrt(core._BLOCK_MAX_PAIRS_M2) + 4 if m == 2 else 12
     side = st.lists(st.tuples(*[grid_values] * m), max_size=width)
     peers = [Solution(f"p{i}", vec) for i, vec in enumerate(draw(side))]
@@ -292,18 +292,35 @@ def test_dominated_dimension_mismatch_counts_nothing(width):
     assert c.pair_compares == 0
 
 
-def _record_of(side: list[Solution], m: int) -> np.ndarray:
-    """The record :meth:`FrontSet._columns` would build for ``side``."""
-    return np.ascontiguousarray(core._cols(side, m))
+@pytest.mark.parametrize("n", [1, 4, 5, 60])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_cols_is_a_c_contiguous_array_of_the_members_columns(m, n):
+    # a block's 3-D comparison reads a contiguous side several times faster
+    # than a transposed view; one member comes from np.array, more from fromiter
+    sols = [Solution(f"s{j}", [j * m + k for k in range(m)]) for j in range(n)]
+    cols = core._cols(sols, m)
+    assert cols.shape == (m, n) and cols.dtype == np.float64 and cols.flags.c_contiguous
+    assert cols.T.tolist() == [list(sol.objectives) for sol in sols]
+
+
+def _record_of(side: list[Solution], m: int, spare: int = 0) -> np.ndarray:
+    """The record :meth:`FrontSet._columns` would hand out for ``side``: the
+    first ``len(side)`` columns of a buffer with ``spare`` more, which hold
+    -inf, a value that weakly dominates every member."""
+    buf = np.full((m, len(side) + spare), -np.inf)
+    buf[:, : len(side)] = core._cols(side, m)
+    return buf[:, : len(side)]
 
 
 @given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
 def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
+    # each record is a FrontSet-style view with spare columns of -inf past
+    # its width: a kernel that read past the width would hit every member
     peers, members = block
     m = next((sol.m for sol in peers + members), 2)
     recs = [
-        _record_of(peers, m) if given_side != "members" else None,
-        _record_of(members, m) if given_side != "peers" else None,
+        _record_of(peers, m, spare=3) if given_side != "members" else None,
+        _record_of(members, m, spare=3) if given_side != "peers" else None,
     ]
     peer_cols, member_cols = recs
     want_counter, got_counter = Counter(), Counter()

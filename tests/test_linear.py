@@ -862,9 +862,9 @@ def test_wide_front_insert_kernel_calls_are_all_counted(monkeypatch, approach, p
     scans = []
     audited = ndfronts.linear._scan_columns
 
-    def numpy_scan(cols, front, probe):
+    def numpy_scan(cols, *args):
         scans.append(cols.shape[1])
-        return audited(cols, front, probe)
+        return audited(cols, *args)
 
     monkeypatch.setattr(ndfronts.linear, "_scan_columns", numpy_scan)
     c = Counter()
@@ -1059,6 +1059,36 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
     nat, pos = _loop_scan(front, probe, want_counter)
     assert ndfronts.linear._first_witness(fs, probe, 1, 1, got_counter) == (nat, 1, pos)
     assert got_counter.pair_compares == want_counter.pair_compares
+
+
+def test_a_five_objective_search_builds_one_probe_column(monkeypatch):
+    # at M > 3 every front is scanned in numpy; a probe below all four fronts
+    # passes each, and every scan gets the column built at the first
+    fs = FrontSet(
+        5,
+        [[Solution(f"{name}{i}", (i + d, 8.0 - i + d, 0.0, 0.0, 0.0)) for i in range(8)] for name, d in (("t", 0.0), ("b", 0.5), ("c", 1.0), ("e", 1.5))],
+    )
+    assert validate(fs) == []
+    columns = []
+    scan = ndfronts.linear._scan_columns
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda cols, front, col, pid: columns.append(col) or scan(cols, front, col, pid))
+    probe = Solution("p", (20.0, 20.0, 1.0, 1.0, 1.0))
+    c = Counter()
+    APPROACHES["linear"].insert(fs, probe, c)
+    assert len(columns) == 4 and all(col is columns[0] for col in columns)
+    assert columns[0].shape == (5, 1) and columns[0].ravel().tolist() == list(probe.objectives)
+    assert c.pair_compares == 4 and fs.k == 5 and fs.fronts[-1] == [probe]  # each front's first member decides
+
+
+def test_a_narrow_two_objective_search_builds_no_probe_column(monkeypatch):
+    # narrow fronts at M = 2 are scanned member by member: with linear's numpy
+    # gone, a search through three of them still gives the same answers
+    fs = FrontSet(2, [[s(f"{name}{i}", i + d, 8 - i + d) for i in range(8)] for name, d in (("t", 0), ("b", 0.5), ("c", 1))])
+    probes = [s("below", 20, 20), s("middle", 3.25, 5.25), s("b3", 3.5, 5.5), s("above", -1, -1)]
+    want = [ndfronts.linear._first_witness(fs, probe, 1, fs.k, Counter()) for probe in probes]
+    monkeypatch.setattr(ndfronts.linear, "np", None)  # any numpy call in the search raises
+    assert [ndfronts.linear._first_witness(fs, probe, 1, fs.k, Counter()) for probe in probes] == want
+    assert want == [(-1, 3, 1), (1, 2, 4), (0, 2, 4), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
