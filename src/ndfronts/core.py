@@ -351,6 +351,12 @@ class FrontSet:
     scans check neither.
     At most one mutator may act on a FrontSet at a time, while read-only
     traversals may share a snapshot freely.
+
+    Searches assume a valid partition, as :func:`validate` checks it: the
+    numpy front scan (:func:`ndfronts.linear._scan_columns`) takes each
+    front for an antichain, and a hand-built set that is not valid may be
+    answered otherwise than by the member-by-member scan.  The CLI's
+    ``run --fs`` validates the dump it loads before any search.
     """
 
     __slots__ = ("m", "fronts", "_ids")

@@ -13,6 +13,12 @@ its members and its record (see :class:`~ndfronts.core.FrontSet`), and no
 scan or cascade step keeps a copy of them for a later one.  Comparisons
 stop at the first deciding witness exactly where the update rules allow,
 which makes counter values reproducible run over run.
+
+Both the scan and the cascade rely on ``fs`` being a valid partition, so
+that every front is an antichain: the cascade's weak blocks (see
+:func:`~ndfronts.core._dominated`), and the numpy front scan, which tests
+the dominator side first and passes a front as soon as its first member
+no worse than the probe differs from the probe (see :func:`_scan_columns`).
 """
 
 from __future__ import annotations
@@ -56,7 +62,12 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     as an antichain it cannot hold both a member dominating ``probe`` and
     one that ``probe`` dominates.  An insert probe's id is never stored
     (:meth:`~ndfronts.core.FrontSet.admit` guarantees it), so an insert
-    stops at a dominance only.
+    stops at a dominance only.  The numpy scan leans on the antichain
+    further: it tests the dominator side first and passes a front whose
+    first member no worse than ``probe`` differs from it after that one
+    comparison (see :func:`_scan_columns`).  So the fronts scanned must be
+    antichains, as every front of a valid partition is; on others the
+    answer may differ from the member loop's.
 
     The whole run of ranks is one call, so the linear order pays Python's
     call overhead once per search rather than per front.  A probe whose M
@@ -93,7 +104,7 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
         if m > 3 or len(front) >= _SCAN_MIN_WIDTH:
             if col is None:
                 col = np.array(objs)[:, None]
-            nat, pos = _scan_columns(fs._columns(front), front, col, pid)
+            nat, pos = _scan_columns(fs._columns(front), front, col, probe)
         else:
             # unrolled: the probe weakly dominating the member is a dominance
             # unless the vectors are equal, when only the probe's own id stops
@@ -133,28 +144,37 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     return nat, rank, pos
 
 
-def _scan_columns(cols: np.ndarray, front: list[Solution], col: np.ndarray, pid: str) -> tuple[int, int]:
+def _scan_columns(cols: np.ndarray, front: list[Solution], col: np.ndarray, probe: Solution) -> tuple[int, int]:
     """:func:`_first_witness`'s answer for ``front`` given as its record,
     an ``(M, n)`` objective array (every front at M > 3, a wide one
-    otherwise), against the probe given as its ``(M, 1)`` column ``col``
-    and its id ``pid``, from one numpy comparison of every member each
-    way: the first weakly related member decides unless its vector equals
-    the probe's under another id, when the scan steps on to the next.
-    ``(0, 0)`` comes as soon as no member is weakly related, and the
-    deciding member's two flags are read as Python bools.  Its temporaries
-    are ``(M, n)`` bool arrays, M·n bytes each.  Uncounted, so only
-    :func:`_first_witness` calls it."""
-    ge = np.logical_and.reduce(cols >= col)  # the probe weakly dominates the member
+    otherwise), against ``probe``, also given as its ``(M, 1)`` column
+    ``col``.  Uncounted, so only :func:`_first_witness` calls it.
+
+    It relies on ``front`` being an antichain, as every front of a valid
+    partition is, and tests the dominator side first: one numpy comparison
+    finds the members no worse than the probe in every objective.  If the
+    first of them differs from the probe, it dominates the probe, and no
+    member of an antichain equals the probe or is dominated by it, since
+    that first member would dominate it too: the answer is ``(-1, w + 1)``
+    at once, and the other side is never compared.  If it equals the
+    probe, every weakly related member is an equal vector, and only the
+    probe's own id among them stops the scan, with nature 0.  With no such
+    member a second comparison finds the first member the probe dominates,
+    or none, ``(0, 0)``.  A front that is not an antichain may be answered
+    otherwise than by the member loop.  Its temporaries are ``(M, n)``
+    bool arrays, M·n bytes each."""
     le = np.logical_and.reduce(cols <= col)  # the member weakly dominates the probe
-    weak = ge | le
-    w = int(weak.argmax())
-    while weak.item(w):
-        dominates, dominated = ge.item(w), le.item(w)
-        if not (dominates and dominated) or front[w].id == pid:
-            return dominates - dominated, w + 1
-        weak[w] = False  # an equal vector that is not the probe
-        w = int(weak.argmax())
-    return 0, 0
+    w = int(le.argmax())
+    if le.item(w):
+        if front[w].objectives != probe.objectives:
+            return -1, w + 1
+        for i in np.flatnonzero(le).tolist():  # every one an equal vector
+            if front[i].id == probe.id:
+                return 0, i + 1
+        return 0, 0
+    ge = np.logical_and.reduce(cols >= col)  # the probe dominates the member
+    w = int(ge.argmax())
+    return (1, w + 1) if ge.item(w) else (0, 0)
 
 
 def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Counter) -> np.ndarray:

@@ -986,15 +986,19 @@ def test_unrolled_scan_matches_the_dom_nature_loop_on_a_tie_grid(monkeypatch, m,
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m):
-    # a stack of subsets of the tie grid over {-0.0, 0.0, 1.0}^M, narrower
-    # than the record width, with a front of the whole grid repeated past it
-    # at rank 3, so a run of ranks reads a record mid-run; the scan only
-    # reads the fronts, so they need not be a valid partition
+    # a stack of antichains drawn from the tie grid over {-0.0, 0.0, 1.0}^M,
+    # each front one coordinate-sum level of it, duplicates allowed, so
+    # every front keeps tied vectors: narrower than the record width, with a
+    # front past it at rank 3, so a run of ranks reads a record mid-run.  The
+    # numpy scan relies on each front being an antichain, and on nothing
+    # else: the stack need not be a valid partition
     rng = random.Random(m)
     grid = list(itertools.product([-0.0, 0.0, 1.0], repeat=m))
-    narrow = [rng.sample(grid, rng.randrange(3, min(len(grid), CROSSOVER))) for _ in range(4)]
-    wide = grid * -(-CROSSOVER // len(grid))
+    levels = [[vec for vec in grid if sum(vec) == total] for total in range(m + 1)]
+    narrow = [rng.choices(rng.choice(levels), k=rng.randrange(3, min(len(grid), CROSSOVER))) for _ in range(4)]
+    wide = rng.choices(levels[m // 2], k=CROSSOVER + 7)
     stack = [[Solution(f"r{r}-{i}", vec) for i, vec in enumerate(front)] for r, front in enumerate(narrow[:2] + [wide] + narrow[2:], 1)]
+    assert all(dom_nature(a, b, Counter()) == 0 for front in stack for a, b in itertools.combinations(front, 2))
     fs = FrontSet(m, stack)
     # at M >= 3 the narrow fronts keep a record once read too; at M = 3 only
     # the wide one is scanned in numpy, and at M > 3 every front is
@@ -1040,11 +1044,14 @@ def test_rank_loop_matches_the_dom_nature_loop_rank_by_rank(monkeypatch, m):
 def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_kind):
     rng = random.Random(seed)
     zero = lambda: rng.choice([0.0, -0.0])  # noqa: E731
-    if shape == "grid":  # ties and dominance everywhere, so witnesses come early
+    if shape == "grid":  # one coordinate-sum level of a tie grid, duplicates allowed: an antichain full of ties
         grid = [-0.0, 0.0, 1.0, 2.0]
-        vecs = [tuple(rng.choice(grid) for _ in range(m)) for _ in range(n)]
-        probe_vec = tuple(rng.choice(grid) for _ in range(m))
-    else:  # an antichain: no witness, so only the probe itself or the end stops the scan
+        total = rng.randrange(2 * m + 1)
+        level = [vec for vec in itertools.product(grid, repeat=m) if sum(vec) == total]
+        vecs = rng.choices(level, k=n)
+        # a member's vector, or any vector of the grid, so witnesses come either way
+        probe_vec = rng.choice([rng.choice(vecs), tuple(rng.choice(grid) for _ in range(m))])
+    else:  # a line of distinct vectors: no witness, so only the probe itself or the end stops the scan
         vecs = [(float(i), float(n - i), *(zero() for _ in range(m - 2))) for i in range(n)]
         x = rng.randrange(2 * n + 1) / 2  # a member's vector when whole
         probe_vec = (x, n - x, *(zero() for _ in range(m - 2)))
@@ -1061,6 +1068,32 @@ def test_wide_front_scan_matches_the_dom_nature_loop(m, n, shape, seed, probe_ki
     assert got_counter.pair_compares == want_counter.pair_compares
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=5, max_size=5), min_size=1, max_size=40),
+    st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]), min_size=5, max_size=5), max_size=6),
+)
+def test_numpy_scan_matches_the_dom_nature_loop_on_every_front_of_a_sorted_population(m, rows, fresh):
+    # tie-heavy integer populations, partitioned by full_sort: every front is
+    # an antichain, which is all the numpy scan relies on.  Each front's
+    # record is scanned for every member under its own id, for every
+    # member's vector under the next solution's id, and for fresh vectors
+    # under an absent id; at M = 2 a narrow front's array is built as a
+    # record would be
+    pop = [Solution(f"p{i}", row[:m]) for i, row in enumerate(rows)]
+    fs = full_sort(pop, m)
+    probes = pop + [Solution(pop[(i + 1) % len(pop)].id, sol.objectives) for i, sol in enumerate(pop)]
+    probes += [Solution("fresh", row[:m]) for row in fresh]
+    for front in fs.fronts:
+        cols = fs._columns(front)
+        if cols is None:
+            cols = ndfronts.core._cols(front, m)
+        for probe in probes:
+            col = np.array(probe.objectives)[:, None]
+            assert ndfronts.linear._scan_columns(cols, front, col, probe) == _loop_scan(front, probe, Counter()), probe
+
+
 def test_a_five_objective_search_builds_one_probe_column(monkeypatch):
     # at M > 3 every front is scanned in numpy; a probe below all four fronts
     # passes each, and every scan gets the column built at the first
@@ -1071,7 +1104,7 @@ def test_a_five_objective_search_builds_one_probe_column(monkeypatch):
     assert validate(fs) == []
     columns = []
     scan = ndfronts.linear._scan_columns
-    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda cols, front, col, pid: columns.append(col) or scan(cols, front, col, pid))
+    monkeypatch.setattr(ndfronts.linear, "_scan_columns", lambda cols, front, col, probe: columns.append(col) or scan(cols, front, col, probe))
     probe = Solution("p", (20.0, 20.0, 1.0, 1.0, 1.0))
     c = Counter()
     APPROACHES["linear"].insert(fs, probe, c)
