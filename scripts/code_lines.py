@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -56,4 +58,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # as the CLI does when the reader closes stdout early: exit 141
+        # quietly, with stdout on devnull so the last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

@@ -9,7 +9,9 @@ cost of one from-scratch sort of the final population.
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import sys
 
 from ndfronts import APPROACHES, Counter, Solution, full_sort, gen_antichain, gen_chain, same_partition
 from ndfronts.cli import sort_online
@@ -58,4 +60,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # as the CLI does when the reader closes stdout early: exit 141
+        # quietly, with stdout on devnull so the last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

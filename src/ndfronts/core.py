@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import attrgetter, not_
+from operator import not_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,17 +67,16 @@ class DomRelation(Enum):
 class Counter:
     """Monotone tally of solution-pair dominance comparisons.
 
-    A :func:`dom_nature` call adds exactly one, no matter how many
-    objectives the pair carries, and a :func:`_dominated` block adds one for
-    every pair in it, whichever way it tests them: with :func:`dom_nature`
-    calls, unrolled at M = 2, or in numpy (see :func:`_dominated`).  The
-    only other place that counts
-    is the front scan (:func:`ndfronts.linear._first_witness`), one call per
-    run of ranks: it tests every front in numpy at M > 3, and at M = 2 or 3
-    each wide front in numpy and each narrow one member by member, unrolled,
-    all uncounted, and adds as it passes each front the pairs the
-    sequential scan tests there.
-    Reset it between operations to read per-operation costs.
+    The charging rule: a pair counts one, however many objectives it
+    carries, and only three kernels count.  A :func:`dom_nature` call
+    charges its pair.  A :func:`_dominated` block charges every pair in it,
+    ``len(peers) * len(members)``, whatever path tests it.  The front scan
+    (:func:`ndfronts.linear._first_witness`) charges what a sequential scan
+    tests: for each front it passes, the pairs up to the member that
+    decides the front, or the front's width when none does, however the
+    front is tested.  Whether a block should charge as a scan does is
+    ROADMAP.md's item 13.  Reset it between operations to read
+    per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -101,19 +100,10 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     dominates ``a``, 0 otherwise.
 
     Identical vectors cannot dominate each other and yield 0.  This is the
-    library's reference pair kernel, for any M: the smallest
-    :func:`_dominated` blocks, :func:`validate` and :func:`check_dom` call
-    it.  At M = 2 the pair is unrolled: two weak tests each way, and a
-    strict one only when ``a`` is no worse in both.  At any other M it
-    walks the coordinates and stops as soon as each side has won one.
-    :func:`_dominated`'s larger blocks test only its weak half, which is
-    the whole rule where no pair can be equal vectors, unrolled at M = 2
-    (:func:`_dominated_m2`) or in numpy, and
-    :func:`ndfronts.linear._first_witness` applies it to one probe and the
-    members of a run of fronts in one call, with no call per pair or per
-    front: in numpy for every front at M > 3 and for a front of at least
-    ``_SCAN_MIN_WIDTH`` members at M = 2 or 3, and otherwise member by
-    member, unrolled.
+    library's reference pair kernel, for any M; :func:`_dominated` and
+    :func:`ndfronts.linear._first_witness` apply its rule without a call
+    per pair.  At M = 2 the pair is unrolled; at any other M it walks the
+    coordinates and stops as soon as each side has won one.
     """
     ao, bo = a.objectives, b.objectives
     m = len(ao)
@@ -139,34 +129,18 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     return 1 if a_better else -1 if b_better else 0
 
 
-# Below this many pairs a block runs the dom_nature loop: one list
-# comprehension over the members per peer, one call per pair, returning its
-# list as the mask.  dom_nature's M = 2 pair is unrolled too.  The unrolled
-# M = 2 block would still beat it (it saves the call per pair), but the loop
-# is kept because perfbench's tracer divides by the dom_nature calls it
-# counts, and a two-objective run needs some (see ROADMAP.md, item 1).
+# The block paths' thresholds: _dominated states the paths and the reasons.
 _BLOCK_MIN_PAIRS = 32
-# Up to this many pairs an M = 2 block is tested unrolled in Python, which
-# beats numpy's fixed cost per block; larger blocks, blocks whose members
-# come as a record's columns, and every block of another M go to numpy
-# (measured with perfbench and timeit; see CHANGES.md).
 _BLOCK_MAX_PAIRS_M2 = 256
 
 
 def _cols(sols: list[Solution], m: int) -> np.ndarray:
     """Objectives of ``sols`` as a C-contiguous ``(M, n)`` float64 array
-    whose column ``j`` holds ``sols[j]``, read row by row from their
-    tuples in one flat pass, or with one ``np.array`` call for a single
-    member, whose ``(M, 1)`` transpose is contiguous too.  A block's 3-D
-    comparison (:func:`_dominated_cols`) reads a contiguous side several
-    times faster than a transposed view.
-
-    Every array of a group of members, record or block side, is built
-    here, so this is where a member whose M is not ``m`` is caught: it
-    raises :class:`DimensionMismatchError`, a ValueError, before reading
-    any value.  A flat read alone would accept members whose lengths only
-    sum to ``n * m``.
-    """
+    whose column ``j`` holds ``sols[j]``: :func:`_dominated_cols` reads a
+    contiguous side several times faster than a transposed view.  Raises
+    :class:`DimensionMismatchError` before reading any value unless every
+    member has M = ``m``, since a flat read alone would accept members
+    whose lengths only sum to ``n * m``."""
     objs = [sol.objectives for sol in sols]
     if not {m}.issuperset(map(len, objs)):
         odd = next(sol for sol in sols if sol.m != m)
@@ -177,20 +151,17 @@ def _cols(sols: list[Solution], m: int) -> np.ndarray:
 
 
 def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether some peer column of ``a`` ``(M, g)`` weakly dominates each
-    member column of ``b`` ``(M, n)``, as ``n`` bools: one 3-D comparison
-    of every objective of every pair, reduced over the objectives and then
-    over the peers (see :func:`_dominated`).  Its temporary is an
-    ``(M, g, n)`` bool array, M·g·n bytes.  Uncounted, so only
-    :func:`_dominated` calls it."""
+    """:func:`_dominated`'s numpy path: whether some peer column of ``a``
+    ``(M, g)`` weakly dominates each member column of ``b`` ``(M, n)``, as
+    ``n`` bools, from one 3-D comparison whose temporary takes M·g·n
+    bytes.  Uncounted, so only :func:`_dominated` calls it."""
     return np.logical_or.reduce(np.logical_and.reduce(a[:, :, None] <= b[:, None, :]))
 
 
 def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
-    """Whether some peer weakly dominates each member, for M = 2 objective
-    pairs: one pass over the members per peer, with every pair tested
-    before the running flag is read (see :func:`_dominated`).  Uncounted,
-    so only :func:`_dominated` calls it."""
+    """:func:`_dominated`'s unrolled M = 2 path on objective tuples, every
+    pair tested before the running flag is read.  Uncounted, so only
+    :func:`_dominated` calls it."""
     hit = [False] * len(member_objs)
     for p0, p1 in peer_objs:
         hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
@@ -205,55 +176,48 @@ def _dominated(
     member_cols: np.ndarray | None,
 ) -> list[bool] | np.ndarray:
     """Whether some peer dominates each member: a mask with ``mask[j]``
-    True when a member of ``peers`` dominates ``members[j]``.  The numpy
-    path returns a bool array; the two Python paths, the :func:`dom_nature`
-    loop and the unrolled M = 2 path, and an empty block return the list of
-    bools they built.  A cascade step hands the mask, list or array, to
-    :meth:`FrontSet._move`.
+    True when a member of ``peers`` dominates ``members[j]``, as a list of
+    bools from the Python paths and an empty block, and as a bool array
+    from numpy.  Every pair is tested and charged (see :class:`Counter`).
 
-    Every pair is tested, with no early exit, and the block adds exactly
-    ``len(peers) * len(members)`` to ``counter``.  Mixed objective counts
-    raise :class:`DimensionMismatchError` before anything is counted.
-    The path depends on the pair count, M and ``member_cols`` alone.
-    Blocks of fewer than ``_BLOCK_MIN_PAIRS`` pairs run the
-    :func:`dom_nature` loop: one pass over the members per peer, with
-    exactly one :func:`dom_nature` call per pair; M = 2 blocks of up to
-    ``_BLOCK_MAX_PAIRS_M2`` pairs run :func:`_dominated_m2` on the
-    members' tuples unless ``member_cols`` is given; the rest run
-    :func:`_dominated_cols`, one 3-D numpy comparison of the whole block,
-    whose temporary takes M·g·n bytes for ``g`` peers and ``n`` members
-    where a comparison per objective took 2·g·n: for one 2000 x 2000
-    block at M = 5 the tracemalloc peak goes from 7.75 MiB to 22.9 MiB.
+    The block paths, picked by the pair count, M and ``member_cols`` alone:
 
-    The one block rule: the two larger paths test weak dominance only, a
-    peer no worse than a member in every objective, and the caller
-    promises that no member's vector equals a peer's.  Without equal
-    vectors a weak dominance is a dominance, so every path gives the same
-    mask; for a member equal to a peer the larger paths answer True and
-    the :func:`dom_nature` loop False.  Every step of a cascade
-    (:func:`ndfronts.linear._cascade`) after an insert or a delete keeps
-    the promise: its peers are part of one front of the partition as it
-    stood before the operation, and its members are the next front.  In a
-    valid partition no member ``y`` of front ``j + 1`` equals a member
-    ``x`` of front ``j``: the ``z`` of front ``j`` that dominates ``y``
-    would dominate ``x`` too, and front ``j`` is an antichain.
+    - under ``_BLOCK_MIN_PAIRS`` pairs, the floor: one :func:`dom_nature`
+      call per pair.  The unrolled path would beat it, but perfbench's
+      tracer divides by the calls it counts, and a two-objective run needs
+      some (ROADMAP.md, item 1);
+    - at M = 2, up to ``_BLOCK_MAX_PAIRS_M2`` pairs whose members come as
+      tuples: :func:`_dominated_m2`, which beats numpy's fixed cost per
+      block there.  Members given as a record stay on numpy, which
+      measured faster than unpacking their tuples (ROADMAP.md);
+    - every other block: :func:`_dominated_cols`.  A side given as
+      ``peer_cols`` or ``member_cols``, a front's record or a slice of it
+      (see :meth:`FrontSet._columns`), is read as it is; any other side is
+      built by :func:`_cols`.
+
+    The block rule: the two larger paths test weak dominance only, a peer
+    no worse than a member in every objective, so for a member equal to a
+    peer they answer True where the floor answers False.  The caller
+    promises that no member's vector equals a peer's, which makes every
+    path's mask the same.  Every cascade step keeps it, since adjacent
+    fronts share no vector (see :class:`FrontSet`), and
     :func:`ndfronts.linear.dom_set` settles such ties itself.
 
-    ``peer_cols`` and ``member_cols`` may give a side's objectives as an
-    ``(M, n)`` array whose column ``j`` holds that side's ``j``-th member,
-    such as a front's stored record (see :class:`FrontSet`) or a slice of
-    it.  The block then
-    reads them instead of building an array from the members' tuples, and
-    checks that side's M by the array's shape alone: such an array was
-    built by :func:`_cols`, which admits only members of its M.
+    A block whose first member's M is not its first peer's raises
+    :class:`DimensionMismatchError` before anything is counted.  That is
+    the one check a block needs: every stored member has its set's M, so
+    the only odd solution an API call can hand a block is ``dom_set``'s new
+    one, at ``peers[0]``.  A block mixed by hand further in still raises,
+    from :func:`dom_nature`, the unrolled path or :func:`_cols`, though
+    the floor has by then counted the pairs before the odd member.
     """
     if not peers or not members:
         return [False] * len(members)
     m = len(peers[0].objectives)
+    if len(members[0].objectives) != m:
+        raise _mismatch(peers[0], members[0])
     pairs = len(peers) * len(members)
     if pairs < _BLOCK_MIN_PAIRS:
-        if not {m}.issuperset(map(len, map(attrgetter("objectives"), chain(peers, members)))):
-            raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m))
         hit = [False] * len(members)
         for p in peers:  # dom_nature is called before the running flag is read
             hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
@@ -265,15 +229,10 @@ def _dominated(
             raise _mismatch(peers[0], next(sol for sol in chain(peers, members) if sol.m != m)) from None
         counter.pair_compares += pairs
         return hit
-    sides = []
-    for side, cols in ((peers, peer_cols), (members, member_cols)):
-        if cols is None:
-            cols = _cols(side, m)
-        elif len(cols) != m:
-            raise _mismatch(peers[0], side[0])
-        sides.append(cols)
+    a = _cols(peers, m) if peer_cols is None else peer_cols
+    b = _cols(members, m) if member_cols is None else member_cols
     counter.pair_compares += pairs
-    return _dominated_cols(*sides)
+    return _dominated_cols(a, b)
 
 
 def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
@@ -284,11 +243,8 @@ def check_dom(a: Solution, b: Solution, counter: Counter) -> DomRelation:
     return DomRelation(nat)
 
 
-# At M = 2 and 3 fronts at least this wide are scanned with numpy, reading
-# their record, and narrower ones keep the unrolled member loop even when
-# they hold one; at M > 3 every front is scanned with numpy (measured with
-# perfbench; see CHANGES.md).  Which fronts keep a record is
-# FrontSet._keeps_record's rule.
+# The width threshold of the scan paths (ndfronts.linear._first_witness)
+# and of the M = 2 record rule (FrontSet._keeps_record), set with perfbench.
 _SCAN_MIN_WIDTH = 96
 
 
@@ -296,14 +252,8 @@ class Front(list):
     """The members of one front, in order, and its record: :attr:`buf` is
     None or an ``(M, capacity)`` float64 array whose first ``len(front)``
     columns hold the members' objectives, column ``j`` those of the
-    ``j``-th member.  Probe scans and the cascade's :func:`_dominated`
-    tests read that slice directly; every member has the array's M, so its
-    shape alone answers a dimension check.
-
-    Only :class:`FrontSet`'s mutators edit a front and its record, and
-    always together, so the two agree.  Only :meth:`FrontSet._columns`
-    hands the record out, and only it builds one from the members'
-    tuples.
+    ``j``-th member.  Only :class:`FrontSet` edits the two, together, and
+    only :meth:`FrontSet._columns` hands the record out or builds it.
     """
 
     # a class-level default, not __slots__: building a front stays cheap
@@ -324,39 +274,36 @@ def _extend(front: Front, n: int, cols: np.ndarray) -> None:
 class FrontSet:
     """Ordered partition of solutions into fronts of decreasing dominance.
 
-    ``fronts[0]`` is the rank-1 (best) front.  Stored solutions have the
-    set's M and distinct ids: the constructor and :meth:`admit`, which every
-    insert calls first, raise :class:`DimensionMismatchError` or
-    :class:`DuplicateIdError` otherwise.  Only :meth:`admit` and
-    :meth:`remove` change the id index.
+    ``fronts[0]`` is the rank-1 (best) front, and every front is a
+    :class:`Front`.  The constructor and :meth:`admit`, which every insert
+    calls first, raise :class:`DimensionMismatchError` or
+    :class:`DuplicateIdError` unless each solution has the set's M and an
+    id not yet stored.  Only :meth:`admit` and :meth:`remove` change the id
+    index.
 
-    Each front is a :class:`Front`, and may also keep an objective array,
-    its record, which its probe scans and the ``dom_set`` and cascade
-    blocks that test it read.  The front holds its record itself, which
-    :meth:`_columns`, the only way to read one and the only code that
-    builds one, builds on first read, and keeps while :meth:`_keeps_record`
-    allows: at M = 2 from ``_SCAN_MIN_WIDTH`` members on, at M >= 3 at any
-    width.  The probe scans read it at every width at M > 3, and at M = 2
-    and 3 only from ``_SCAN_MIN_WIDTH`` members on.  The contract
-    that keeps it right: a front's members are edited only through this
-    class, whose every edit applies to the members and the record together.  :meth:`remove` and :meth:`_append` edit one
-    member, and :meth:`_move` moves any number of members from one front to
-    another, columns and all, in one step.  Whole fronts in ``fronts`` may
-    be inserted, dropped or replaced, as :mod:`ndfronts.linear` does, but
-    an inserted front must be a :class:`Front`, and the members must stay
-    the solutions the id index holds: a dropped front takes its record with
-    it but leaves its ids indexed, so they still read as stored and cannot
-    be inserted again.  A front whose members are edited any other way
-    leaves its record out of step.  :func:`validate` reports both, and the
-    scans check neither.
-    At most one mutator may act on a FrontSet at a time, while read-only
-    traversals may share a snapshot freely.
+    The kernels trust these invariants of a valid partition, unchecked;
+    :func:`validate` checks them all:
 
-    Searches assume a valid partition, as :func:`validate` checks it: the
-    numpy front scan (:func:`ndfronts.linear._scan_columns`) takes each
-    front for an antichain, and a hand-built set that is not valid may be
-    answered otherwise than by the member-by-member scan.  The CLI's
-    ``run --fs`` validates the dump it loads before any search.
+    - every member has the set's M, so a block or a scan compares one
+      member's M at most (see :func:`_dominated`);
+    - every front is an antichain;
+    - every record holds its front's objectives;
+    - adjacent fronts share no vector: if a member ``y`` of front ``j + 1``
+      equalled a member ``x`` of front ``j``, the member of front ``j``
+      that dominates ``y`` would dominate ``x`` too, in the same front.
+
+    A set that breaks one may be answered otherwise than by
+    :func:`dom_nature`'s rule; the CLI's ``run --fs`` validates the dump it
+    loads before any search.  Records stay right because a front's members
+    are edited only through this class, by :meth:`remove`, :meth:`_append`
+    and :meth:`_move`, each of which edits the members and the record
+    together.  Whole fronts in ``fronts`` may be inserted, dropped or
+    replaced, as :mod:`ndfronts.linear` does, as long as an inserted front
+    is a :class:`Front` and the members stay the solutions the id index
+    holds: a dropped front takes its record with it but leaves its ids
+    indexed, so they cannot be inserted again.  At most one mutator may act
+    on a FrontSet at a time, while read-only traversals may share a
+    snapshot freely.
     """
 
     __slots__ = ("m", "fronts", "_ids")
@@ -423,19 +370,12 @@ class FrontSet:
         """Append the members of ``src`` flagged False in ``stays``, a list
         of bools or a bool array, to ``dest``, in order; return the others in
         order, as ``src`` itself when all stay and as a new front otherwise,
-        which the caller puts in ``src``'s place.  Each part is one
-        :func:`~itertools.compress` of ``src`` by a list mask: a list is used
-        as it is, and an array is turned into one.  Columns move with their
-        members: each part's columns are the mask's slice of ``src``'s
-        record, which leaves with ``src``, cut with ``ndarray.compress``,
-        so a bool array of the mask is built only when ``src`` has a
-        record.  The part that stays keeps its slice where
-        :meth:`_keeps_record` allows (at M = 2 not below
-        ``_SCAN_MIN_WIDTH``).  ``dest`` with a record has the moved columns
-        appended to it, sliced from ``src``'s record or, when ``src`` has
-        none, read from the moved members' tuples; ``dest`` without one is
-        left without one at any width, for :meth:`_columns` to build on its
-        next read."""
+        which the caller puts in ``src``'s place.  Columns move with their
+        members: the part that stays keeps its slice of ``src``'s record
+        where :meth:`_keeps_record` allows, and ``dest``, if it has a
+        record, has the moved columns appended, sliced from ``src``'s record
+        or read from the moved members' tuples.  A list mask is used as it
+        is, and a bool array is built only when ``src`` has a record."""
         keep = stays.tolist() if isinstance(stays, np.ndarray) else stays
         if all(keep):
             return src
@@ -453,23 +393,24 @@ class FrontSet:
         return kept
 
     def _keeps_record(self, width: int) -> bool:
-        """Whether a front of ``width`` members of this set keeps a record.
-        At M = 2 only from ``_SCAN_MIN_WIDTH`` members on: its narrower
-        blocks run unrolled on the members' tuples, and a record would push
-        them onto numpy.  At M >= 3 at any width: every block above the
+        """The record rule: whether a front of ``width`` members of this
+        set keeps a record.  At M >= 3 at any width: every block above the
         :func:`dom_nature` floor runs on numpy, and at M > 3 so does every
-        probe scan, so a record built once spares every later block and
-        scan the build from tuples."""
+        front scan, so a record built once spares every later block and
+        scan the build from tuples.  At M = 2 only from ``_SCAN_MIN_WIDTH``
+        members on, where the front scan reads it: a narrower front's
+        blocks run unrolled on its members' tuples, and a record would push
+        them onto numpy.  :meth:`_columns` builds a record on the first read
+        this allows; :meth:`remove` and :meth:`_move` drop one it no longer
+        allows."""
         return self.m > 2 or width >= _SCAN_MIN_WIDTH
 
     def _columns(self, front: Front) -> np.ndarray | None:
         """The ``(M, n)`` objective array of ``front``, a front of this set,
         whose column ``j`` holds ``front[j]``, or None when
         :meth:`_keeps_record` gives ``front`` no record.  This is the only
-        way to read a record; a front without one gets one, built from its
-        members' tuples, which the front keeps and this set's mutators keep
-        in step.  At M >= 3 that holds at any width, so a front's array is
-        built from tuples once, not once per cascade."""
+        way to read a record, and it builds a missing one from the members'
+        tuples, which the front then keeps."""
         if not self._keeps_record(len(front)):
             return None
         if front.buf is None:

@@ -2,23 +2,14 @@
 
 :func:`_first_witness` scans a run of front ranks, best first, for a
 solution's place, in one call; :mod:`ndfronts.dbst` decides which ranks it
-scans: all of them for the linear order, one per probe for bisection.  :func:`_settle`
-stores a new solution where the search put it, and one cascade,
-:func:`_cascade`, restores the partition below it after an insert and
-after a delete, entered through :func:`update_insert` and
-:func:`update_delete`.  No solution is ever held in two places at once:
-displaced sets are moved, not copied, so the only working storage is the
-set currently in flight.  Nor are objectives: a front's are held only in
-its members and its record (see :class:`~ndfronts.core.FrontSet`), and no
-scan or cascade step keeps a copy of them for a later one.  Comparisons
-stop at the first deciding witness exactly where the update rules allow,
-which makes counter values reproducible run over run.
-
-Both the scan and the cascade rely on ``fs`` being a valid partition, so
-that every front is an antichain: the cascade's weak blocks (see
-:func:`~ndfronts.core._dominated`), and the numpy front scan, which tests
-the dominator side first and passes a front as soon as its first member
-no worse than the probe differs from the probe (see :func:`_scan_columns`).
+scans: all of them for the linear order, one per probe for bisection.
+:func:`_settle` stores a new solution where the search put it, and one
+cascade, :func:`_cascade`, restores the partition below it after an insert
+and after a delete, entered through :func:`update_insert` and
+:func:`update_delete`.  Displaced sets are moved, not copied, so no
+solution is ever held in two places at once.  The scan and the cascade
+both rely on ``fs`` being a valid partition (see
+:class:`~ndfronts.core.FrontSet`).
 """
 
 from __future__ import annotations
@@ -62,30 +53,24 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
     as an antichain it cannot hold both a member dominating ``probe`` and
     one that ``probe`` dominates.  An insert probe's id is never stored
     (:meth:`~ndfronts.core.FrontSet.admit` guarantees it), so an insert
-    stops at a dominance only.  The numpy scan leans on the antichain
-    further: it tests the dominator side first and passes a front whose
-    first member no worse than ``probe`` differs from it after that one
-    comparison (see :func:`_scan_columns`).  So the fronts scanned must be
-    antichains, as every front of a valid partition is; on others the
-    answer may differ from the member loop's.
+    stops at a dominance only.
+
+    The scan paths, picked per front by M and its width alone:
+
+    - at M > 3, and at M = 2 or 3 from ``_SCAN_MIN_WIDTH`` members on:
+      :func:`_scan_columns` on the front's record (see
+      :meth:`~ndfronts.core.FrontSet._columns`), against the probe's
+      ``(M, 1)`` column, built once per call at the first such front;
+    - a narrower front at M = 2 or 3, even one that keeps a record: the
+      member loop inline, with :func:`~ndfronts.core.dom_nature`'s rule
+      unrolled, which beats a numpy pass there and saves a call per pair.
 
     The whole run of ranks is one call, so the linear order pays Python's
-    call overhead once per search rather than per front.  A probe whose M
-    is not the set's raises :class:`~ndfronts.core.DimensionMismatchError`
-    before any front is charged.  At M > 3 every front, and at M = 2 or 3
-    a front of at least ``_SCAN_MIN_WIDTH`` members, is tested whole
-    through its record (see :meth:`~ndfronts.core.FrontSet._columns`,
-    which raises while building one for a member of another M) by
-    :func:`_scan_columns`, against the probe's ``(M, 1)`` column, built
-    once per call at the first such front.  A narrower front at M = 2 or
-    3, even one that keeps a record, is tested one member at a time with
-    :func:`~ndfronts.core.dom_nature`'s rule unrolled inline; a member
-    reached whose M is not the probe's raises
-    :class:`~ndfronts.core.DimensionMismatchError`.  The scans are
-    uncounted; the counter gets, here and only here, the pairs the
-    sequential scan tests: for each front passed, the position where it
-    stops, or the front's width when it finds nothing.  A front that
-    raises is not charged, and the fronts before it stay charged.
+    call overhead once per search rather than per front.  Both paths are
+    uncounted; this function charges each front as it passes it (see
+    :class:`~ndfronts.core.Counter`).  A probe whose M is not the set's
+    raises :class:`~ndfronts.core.DimensionMismatchError` before any front
+    is charged.
     """
     fronts = fs.fronts
     objs, pid = probe.objectives, probe.id
@@ -145,24 +130,20 @@ def _first_witness(fs: FrontSet, probe: Solution, lo: int, hi: int, counter: Cou
 
 
 def _scan_columns(cols: np.ndarray, front: list[Solution], col: np.ndarray, probe: Solution) -> tuple[int, int]:
-    """:func:`_first_witness`'s answer for ``front`` given as its record,
-    an ``(M, n)`` objective array (every front at M > 3, a wide one
-    otherwise), against ``probe``, also given as its ``(M, 1)`` column
-    ``col``.  Uncounted, so only :func:`_first_witness` calls it.
+    """:func:`_first_witness`'s numpy path: its answer for ``front``, given
+    as its record ``cols``, against ``probe``, also given as its ``(M, 1)``
+    column ``col``.  Uncounted, so only :func:`_first_witness` calls it.
 
-    It relies on ``front`` being an antichain, as every front of a valid
-    partition is, and tests the dominator side first: one numpy comparison
-    finds the members no worse than the probe in every objective.  If the
-    first of them differs from the probe, it dominates the probe, and no
-    member of an antichain equals the probe or is dominated by it, since
-    that first member would dominate it too: the answer is ``(-1, w + 1)``
-    at once, and the other side is never compared.  If it equals the
-    probe, every weakly related member is an equal vector, and only the
-    probe's own id among them stops the scan, with nature 0.  With no such
-    member a second comparison finds the first member the probe dominates,
-    or none, ``(0, 0)``.  A front that is not an antichain may be answered
-    otherwise than by the member loop.  Its temporaries are ``(M, n)``
-    bool arrays, M·n bytes each."""
+    It takes ``front`` for an antichain (see
+    :class:`~ndfronts.core.FrontSet`) and tests the dominator side first:
+    one comparison finds the members no worse than the probe in every
+    objective.  If the first of them differs from the probe, it dominates
+    the probe, and no member equals the probe or is dominated by it, since
+    that first member would dominate it too: the answer is ``(-1, w + 1)``.
+    If it equals the probe, every such member is an equal vector, and only
+    the probe's own id among them stops the scan.  With no such member a
+    second comparison finds the first member the probe dominates, if any.
+    Its temporaries are ``(M, n)`` bool arrays, M·n bytes each."""
     le = np.logical_and.reduce(cols <= col)  # the member weakly dominates the probe
     w = int(le.argmax())
     if le.item(w):
@@ -183,20 +164,16 @@ def dom_set(fs: FrontSet, front: Front, new: Solution, start: int, counter: Coun
     ``start`` (1-based) that ``new`` dominates and True for the rest, as
     ``stays`` for :meth:`~ndfronts.core.FrontSet._move`.  Positions before
     ``start`` were classified by the caller.  The tail is one
-    ``1 x len(tail)`` :func:`~ndfronts.core._dominated` test, so each
-    candidate is compared exactly once; when
-    :meth:`~ndfronts.core.FrontSet._columns` gives the front's record (at
-    M >= 3 at any width, which builds it on first read), the tail is a
-    slice of it.  Raises IndexError, with nothing counted, unless
+    ``1 x len(tail)`` :func:`~ndfronts.core._dominated` block, on a slice
+    of the front's record where it keeps one, so each candidate is compared
+    exactly once.  Raises IndexError, with nothing counted, unless
     ``1 <= start <= len(front) + 1``.
 
-    Above the :func:`~ndfronts.core.dom_nature` floor the block tests weak
-    dominance (see :func:`~ndfronts.core._dominated`), which also hits a
-    member equal to ``new``; such a member stays.  The hits of every path
-    are searched for one, and only when one is found are the members
-    compared with ``new``.  :func:`_settle` never meets one: a tail member
-    equal to ``new`` would dominate the witness before the tail, in the
-    same front.
+    The block may answer True for a member equal to ``new`` (see the block
+    rule of :func:`~ndfronts.core._dominated`); such a member stays.  Only
+    when the block's hits hold one are the members compared with ``new``.
+    :func:`_settle` never meets one: a tail member equal to ``new`` would
+    dominate the witness before the tail, in the same front.
     """
     if not 1 <= start <= len(front) + 1:
         raise IndexError(f"start {start} out of range 1..{len(front) + 1}")
@@ -217,8 +194,7 @@ def update_insert(fs: FrontSet, index: int, counter: Counter) -> None:
 
     It assumes, unchecked, the state :func:`_settle` leaves: front
     ``index`` is the set the insert displaced from the front above it,
-    and every front below is as the partition stood before the insert.
-    The weak blocks rely on it (see :func:`~ndfronts.core._dominated`)."""
+    and every front below is as the partition stood before the insert."""
     if not 2 <= index <= len(fs.fronts):
         raise IndexError(f"front index {index} out of range for an insert cascade")
     _cascade(fs, index, counter)
@@ -260,8 +236,7 @@ def update_delete(fs: FrontSet, index: int, counter: Counter) -> None:
 
     It assumes, unchecked, that ``fs`` is a valid partition apart from the
     departed member, as a library delete leaves it and as the CLI's
-    ``run --fs``, which validates its dump, guarantees.  The weak blocks
-    rely on it (see :func:`~ndfronts.core._dominated`)."""
+    ``run --fs``, which validates its dump, guarantees."""
     if not 1 <= index < len(fs.fronts):
         raise IndexError(f"front index {index} out of range for a delete cascade")
     _cascade(fs, index, counter)
@@ -280,26 +255,12 @@ def _cascade(fs: FrontSet, index: int, counter: Counter) -> None:
     in one step come from one front and need no mutual checks.
 
     A step is one ``len(upper) x len(lower)``
-    :func:`~ndfronts.core._dominated` test, with no early exit: it always
-    costs that many comparisons, which the closed-form worst cases in
-    :mod:`ndfronts.analysis` count on.  The block reads each side's record
-    (see :meth:`~ndfronts.core.FrontSet._columns`) where that side keeps
-    one.  The members a step leaves in the lower front are the next step's
-    upper front.  At M >= 3 every front keeps its record at any width, and
-    :meth:`~ndfronts.core.FrontSet._move` slices the survivors' columns
-    into theirs, so a front's array is built from tuples once and read by
-    every later cascade.  At M = 2 a front narrower than
-    ``_SCAN_MIN_WIDTH`` keeps none, and each block reads such a side from
-    its members' tuples; no step keeps a copy for the next, so a cascade
-    reads a survivor's tuple at most twice, as one step's lower side and
-    the next step's upper side.
-
-    Each step's block follows the one block rule of
-    :func:`~ndfronts.core._dominated`: above its smallest sizes it tests
-    weak dominance only, which is exact here because both entries,
-    :func:`update_insert` and :func:`update_delete`, start from a valid
-    partition, where no member of a front equals a member of the front
-    above it.
+    :func:`~ndfronts.core._dominated` block, with each side's record where
+    it keeps one, charged in full (see :class:`~ndfronts.core.Counter`),
+    which the closed-form worst cases in :mod:`ndfronts.analysis` count on.  The members it leaves in the
+    lower front are the next step's upper front.  Both entries start from a
+    valid partition, whose adjacent fronts share no vector, so the block
+    rule holds.
     """
     while index < len(fs.fronts):
         upper, lower = fs.fronts[index - 1], fs.fronts[index]

@@ -1002,6 +1002,30 @@ def test_code_lines_script_counts_code_only(tmp_path):
     assert [line.split() for line in done.stdout.splitlines()] == [["empty.py", "0"], ["mod.py", "7"], ["total", "7"]]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["code_lines.py"], ["online_ratio.py", "--sizes", "8"]], ids=["code_lines", "online_ratio"])
+def test_script_exits_141_quietly_when_stdout_closes_early(argv, unbuffered):
+    # as the CLI does under `| head -1`.  The read end closes before the
+    # script starts, so its first write fails: at a print when unbuffered,
+    # at the final flush when buffered
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141, err
+    assert err == ""
+
+
 def test_online_ratio_script_runs_its_checks():
     # the script asserts same_partition and the N-times-offline bound itself
     done = _run_script("online_ratio.py", "--sizes", "8", "16")

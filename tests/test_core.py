@@ -279,17 +279,22 @@ def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, value
 # pairs both take the dom_nature loop, the unrolled path and numpy in turn
 @pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, core._BLOCK_MAX_PAIRS_M2])
 def test_dominated_dimension_mismatch_counts_nothing(width):
-    path = _block_path(2, width + 1)
-    assert path == _block_path(2, 2 * width)
+    assert _block_path(2, width + 1) == _block_path(2, 2 * width)
     p, odd = s("p", 0, 0), Solution("odd", (1, 2, 3))
     members = [s(f"q{j}", j, -j) for j in range(width)]
-    c = Counter()
-    for peers, block in (([p], members + [odd]), ([p, odd], members), ([odd, p], members)):
+    # an odd first member of either side fails the block's one check: the
+    # same message on every path, and nothing counted
+    for peers, block in (([p], [odd] + members), ([odd, p], members)):
+        c = Counter()
         with pytest.raises(DimensionMismatchError) as err:
-            core._dominated(peers, block, c, None, None)  # raises before any mask
-        if peers[0] is p and path != "numpy":
-            assert str(err.value) == "cannot compare 'p' (M=2) with 'odd' (M=3)"
-    assert c.pair_compares == 0
+            core._dominated(peers, block, c, None, None)
+        assert str(err.value) == str(core._mismatch(peers[0], block[0]))
+        assert c.pair_compares == 0
+    # an odd member further in, which no API call can hand a block, still
+    # raises, though the floor has counted the pairs before it by then
+    for peers, block in (([p], members + [odd]), ([p, odd], members)):
+        with pytest.raises(DimensionMismatchError):
+            core._dominated(peers, block, Counter(), None, None)
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 60])
@@ -339,8 +344,10 @@ def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
             assert rec is None or np.shares_memory(arg, rec)
 
 
-def test_dominated_checks_a_columns_side_by_its_shape():
-    # wide enough for the numpy path, the only one that reads columns
+def test_dominated_with_columns_checks_the_first_members_m():
+    # wide enough for the numpy path, the only one that reads columns; a
+    # side given as columns is trusted, and the block's one check compares
+    # the first member's M with the first peer's
     members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MAX_PAIRS_M2 + 1)]
     cols = _record_of(members, 2)
     odd = [Solution("odd", (1, 2, 3))]

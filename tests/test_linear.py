@@ -250,6 +250,27 @@ def _tail_path(m: int, tail: int, path: str) -> str:
     return "unrolled" if m == 2 and tail <= ndfronts.core._BLOCK_MAX_PAIRS_M2 else "numpy"
 
 
+# each front's own block path, as in the test above: the floor, unrolled,
+# and record slices; a new solution of another M picks the block's M, so an
+# M = 3 or 5 one on the M = 2 front of 40 would build its columns from tuples
+@pytest.mark.parametrize(
+    "m, width, later_start", [(2, 5, 3), (2, 40, 9), (2, 120, 25), (3, 40, 9), (5, 40, 9)]
+)
+def test_dom_set_rejects_a_new_solution_of_another_m_before_counting(monkeypatch, m, width, later_start):
+    # the block's one dimension check compares the new solution with the
+    # first tail member, whatever path the block would take
+    fs = fs_of([Solution(f"x{i}", (i, -i) + (0,) * (m - 2)) for i in range(width)])
+    taken = _dom_set_path(monkeypatch, fs)
+    for new_m in {2, 3, 5} - {m}:
+        new = Solution("new", (0.5,) * new_m)
+        for start in (1, later_start):
+            c = Counter()
+            with pytest.raises(DimensionMismatchError) as err:
+                dom_set(fs, fs.fronts[0], new, start, c)
+            assert str(err.value) == f"cannot compare 'new' (M={new_m}) with 'x{start - 1}' (M={m})"
+            assert c.pair_compares == 0 and taken == []
+
+
 @pytest.mark.parametrize("m, width", [(2, 10), (2, 40), (2, 200), (3, 40), (2, 120), (3, 120), (2, 300)])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32))
