@@ -10,9 +10,10 @@ there is no epsilon.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import not_
 from typing import Iterable, Iterator
 
@@ -70,13 +71,14 @@ class Counter:
     The charging rule: a pair counts one, however many objectives it
     carries, and only three kernels count.  A :func:`dom_nature` call
     charges its pair.  A :func:`_dominated` block charges every pair in it,
-    ``len(peers) * len(members)``, whatever path tests it.  The front scan
-    (:func:`ndfronts.linear._first_witness`) charges what a sequential scan
-    tests: for each front it passes, the pairs up to the member that
-    decides the front, or the front's width when none does, however the
-    front is tested.  Whether a block should charge as a scan does is
-    ROADMAP.md's item 13.  Reset it between operations to read
-    per-operation costs.
+    ``len(peers) * len(members)``, whatever path answers it, though the
+    M = 2 sweep tests no pair on its own: it sorts the peers and bisects
+    once per member.  The front scan (:func:`ndfronts.linear._first_witness`)
+    charges what a sequential scan tests: for each front it passes, the
+    pairs up to the member that decides the front, or the front's width
+    when none does, however the front is tested.  Whether a block should
+    charge as a scan does is ROADMAP.md's item 13.  Reset it between
+    operations to read per-operation costs.
     """
 
     __slots__ = ("pair_compares",)
@@ -129,9 +131,8 @@ def dom_nature(a: Solution, b: Solution, counter: Counter) -> int:
     return 1 if a_better else -1 if b_better else 0
 
 
-# The block paths' thresholds: _dominated states the paths and the reasons.
+# The dom_nature floor's bound: _dominated states the paths and the reasons.
 _BLOCK_MIN_PAIRS = 32
-_BLOCK_MAX_PAIRS_M2 = 256
 
 
 def _cols(sols: list[Solution], m: int) -> np.ndarray:
@@ -159,13 +160,18 @@ def _dominated_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dominated_m2(peer_objs: list[tuple[float, ...]], member_objs: list[tuple[float, ...]]) -> list[bool]:
-    """:func:`_dominated`'s unrolled M = 2 path on objective tuples, every
-    pair tested before the running flag is read.  Uncounted, so only
-    :func:`_dominated` calls it."""
-    hit = [False] * len(member_objs)
-    for p0, p1 in peer_objs:
-        hit = [(p0 <= q0 and p1 <= q1) or h for (q0, q1), h in zip(member_objs, hit)]
-    return hit
+    """:func:`_dominated`'s M = 2 path on objective tuples, a sweep over
+    the peers' staircase: ``least[i]`` is the smallest f2 among the ``i``
+    peers with the smallest f1, so some peer weakly dominates ``(q0, q1)``
+    exactly when ``least[i] <= q1`` for the ``i`` peers whose f1 is at most
+    ``q0``, which one bisection finds.  The peers may come in any order,
+    repeat a vector or dominate each other.  Every tuple is unpacked as a
+    pair, so one of another M raises :class:`ValueError` before any answer.
+    Uncounted, so only :func:`_dominated` calls it."""
+    peer_objs = sorted(peer_objs)
+    firsts = [p0 for p0, _ in peer_objs]
+    least = [math.inf, *accumulate([p1 for _, p1 in peer_objs], min)]
+    return [least[bisect_right(firsts, q0)] <= q1 for q0, q1 in member_objs]
 
 
 def _dominated(
@@ -178,21 +184,25 @@ def _dominated(
     """Whether some peer dominates each member: a mask with ``mask[j]``
     True when a member of ``peers`` dominates ``members[j]``, as a list of
     bools from the Python paths and an empty block, and as a bool array
-    from numpy.  Every pair is tested and charged (see :class:`Counter`).
+    from numpy.  Every pair is charged (see :class:`Counter`), though the
+    M = 2 sweep tests no pair on its own.
 
-    The block paths, picked by the pair count, M and ``member_cols`` alone:
+    The block paths, picked by the pair count, M and whether a side comes
+    as a record alone:
 
     - under ``_BLOCK_MIN_PAIRS`` pairs, the floor: one :func:`dom_nature`
-      call per pair.  The unrolled path would beat it, but perfbench's
-      tracer divides by the calls it counts, and a two-objective run needs
-      some (ROADMAP.md, item 1);
-    - at M = 2, up to ``_BLOCK_MAX_PAIRS_M2`` pairs whose members come as
-      tuples: :func:`_dominated_m2`, which beats numpy's fixed cost per
-      block there.  Members given as a record stay on numpy, which
-      measured faster than unpacking their tuples (ROADMAP.md);
-    - every other block: :func:`_dominated_cols`.  A side given as
-      ``peer_cols`` or ``member_cols``, a front's record or a slice of it
-      (see :meth:`FrontSet._columns`), is read as it is; any other side is
+      call per pair.  The sweep would beat it, but perfbench's tracer
+      divides by the calls it counts, and a two-objective run needs some
+      (ROADMAP.md, item 1);
+    - at M = 2 with neither side given as a record, at any size:
+      :func:`_dominated_m2`, a sort of the peers and one bisection per
+      member, which beats numpy's fixed cost per block and its |peers| x
+      |members| comparisons alike;
+    - every other block, an M = 2 one with a record on either side
+      included, where numpy measured faster than unpacking the tuples:
+      :func:`_dominated_cols`.  A side given as ``peer_cols`` or
+      ``member_cols``, a front's record or a slice of it (see
+      :meth:`FrontSet._columns`), is read as it is; any other side is
       built by :func:`_cols`.
 
     The block rule: the two larger paths test weak dominance only, a peer
@@ -208,7 +218,7 @@ def _dominated(
     the one check a block needs: every stored member has its set's M, so
     the only odd solution an API call can hand a block is ``dom_set``'s new
     one, at ``peers[0]``.  A block mixed by hand further in still raises,
-    from :func:`dom_nature`, the unrolled path or :func:`_cols`, though
+    from :func:`dom_nature`, the sweep or :func:`_cols`, though
     the floor has by then counted the pairs before the odd member.
     """
     if not peers or not members:
@@ -222,7 +232,7 @@ def _dominated(
         for p in peers:  # dom_nature is called before the running flag is read
             hit = [dom_nature(p, q, counter) == 1 or h for q, h in zip(members, hit)]
         return hit
-    if m == 2 and pairs <= _BLOCK_MAX_PAIRS_M2 and member_cols is None:
+    if m == 2 and peer_cols is None and member_cols is None:
         try:  # unpacking every tuple checks its M before the block is counted
             hit = _dominated_m2([p.objectives for p in peers], [q.objectives for q in members])
         except ValueError:
@@ -399,8 +409,8 @@ class FrontSet:
         front scan, so a record built once spares every later block and
         scan the build from tuples.  At M = 2 only from ``_SCAN_MIN_WIDTH``
         members on, where the front scan reads it: a narrower front's
-        blocks run unrolled on its members' tuples, and a record would push
-        them onto numpy.  :meth:`_columns` builds a record on the first read
+        blocks sweep its members' tuples, and a record would push them
+        onto numpy.  :meth:`_columns` builds a record on the first read
         this allows; :meth:`remove` and :meth:`_move` drop one it no longer
         allows."""
         return self.m > 2 or width >= _SCAN_MIN_WIDTH

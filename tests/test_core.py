@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ndfronts import (
     Counter,
@@ -150,10 +150,10 @@ grid_values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 
 def _block_path(m: int, pairs: int) -> str:
     """The path a non-empty ``core._dominated`` block of ``pairs`` pairs takes
-    when its members come as tuples."""
+    when neither side comes as a record."""
     if pairs < core._BLOCK_MIN_PAIRS:
         return "dom_nature"
-    return "unrolled" if m == 2 and pairs <= core._BLOCK_MAX_PAIRS_M2 else "numpy"
+    return "sweep" if m == 2 else "numpy"
 
 
 def _bools(mask) -> list:
@@ -169,9 +169,10 @@ def _bools(mask) -> list:
 def grid_blocks(draw):
     """Two lists of grid solutions with one M in {2, 3, 4, 5}, every M the
     scan tests use; up to 12 x 12, and up to 20 x 20 at M = 2, so blocks
-    fall on every side of each crossover, empty ones included."""
+    fall on both sides of the floor, empty ones included, and M = 2 ones
+    reach 400 pairs."""
     m = draw(st.sampled_from([2, 3, 4, 5]))
-    width = math.isqrt(core._BLOCK_MAX_PAIRS_M2) + 4 if m == 2 else 12
+    width = 20 if m == 2 else 12
     side = st.lists(st.tuples(*[grid_values] * m), max_size=width)
     peers = [Solution(f"p{i}", vec) for i, vec in enumerate(draw(side))]
     members = [Solution(f"q{j}", vec) for j, vec in enumerate(draw(side))]
@@ -184,15 +185,15 @@ def test_dominated_equals_dom_nature_pair_by_pair(block):
     c = Counter()
     spies = {
         "dom_nature": mock.patch.object(core, "dom_nature", wraps=core.dom_nature),
-        "unrolled": mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2),
+        "sweep": mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2),
         "numpy": mock.patch.object(core, "_dominated_cols", wraps=core._dominated_cols),
     }
-    with spies["dom_nature"] as loop, spies["unrolled"] as unrolled, spies["numpy"] as numpy_path:
+    with spies["dom_nature"] as loop, spies["sweep"] as sweep, spies["numpy"] as numpy_path:
         mask = core._dominated(peers, members, c, None, None)
     pairs = len(peers) * len(members)
     assert c.pair_compares == pairs
     m = (peers + members)[0].m if pairs else None
-    taken = {"dom_nature": loop.called, "unrolled": unrolled.called, "numpy": numpy_path.called}
+    taken = {"dom_nature": loop.called, "sweep": sweep.called, "numpy": numpy_path.called}
     assert taken == {path: bool(pairs) and path == _block_path(m, pairs) for path in taken}
     # perfbench's tracer divides by dom_nature calls: the loop makes one per
     # pair, and the other paths make none
@@ -213,15 +214,15 @@ def test_dominated_equals_dom_nature_pair_by_pair(block):
 TIE_GRID = [Solution(f"v{i}", vec) for i, vec in enumerate(itertools.product([-0.0, 0.0, 1.0], repeat=2))]
 
 
-def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
-    # the grid against itself, 81 pairs at M = 2, runs unrolled and tests
+def test_sweep_block_matches_the_dom_nature_loop_on_a_tie_grid():
+    # the grid against itself, 81 pairs at M = 2, takes the sweep and tests
     # weak dominance only: every member is hit, by its own vector at least
     c = Counter()
-    with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+    with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as sweep, mock.patch.object(
         core, "_dominated_cols", wraps=core._dominated_cols
     ) as numpy_path:
         mask = core._dominated(TIE_GRID, TIE_GRID, c, None, None)
-    assert unrolled.called and not numpy_path.called and isinstance(mask, list)
+    assert sweep.called and not numpy_path.called and isinstance(mask, list)
     assert c.pair_compares == 81
     assert _bools(mask) == [True] * len(TIE_GRID)
     scratch = Counter()
@@ -235,6 +236,40 @@ def test_unrolled_block_matches_the_dom_nature_loop_on_a_tie_grid():
     # the caller's promise that no member equals a peer
     assert core._dominated_m2([(0.0, 0.0)], [(-0.0, 0.0)]) == [True]
     assert core._dominated_cols(np.zeros((2, 1)), np.zeros((2, 1))).tolist() == [True]
+
+
+# M = 2 tuples on the tie grid or anywhere in [-5, 5]; lists of them repeat
+# vectors, come unsorted and hold tuples that dominate each other
+sweep_pairs = st.tuples(*[grid_values | st.floats(-5, 5, allow_nan=False)] * 2)
+# up to 95 x 95, the widest M = 2 block whose sides keep no record
+sweep_sides = st.lists(sweep_pairs, max_size=core._SCAN_MIN_WIDTH - 1)
+
+
+@given(sweep_sides, sweep_sides)
+@example([(2.0, 2.0), (0.0, 3.0), (2.0, 2.0), (1.0, 1.0), (-0.0, 3.0)], [(1.0, 1.0), (0.0, 3.0), (3.0, 0.5), (2.0, 1.5)])
+def test_sweep_answers_the_weak_rule_pair_by_pair(peer_objs, member_objs):
+    want = [any(p0 <= q0 and p1 <= q1 for p0, p1 in peer_objs) for q0, q1 in member_objs]
+    got = core._dominated_m2(peer_objs, member_objs)
+    assert all(type(x) is bool for x in got) and got == want
+
+
+@given(
+    st.lists(sweep_pairs, min_size=6, max_size=core._SCAN_MIN_WIDTH - 1),
+    st.lists(sweep_pairs, min_size=6, max_size=core._SCAN_MIN_WIDTH - 1),
+    st.sampled_from(["peers", "members"]),
+    st.sampled_from(["first", "middle", "last"]),
+)
+def test_sweep_block_rejects_a_tuple_of_another_m_before_counting(peer_objs, member_objs, side, at):
+    # at least 36 pairs, so the block takes the sweep: whichever side the
+    # odd tuple is on, and wherever, nothing is counted
+    peers = [Solution(f"p{i}", vec) for i, vec in enumerate(peer_objs)]
+    members = [Solution(f"q{j}", vec) for j, vec in enumerate(member_objs)]
+    odd_side = peers if side == "peers" else members
+    odd_side.insert({"first": 0, "middle": len(odd_side) // 2, "last": len(odd_side)}[at], Solution("odd", (1, 2, 3)))
+    c = Counter()
+    with mock.patch.object(core, "dom_nature", wraps=core.dom_nature) as loop, pytest.raises(DimensionMismatchError):
+        core._dominated(peers, members, c, None, None)
+    assert c.pair_compares == 0 and not loop.called
 
 
 def _doubled_grid(m: int, values: list[float]) -> list[Solution]:
@@ -265,19 +300,19 @@ def test_weak_blocks_match_strict_ones_on_adjacent_fronts_of_a_tie_grid(m, value
         want = [any(dom_nature(p, q, scratch) == 1 for p in upper) for q in lower]
         for member_cols in (None, cols):
             c = Counter()
-            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as sweep, mock.patch.object(
                 core, "_dominated_cols", wraps=core._dominated_cols
             ) as numpy_path:
                 assert _bools(core._dominated(upper, lower, c, None, member_cols)) == want
             assert c.pair_compares == len(upper) * len(lower)
-            paths.update(path for path, spy in (("numpy", numpy_path), ("unrolled", unrolled)) if spy.called)
-    # the weak paths were reached: unrolled at M = 2, and numpy at every M
-    assert {"numpy"} | ({"unrolled"} if m == 2 else set()) <= paths
+            paths.update(path for path, spy in (("numpy", numpy_path), ("sweep", sweep)) if spy.called)
+    # the weak paths were reached: the sweep at M = 2, and numpy at every M
+    assert {"numpy"} | ({"sweep"} if m == 2 else set()) <= paths
 
 
-# one width per M = 2 path: blocks of 1 x (width + 1) and 2 x width
-# pairs both take the dom_nature loop, the unrolled path and numpy in turn
-@pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, core._BLOCK_MAX_PAIRS_M2])
+# blocks of 1 x (width + 1) and 2 x width pairs both take the dom_nature
+# loop, then the sweep twice, the second time at 257 and 512 pairs
+@pytest.mark.parametrize("width", [1, core._BLOCK_MIN_PAIRS, 256])
 def test_dominated_dimension_mismatch_counts_nothing(width):
     assert _block_path(2, width + 1) == _block_path(2, 2 * width)
     p, odd = s("p", 0, 0), Solution("odd", (1, 2, 3))
@@ -317,7 +352,13 @@ def _record_of(side: list[Solution], m: int, spare: int = 0) -> np.ndarray:
     return buf[:, : len(side)]
 
 
+# an M = 2 block of 64 pairs with a record on one side: numpy, not the sweep
+M2_BLOCK = tuple([Solution(f"{tag}{i}", (float(i % 4), 3.0 - i % 4)) for i in range(8)] for tag in "pq")
+
+
 @given(grid_blocks(), st.sampled_from(["peers", "members", "both"]))
+@example(M2_BLOCK, "peers")
+@example(M2_BLOCK, "members")
 def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
     # each record is a FrontSet-style view with spare columns of -inf past
     # its width: a kernel that read past the width would hit every member
@@ -335,10 +376,8 @@ def test_dominated_reads_record_columns_exactly_as_tuples(block, given_side):
     assert _bools(got) == _bools(want)
     pairs = len(peers) * len(members)
     assert got_counter.pair_compares == want_counter.pair_compares == pairs
-    # a block whose members come as columns reads them in numpy at any M
-    assert numpy_path.called == (
-        pairs >= core._BLOCK_MIN_PAIRS and (given_side != "peers" or _block_path(m, pairs) == "numpy")
-    )
+    # a block with either side given as columns reads them in numpy at any M
+    assert numpy_path.called == (pairs >= core._BLOCK_MIN_PAIRS)
     if numpy_path.called:  # a side given as columns is read, not rebuilt
         for arg, rec in zip(numpy_path.call_args.args, recs):
             assert rec is None or np.shares_memory(arg, rec)
@@ -348,7 +387,7 @@ def test_dominated_with_columns_checks_the_first_members_m():
     # wide enough for the numpy path, the only one that reads columns; a
     # side given as columns is trusted, and the block's one check compares
     # the first member's M with the first peer's
-    members = [s(f"q{j}", j, -j) for j in range(core._BLOCK_MAX_PAIRS_M2 + 1)]
+    members = [s(f"q{j}", j, -j) for j in range(257)]
     cols = _record_of(members, 2)
     odd = [Solution("odd", (1, 2, 3))]
     c = Counter()

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import collections
 import itertools
-import math
 import random
 import sys
 
@@ -165,19 +163,19 @@ def test_dom_set_start_out_of_range_raises_and_counts_nothing(start):
 
 def _dom_set_path(monkeypatch, fs):
     """Spy on the block paths of ``core._dominated``; returns the list of
-    paths taken, named ``dom_nature``, ``unrolled``, ``numpy`` (columns
+    paths taken, named ``dom_nature``, ``sweep``, ``numpy`` (columns
     built from tuples) or ``record`` (a slice of a front's record)."""
     taken = []
     core = ndfronts.core
-    loop, unrolled, numpy_path = core.dom_nature, core._dominated_m2, core._dominated_cols
+    loop, sweep, numpy_path = core.dom_nature, core._dominated_m2, core._dominated_cols
 
     def spy_loop(*args):
         taken.append("dom_nature")
         return loop(*args)
 
-    def spy_unrolled(*args):
-        taken.append("unrolled")
-        return unrolled(*args)
+    def spy_sweep(*args):
+        taken.append("sweep")
+        return sweep(*args)
 
     def spy_numpy(a, b):
         read = any(front.buf is not None and np.shares_memory(b, front.buf) for front in fs.fronts)
@@ -185,7 +183,7 @@ def _dom_set_path(monkeypatch, fs):
         return numpy_path(a, b)
 
     monkeypatch.setattr(core, "dom_nature", spy_loop)
-    monkeypatch.setattr(core, "_dominated_m2", spy_unrolled)
+    monkeypatch.setattr(core, "_dominated_m2", spy_sweep)
     monkeypatch.setattr(core, "_dominated_cols", spy_numpy)
     return taken
 
@@ -196,16 +194,16 @@ def _dom_set_path(monkeypatch, fs):
         (2, 1, "dom_nature"),
         (2, 3, "dom_nature"),
         (2, ndfronts.core._BLOCK_MIN_PAIRS - 1, "dom_nature"),
-        (2, 40, "unrolled"),
-        (2, ndfronts.core._SCAN_MIN_WIDTH - 1, "unrolled"),
+        (2, 40, "sweep"),
+        (2, ndfronts.core._SCAN_MIN_WIDTH - 1, "sweep"),
         # at M >= 3 dom_set reads the front's record at every width
         (3, 40, "record"),
         (5, 40, "record"),
-        # a front this wide has a record, so an M = 2 tail of more than 256
-        # pairs, or of 200, is a slice of it: M = 2 blocks from tuples stop at 95
+        # a front this wide has a record, so an M = 2 tail of 200 pairs, or
+        # of 257, is a slice of it: M = 2 blocks swept from tuples stop at 95
         (2, 120, "record"),
         (2, 200, "record"),
-        (2, ndfronts.core._BLOCK_MAX_PAIRS_M2 + 1, "record"),
+        (2, 257, "record"),
         (3, 120, "record"),
     ],
 )
@@ -232,7 +230,8 @@ def test_dom_set_keeps_a_member_equal_to_the_new_solution(monkeypatch, m, width,
         stays = dom_set(fs, fs.fronts[0], Solution("new", vec), start, c)
         assert stays.dtype == bool and stays.tolist() == [True] * width
         assert c.pair_compares == width - start + 1
-        tail_path = path if start == 1 else _tail_path(m, width - start + 1, path)
+        # a 1 x tail block takes its front's path, unless it falls under the floor
+        tail_path = "dom_nature" if width - start + 1 < ndfronts.core._BLOCK_MIN_PAIRS else path
         assert set(taken) == {tail_path}
         # every path's hits are searched for a twin: the weak paths' hold the
         # tail's twins, and the floor's, strict, hold none
@@ -241,16 +240,7 @@ def test_dom_set_keeps_a_member_equal_to_the_new_solution(monkeypatch, m, width,
         assert sum(searched[0][1]) == (0 if tail_path == "dom_nature" else tail_twins)
 
 
-def _tail_path(m: int, tail: int, path: str) -> str:
-    """The path of a 1 x ``tail`` block on a front whose whole-width block takes ``path``."""
-    if tail < ndfronts.core._BLOCK_MIN_PAIRS:
-        return "dom_nature"
-    if path == "record":
-        return path
-    return "unrolled" if m == 2 and tail <= ndfronts.core._BLOCK_MAX_PAIRS_M2 else "numpy"
-
-
-# each front's own block path, as in the test above: the floor, unrolled,
+# each front's own block path, as in the test above: the floor, the sweep,
 # and record slices; a new solution of another M picks the block's M, so an
 # M = 3 or 5 one on the M = 2 front of 40 would build its columns from tuples
 @pytest.mark.parametrize(
@@ -537,7 +527,7 @@ def _audit_kernel(monkeypatch):
     """Count every pair the dominance kernel tests, in each ``ndfronts``
     namespace that binds the kernel, and record the width of the front
     every cascade (``linear._cascade``) starts from.  A ``dom_nature`` call is
-    one pair; a block on ``core._dominated``'s unrolled M = 2 path
+    one pair; a block on ``core._dominated``'s M = 2 sweep
     (``core._dominated_m2``) is the product of its two tuple lists' lengths,
     and on its numpy path (``core._dominated_cols``) the product of its two
     column arrays' widths; a front scan (``linear._first_witness``, bound
@@ -573,7 +563,7 @@ def _audit_kernel(monkeypatch):
 
         return wrapper
 
-    def counted_unrolled(fn):
+    def counted_sweep(fn):
         def wrapper(peer_objs, member_objs):
             calls[0] += len(peer_objs) * len(member_objs)
             return fn(peer_objs, member_objs)
@@ -581,7 +571,7 @@ def _audit_kernel(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ndfronts.core, "_dominated_cols", counted_block(ndfronts.core._dominated_cols))
-    monkeypatch.setattr(ndfronts.core, "_dominated_m2", counted_unrolled(ndfronts.core._dominated_m2))
+    monkeypatch.setattr(ndfronts.core, "_dominated_m2", counted_sweep(ndfronts.core._dominated_m2))
     witness = counted_witness(ndfronts.linear._first_witness)
     for module in (ndfronts.linear, ndfronts.dbst):
         monkeypatch.setattr(module, "_first_witness", witness)
@@ -668,16 +658,17 @@ def test_worst_case_delete_kernel_calls_take_the_block_path(monkeypatch, approac
     fs = FrontSet(2, [pop[:n1], pop[n1:]])
     calls, widths = _audit_kernel(monkeypatch)
     blocks = []
-    audited = ndfronts.core._dominated_cols
+    audited = ndfronts.core._dominated_m2
 
-    def numpy_path(a, b):
-        blocks.append((a.shape[1], b.shape[1]))
-        return audited(a, b)
+    def sweep(peer_objs, member_objs):
+        blocks.append((len(peer_objs), len(member_objs)))
+        return audited(peer_objs, member_objs)
 
-    monkeypatch.setattr(ndfronts.core, "_dominated_cols", numpy_path)
+    monkeypatch.setattr(ndfronts.core, "_dominated_m2", sweep)
     c = Counter()
     APPROACHES[approach].delete(fs, pop[n1 - 1], c)
-    # the whole lower front is one block against the survivors of the upper one
+    # the whole lower front is one block against the survivors of the upper
+    # one; neither keeps a record at M = 2, so the block takes the sweep
     assert blocks == [(n1 - 1, 100 - n1)]
     assert widths == [n1 - 1]
     assert calls[0] == c.pair_compares
@@ -750,12 +741,10 @@ def test_only_an_insert_cascade_goes_through_update_insert(monkeypatch, approach
 
 @pytest.mark.parametrize("approach", APPROACHES)
 @pytest.mark.parametrize("op", ["insert", "delete"])
-def test_a_cascade_builds_each_fronts_columns_at_most_twice(monkeypatch, approach, op):
-    # x chains and one y: every cascade block is columns x (columns + 1), past
-    # the unrolled M = 2 path onto the numpy one, but far below the record width
-    k = 50
-    columns = math.isqrt(ndfronts.core._BLOCK_MAX_PAIRS_M2)
-    assert columns * (columns + 1) > ndfronts.core._BLOCK_MAX_PAIRS_M2
+def test_a_narrow_m2_cascade_builds_no_columns(monkeypatch, approach, op):
+    # x chains and one y: every cascade block is columns x (columns + 1),
+    # 272 pairs, far above the floor, on fronts far below the record width
+    k, columns = 50, 16
     fronts = _column_ladder(k, columns)
     fs = FrontSet(2, [list(front) for front in fronts])
     pop = [sol for front in fronts for sol in front]
@@ -768,6 +757,9 @@ def test_a_cascade_builds_each_fronts_columns_at_most_twice(monkeypatch, approac
 
     monkeypatch.setattr(ndfronts.core, "_cols", recorded)
     calls, _ = _audit_kernel(monkeypatch)
+    swept = []  # the shape of every block the sweep answers
+    sweep = ndfronts.core._dominated_m2
+    monkeypatch.setattr(ndfronts.core, "_dominated_m2", lambda a, b: swept.append((len(a), len(b))) or sweep(a, b))
     c = Counter()
     if op == "insert":
         probe = s("probe", -2, 10_000.5)  # displaces every x of rank 1
@@ -778,12 +770,10 @@ def test_a_cascade_builds_each_fronts_columns_at_most_twice(monkeypatch, approac
         APPROACHES[approach].delete(fs, fronts[0][-1], c)
         assert fs.level_ids()[-1] == {f"x{chr(97 + col)}{k}" for col in range(columns)}
         pop.remove(fronts[0][-1])
-    # no front this narrow keeps a record at M = 2, so each step builds both
-    # its sides from tuples: a step's survivors, built as its lower side, are
-    # built again as the next step's upper side, and no solution a third time
-    per_id = collections.Counter(sol_id for ids in builds for sol_id in ids)
-    assert per_id and max(per_id.values()) <= 2
-    assert len(builds) <= 2 * (k - 1)
+    # no front this narrow keeps a record at M = 2, so each of the k - 1
+    # steps sweeps both sides' tuples, and no array is built
+    assert swept == [(columns, columns + 1)] * (k - 1)
+    assert builds == []
     assert calls[0] == c.pair_compares
     assert same_partition(fs, full_sort(pop))
 

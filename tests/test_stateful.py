@@ -3,8 +3,8 @@ tie-heavy grid points, applied to one front set per approach, must keep each
 partition equal to a from-scratch sort of the live solutions by id.  Wide
 anti-diagonal batches below the grid take the inserts onto the larger block
 paths: the narrow batches' ``dom_set`` blocks and cascade steps onto the
-unrolled M = 2 path, or numpy at M = 3 and 5, and one batch wide enough to
-keep an objective array at every M onto its columns.  At M = 3 and 5 narrow
+M = 2 sweep, or numpy at M = 3 and 5, and one batch wide enough to keep an
+objective array at every M onto its columns.  At M = 3 and 5 narrow
 fronts keep their records too.  The front scan reads a record at every
 width at M = 5, in numpy, and at M = 2 and 3 only from
 ``core._SCAN_MIN_WIDTH`` members on, unrolled below it.  Every record's
@@ -37,8 +37,10 @@ from tests.conftest import assert_columns_consistent
 
 GRID = st.integers(0, 3)  # four values per coordinate: tied vectors are common
 WIDTH = core._BLOCK_MIN_PAIRS + 1  # an anti-diagonal batch, less its apex, fills one block
-# the batch front keeps an objective array, and its block is past the unrolled path
-WIDE = max(core._SCAN_MIN_WIDTH, core._BLOCK_MAX_PAIRS_M2 + 1) + 1
+# the batch front keeps an objective array at every M (from
+# core._SCAN_MIN_WIDTH members at M = 2), so its blocks read its columns in
+# numpy, as its apex's 1 x 257 dom_set block does
+WIDE = 258
 
 
 def _dominated_where_no_member_dominates_a_peer(peers, members, counter, peer_cols, member_cols):
@@ -91,8 +93,8 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
         that dominates all of them.  Slot ``slot`` lies below the grid and
         every lower-numbered slot, and above every higher-numbered one, so
         the front is new and the apex displaces it in one
-        ``1 x (width - 1)`` ``dom_set`` block: unrolled at M = 2 while the
-        front has no record, and in numpy otherwise.
+        ``1 x (width - 1)`` ``dom_set`` block: the sweep at M = 2 while the
+        front has no record, and numpy otherwise.
 
         With ``shadow``, a second front, each point half a unit behind one
         of the first, goes in before the apex, and then a notch that
@@ -111,14 +113,14 @@ class FrontSetsUnderChurn(RuleBasedStateMachine):
             batch.append(Solution(f"{tag}.notch", (mid[0] - 0.25, mid[1] - 0.25) + pad))
         batch.append(Solution(f"{tag}.apex", (base,) * self.m))
         for approach, fs in self.sets.items():
-            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as unrolled, mock.patch.object(
+            with mock.patch.object(core, "_dominated_m2", wraps=core._dominated_m2) as sweep, mock.patch.object(
                 core, "_dominated_cols", wraps=core._dominated_cols
             ) as numpy_path:
                 for sol in batch:
                     APPROACHES[approach].insert(fs, sol, Counter())
             # the shapes of the blocks on the path these widths take
             if self.m == 2 and width < core._SCAN_MIN_WIDTH:
-                blocks = {(len(call.args[0]), len(call.args[1])) for call in unrolled.call_args_list}
+                blocks = {(len(call.args[0]), len(call.args[1])) for call in sweep.call_args_list}
             else:
                 blocks = {(call.args[0].shape[1], call.args[1].shape[1]) for call in numpy_path.call_args_list}
             assert (1, width - 1) in blocks, approach  # the apex's dom_set tail
